@@ -26,6 +26,7 @@ from .cavity import (
     total_error_closed_form,
     total_error_limit,
     truncated_gamma_state,
+    windowed_acceptance,
 )
 from .imperfections import (
     DarkCountModel,
@@ -96,4 +97,5 @@ __all__ = [
     "total_error_with_mismatch",
     "truncated_gamma_state",
     "verify_mub",
+    "windowed_acceptance",
 ]

@@ -18,9 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .states import (
     TimeBinState,
@@ -32,6 +33,9 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
+# Bins per evaluation block of the windowed-acceptance kernel: temporaries
+# stay O(rows * (block + d)) however long the accepted window is.
+_BIN_BLOCK = 256
 
 
 class Port(Enum):
@@ -226,31 +230,70 @@ def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
     return float(cfg.r1_sq * abs(state.amps[n - 1]) ** 2)
 
 
+def _click_probability_blocks(
+    cfg: CavityConfig, amps: np.ndarray, first: int, last: int, phi
+) -> Iterator[np.ndarray]:
+    """Per-bin D2 click probabilities |<gamma_N|psi>|^2 for N = first..last.
+
+    ``phi`` is one round-trip phase, or an array of them (one output row
+    each). At bin N, slot d - n has made N - d + n round trips; slots that
+    have not yet entered the loop (negative counts, only in bins N < d)
+    contribute nothing, which gives the truncated projection states. Each
+    block of at most ``_BIN_BLOCK`` bins is one contraction of the Hankel
+    block of conjugated projection amplitudes with the input amplitudes.
+    """
+    d = cfg.dim
+    coupling = cfg.t1 * cfg.t2
+    r = cfg.round_trip().r
+    by_trips = amps[::-1]  # entry n: amplitude of slot d - n
+    for start in range(first, last + 1, _BIN_BLOCK):
+        stop = min(start + _BIN_BLOCK, last + 1)
+        trips = np.arange(start - d, stop - 1)
+        entered = np.maximum(trips, 0)
+        loop = coupling * r**entered * np.exp(-1j * np.multiply.outer(phi, entered))
+        loop[..., trips < 0] = 0.0
+        amp = sliding_window_view(loop, d, axis=-1) @ by_trips
+        yield amp.real**2 + amp.imag**2
+
+
+def windowed_acceptance(cfg: CavityConfig, k: int) -> np.ndarray:
+    """Per-bin D2 click probabilities for every setting, shape (d, W).
+
+    Entry [m, N - d] is |<gamma_N|phi_k>|^2 with the loop phase dialled to
+    2 pi m / d, for the W = n_prime - d + 1 accepted bins N in [d, n_prime];
+    row m sums to P(m|k). This is the direct per-bin sum, independent of
+    :func:`total_error_closed_form`. The config's own ``theta`` is ignored.
+    """
+    d = cfg.dim
+    check_mub_index(d, k)
+    phases = TWO_PI * np.arange(d) / d
+    blocks = _click_probability_blocks(
+        cfg, mub_state(d, k).amps, d, cfg.n_prime, phases
+    )
+    return np.concatenate(list(blocks), axis=1)
+
+
 def p_m_given_k(cfg: CavityConfig, k: int) -> float:
     """Windowed D2 click probability for prepared Fourier state k.
 
-    Direct summation of the per-bin projections over the accepted window
-    [d, n_prime]; the config's phase is normally dialled with
+    Sum of the per-bin projections over the accepted window [d, n_prime]
+    at the config's own phase (one blocked contraction, as in
+    :func:`windowed_acceptance`), normally dialled with
     :meth:`CavityConfig.for_outcome` to target some outcome m.
     """
-    check_mub_index(cfg.dim, k)
-    prepared = mub_state(cfg.dim, k)
-    return math.fsum(
-        d2_bin_probability(cfg, prepared, N)
-        for N in range(cfg.dim, cfg.n_prime + 1)
-    )
+    return d2_total_probability(cfg, mub_state(cfg.dim, k))
 
 
 def total_error(cfg: CavityConfig, k: int = 0) -> float:
     """Discrimination error over all settings, by brute-force summation.
 
     Ratio of the mismatched-setting acceptance to the total acceptance,
-    with each setting m evaluated at phase 2 pi m / d and the same window.
-    The window length and the prepared index cancel in the ratio, which is
-    enforced by tests rather than assumed.
+    with each setting m evaluated at phase 2 pi m / d and the same window
+    (the rows of :func:`windowed_acceptance`). The window length and the
+    prepared index cancel in the ratio, which is enforced by tests rather
+    than assumed.
     """
-    check_mub_index(cfg.dim, k)
-    probs = [p_m_given_k(cfg.for_outcome(m), k) for m in range(cfg.dim)]
+    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
     total = math.fsum(probs)
     if total == 0.0:
         raise ValueError("zero total acceptance; error ratio is undefined")
@@ -294,11 +337,13 @@ def d2_total_probability(
     sees up to bin n_prime.
     """
     _require_normalized(state)
+    if state.dim != cfg.dim:
+        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
     first = 1 if include_early else cfg.dim
-    return math.fsum(
-        abs(inner_product(truncated_gamma_state(cfg, N), state)) ** 2
-        for N in range(first, cfg.n_prime + 1)
+    blocks = _click_probability_blocks(
+        cfg, state.amps, first, cfg.n_prime, cfg.round_trip().phi
     )
+    return math.fsum(float(block.sum()) for block in blocks)
 
 
 def projection_fidelity(cfg: CavityConfig, N: int, k: int) -> float:

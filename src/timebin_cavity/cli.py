@@ -23,10 +23,10 @@ from typing import List, Optional, Sequence
 from .cavity import (
     CavityConfig,
     d2_total_probability,
-    p_m_given_k,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
+    windowed_acceptance,
 )
 from .imperfections import (
     DarkCountModel,
@@ -41,6 +41,11 @@ from .states import mub_state, verify_mub
 
 MUB_TOLERANCE = 1e-12
 CLOSED_FORM_TOLERANCE = 1e-10
+# Size caps, checked before anything is allocated: mub-verify stacks a d x d
+# complex matrix; the window commands hold d x (n_prime - d + 1) per-bin
+# probabilities and discriminate builds d outcome tables over n_prime bins.
+MAX_MUB_DIM = 1024
+MAX_WINDOW_CELLS = 1 << 18
 
 
 class UsageError(Exception):
@@ -90,6 +95,12 @@ class ExperimentConfig:
             for value in cfg.n_prime_values:
                 if value < cfg.d:
                     raise UsageError(f"cutoff {value} must be >= d ({cfg.d})")
+        widest = max([cfg.n_prime, *(cfg.n_prime_values or ())])
+        if cfg.d * (widest + cfg.d) > MAX_WINDOW_CELLS:
+            raise UsageError(
+                f"d * (n_prime + d) = {cfg.d * (widest + cfg.d)} exceeds the "
+                f"size cap {MAX_WINDOW_CELLS}"
+            )
         if not 0.0 <= cfg.eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {cfg.eta}")
         if not 0.0 <= cfg.p_dc < 1.0:
@@ -261,10 +272,11 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         master_seed=config.master_seed,
     )
     window_dark = (config.n_prime - config.d + 1) * config.p_dc
+    acceptance = windowed_acceptance(cfg, config.k).sum(axis=1).tolist()
     settings = []
     for m in range(config.d):
         frames = stats.setting_frames.get(m, 0)
-        p_analytic = p_m_given_k(cfg.for_outcome(m), config.k) + window_dark
+        p_analytic = acceptance[m] + window_dark
         p_hat = stats.p_hat(m)
         sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / frames) if frames else 0.0
         settings.append(
@@ -329,6 +341,8 @@ def cmd_mub_verify(args) -> int:
     config = _load_config(args)
     if config.d < 1:
         raise UsageError(f"d must be >= 1, got {config.d}")
+    if config.d > MAX_MUB_DIM:
+        raise UsageError(f"d must be <= {MAX_MUB_DIM} (size cap), got {config.d}")
     deviation = verify_mub(config.d)
     status = "pass" if deviation < MUB_TOLERANCE else "FAIL"
     print(

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, NamedTuple
+from typing import Iterable, List, NamedTuple, Sequence
 
-from .cavity import CavityConfig, p_m_given_k, total_error_closed_form
-from .states import check_mub_index
+import numpy as np
+
+from .cavity import CavityConfig, total_error_closed_form, windowed_acceptance
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,19 @@ def total_error_with_mismatch(r: float, d: int, mismatch: MismatchModel) -> floa
     return total_error_closed_form(effective_round_trip(r, mismatch), d)
 
 
-def _windowed_setting_probs(cfg: CavityConfig, k: int) -> List[float]:
-    return [p_m_given_k(cfg.for_outcome(m), k) for m in range(cfg.dim)]
+def _observed_error(probs: Sequence[float], k: int, window_dark: float) -> float:
+    """Dark-diluted error ratio from per-setting acceptances P(m|k)."""
+    total = math.fsum(probs)
+    numerator = (total - probs[k]) + (len(probs) - 1) * window_dark
+    denominator = total + len(probs) * window_dark
+    if denominator == 0.0:
+        raise ValueError("zero acceptance and zero dark rate; ratio undefined")
+    return numerator / denominator
+
+
+def _accepted_probability(probs: Sequence[float], window_dark: float) -> float:
+    """Per-frame accepted-event probability from per-setting acceptances."""
+    return math.fsum(probs) / len(probs) + window_dark
 
 
 def observed_error_with_dark_counts(
@@ -99,15 +111,8 @@ def observed_error_with_dark_counts(
 
     which reduces to the clean error ratio at p_dc = 0.
     """
-    check_mub_index(cfg.dim, k)
-    probs = _windowed_setting_probs(cfg, k)
-    total = math.fsum(probs)
-    dark_mass = (cfg.n_prime - cfg.dim + 1) * dark.p_dc
-    numerator = (total - probs[k]) + (cfg.dim - 1) * dark_mass
-    denominator = total + cfg.dim * dark_mass
-    if denominator == 0.0:
-        raise ValueError("zero acceptance and zero dark rate; ratio undefined")
-    return numerator / denominator
+    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
+    return _observed_error(probs, k, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
 
 
 def accepted_event_probability(
@@ -118,9 +123,8 @@ def accepted_event_probability(
     Averaged over uniform settings: sum_m P(m|k) / d signal clicks plus the
     W p_dc dark contribution. The count-rate side of the trade-off.
     """
-    check_mub_index(cfg.dim, k)
-    total = math.fsum(_windowed_setting_probs(cfg, k))
-    return total / cfg.dim + (cfg.n_prime - cfg.dim + 1) * dark.p_dc
+    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
+    return _accepted_probability(probs, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
 
 
 class TradeoffPoint(NamedTuple):
@@ -138,21 +142,30 @@ def cutoff_tradeoff_scan(
     """Observed error and accepted probability across window cutoffs.
 
     Shrinking the window discards the late bins where dark counts dominate,
-    lowering the observed error at the cost of accepted events.
+    lowering the observed error at the cost of accepted events. The kernel
+    is evaluated once, at the widest cutoff; every cutoff reads prefix sums
+    of its per-bin probabilities over N.
     """
-    points = []
-    for n_prime in n_prime_values:
+    cutoffs = [int(n_prime) for n_prime in n_prime_values]
+    for n_prime in cutoffs:
         if n_prime < cfg.dim:
             raise ValueError(
                 f"cutoff {n_prime} precedes the measurement window "
                 f"(first accepted bin is {cfg.dim})"
             )
-        sub = replace(cfg, n_prime=int(n_prime))
+    if not cutoffs:
+        return []
+    widest = replace(cfg, n_prime=max(cutoffs))
+    prefix = np.cumsum(windowed_acceptance(widest, k), axis=1)
+    points = []
+    for n_prime in cutoffs:
+        probs = prefix[:, n_prime - cfg.dim].tolist()
+        window_dark = (n_prime - cfg.dim + 1) * dark.p_dc
         points.append(
             TradeoffPoint(
-                n_prime=int(n_prime),
-                observed_error=observed_error_with_dark_counts(sub, dark, k),
-                accepted_probability=accepted_event_probability(sub, dark, k),
+                n_prime=n_prime,
+                observed_error=_observed_error(probs, k, window_dark),
+                accepted_probability=_accepted_probability(probs, window_dark),
             )
         )
     return points

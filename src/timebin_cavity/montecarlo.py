@@ -171,12 +171,16 @@ def _merge_dark(
     if p_dc == 0.0:
         return ports, bins, np.zeros(ports.shape, dtype=bool)
     u_bin, u_det, u_both, u_tie = u[:, 2], u[:, 3], u[:, 4], u[:, 5]
-    no_dark_per_bin = (1.0 - p_dc) ** 2  # two detectors per bin
+    # Log survival per bin, two detectors; log1p/expm1 keep it nonzero and
+    # accurate down to the smallest p_dc, where (1 - p_dc)**2 rounds to 1.
+    # Clipping at bin_cap keeps the cast in range: bin_cap + 1 means none.
+    log_no_dark = 2.0 * math.log1p(-p_dc)
     first_dark = (
-        np.floor(np.log1p(-u_bin) / math.log(no_dark_per_bin)).astype(np.int64) + 1
+        np.floor(np.minimum(np.log1p(-u_bin) / log_no_dark, bin_cap)).astype(np.int64)
+        + 1
     )
     has_dark = first_dark <= bin_cap
-    any_dark = 1.0 - no_dark_per_bin
+    any_dark = -math.expm1(log_no_dark)
     p_one_detector = p_dc * (1.0 - p_dc) / any_dark
     dark_detector = np.where(
         u_det < p_one_detector,

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from timebin_cavity import TimeBinState
 
@@ -23,3 +24,17 @@ def retry_once(check, seeds):
     if check(first):
         return True
     return check(second)
+
+
+@st.composite
+def window_cases(draw):
+    """Random (d <= 24, round-trip factor r in [0, 0.999), n' in [d, 6d], k).
+
+    For equal splitters the round-trip factor equals |R|^2, so ``r`` is
+    used as both intensity reflectivities.
+    """
+    d = draw(st.integers(1, 24))
+    r = draw(st.floats(0.0, 0.999, exclude_max=True))
+    n_prime = draw(st.integers(d, 6 * d))
+    k = draw(st.integers(0, d - 1))
+    return d, r, n_prime, k

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import random_normalized_state
+from conftest import random_normalized_state, window_cases
 from timebin_cavity import (
     CavityConfig,
     Port,
@@ -26,6 +26,7 @@ from timebin_cavity import (
     total_error_closed_form,
     total_error_limit,
     truncated_gamma_state,
+    windowed_acceptance,
 )
 
 
@@ -204,6 +205,67 @@ class TestWindowedAcceptance:
             )
 
 
+class TestWindowedAcceptanceKernel:
+    @given(case=window_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_rows_match_reference_and_per_bin_probabilities(self, case):
+        d, r, n_prime, k = case
+        cfg = symmetric_config(d, r, n_prime=n_prime)
+        acceptance = windowed_acceptance(cfg, k)
+        assert acceptance.shape == (d, n_prime - d + 1)
+        prepared = mub_state(d, k)
+        for m in range(d):
+            per_bin = [
+                d2_bin_probability(cfg.for_outcome(m), prepared, N)
+                for N in range(d, n_prime + 1)
+            ]
+            np.testing.assert_allclose(acceptance[m], per_bin, rtol=0, atol=1e-13)
+            assert abs(acceptance[m].sum() - math.fsum(per_bin)) <= 1e-13
+            oracle = reference.window_probability(d, r, r, n_prime, m, k)
+            assert abs(acceptance[m].sum() - oracle) <= 1e-13
+
+    def test_two_bin_frozen_values(self):
+        acceptance = windowed_acceptance(symmetric_config(2, 0.5, n_prime=3), 0)
+        np.testing.assert_allclose(
+            acceptance, [[0.28125, 0.0703125], [0.03125, 0.0078125]], atol=1e-15
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_single_bin_window(self, d):
+        cfg = symmetric_config(d, 0.8, n_prime=d)
+        acceptance = windowed_acceptance(cfg, d - 1)
+        assert acceptance.shape == (d, 1)
+        for m in range(d):
+            assert acceptance[m, 0] == pytest.approx(
+                reference.window_probability(d, 0.8, 0.8, d, m, d - 1), abs=1e-13
+            )
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_no_recirculation_clicks_once_uniformly(self, d):
+        acceptance = windowed_acceptance(symmetric_config(d, 0.0, n_prime=3 * d), 1)
+        expected = np.zeros((d, 2 * d + 1))
+        expected[:, 0] = 1.0 / d
+        np.testing.assert_allclose(acceptance, expected, rtol=0, atol=1e-15)
+
+    def test_window_longer_than_one_block(self):
+        d, n_prime = 3, 3 + 700
+        cfg = symmetric_config(d, 0.995, n_prime=n_prime)
+        acceptance = windowed_acceptance(cfg, 1)
+        prepared = mub_state(d, 1)
+        for m in range(d):
+            for N in (d, d + 255, d + 256, d + 257, d + 600, n_prime):
+                assert acceptance[m, N - d] == pytest.approx(
+                    d2_bin_probability(cfg.for_outcome(m), prepared, N), abs=1e-15
+                )
+            assert acceptance[m].sum() == pytest.approx(
+                p_m_given_k(cfg.for_outcome(m), 1), abs=1e-13
+            )
+
+    def test_invalid_prepared_index(self):
+        with pytest.raises(ValueError, match="out of range"):
+            windowed_acceptance(symmetric_config(4, 0.5), 4)
+
+
 class TestTotalError:
     def test_two_bin_spot_value(self):
         assert total_error(symmetric_config(2, 0.5)) == pytest.approx(0.1, abs=1e-12)
@@ -271,6 +333,18 @@ class TestTotalErrorClosedForm:
 
 
 class TestD2TotalProbability:
+    def test_window_longer_than_one_block_matches_reference(self):
+        cfg = symmetric_config(3, 0.99, n_prime=3 + 600)
+        state = random_normalized_state(np.random.default_rng(5), 3)
+        phi = theta_for_outcome(3, 0) + math.pi
+        assert d2_total_probability(cfg, state, include_early=True) == pytest.approx(
+            reference.d2_mass(3, 0.99, 0.99, phi, list(state.amps), 1, 603), abs=1e-13
+        )
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d2_total_probability(symmetric_config(4, 0.5), mub_state(3, 0))
+
     def test_latest_bin_delta_geometric_series(self):
         cfg = symmetric_config(4, 0.5, n_prime=4 + 60)
         value = d2_total_probability(cfg, basis_state(4, 4))

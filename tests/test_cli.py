@@ -207,6 +207,13 @@ class TestDiscriminate:
         for entry in report["settings"]:
             assert abs(entry["z"]) < 5.0
 
+    def test_tiny_dark_rate_runs_clean(self, capsys):
+        code = run_cli(
+            "discriminate", "--d", "2", "--trials", "1000", "--p-dc", "1e-17"
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["dark_clicks"] == 0
+
     def test_zero_trials_is_usage_error(self, capsys):
         code = run_cli(
             "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "0"
@@ -245,6 +252,40 @@ class TestTradeoff:
         assert run_cli(
             "tradeoff", "--d", "8", "--r-grid", "0.9", "--n-prime", "4,16"
         ) == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("oversized input reached the computation")
+
+
+class TestSizeCaps:
+    def test_mub_dimension_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_mub", _must_not_run)
+        assert run_cli("mub-verify", "--d", str(cli.MAX_MUB_DIM + 1)) == 1
+        assert "size cap" in capsys.readouterr().err
+
+    def test_window_cap_boundary(self):
+        d = 4
+        n_prime = cli.MAX_WINDOW_CELLS // d - d + 1  # d * (n' + d) = cap + d
+        with pytest.raises(cli.UsageError, match="size cap"):
+            ExperimentConfig(d=d, n_prime=n_prime).resolved()
+        with pytest.raises(cli.UsageError, match="size cap"):
+            ExperimentConfig(d=d, n_prime_values=[d, n_prime]).resolved()
+
+    @pytest.mark.parametrize(
+        "command,flags,target",
+        [
+            ("error-sweep", ["--d", "4", "--n-prime", str(10**10)], "compute_sweep"),
+            ("tradeoff", ["--d", "4", "--n-prime", f"4,{10**10}"], "compute_tradeoff"),
+            ("discriminate", ["--d", "100000"], "discrimination_report"),
+        ],
+    )
+    def test_window_commands_reject_huge_sizes(
+        self, monkeypatch, capsys, command, flags, target
+    ):
+        monkeypatch.setattr(cli, target, _must_not_run)
+        assert run_cli(command, *flags) == 1
+        assert "size cap" in capsys.readouterr().err
 
 
 class TestDefaults:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import window_cases
 from timebin_cavity import (
     CavityConfig,
     DarkCountModel,
@@ -164,3 +166,40 @@ class TestCutoffTradeoffScan:
         assert point.accepted_probability == pytest.approx(
             clean + (10 - 4 + 1) * 2e-4, abs=1e-15
         )
+
+    def test_empty_cutoff_list(self):
+        cfg = symmetric_config(4, 0.6, n_prime=10)
+        assert cutoff_tradeoff_scan(cfg, DarkCountModel(1e-4), []) == []
+
+    @given(
+        case=window_cases(),
+        p_dc=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_sums_match_per_cutoff_recomputation(self, case, p_dc, data):
+        d, r, n_prime, k = case
+        cfg = symmetric_config(d, r, n_prime=n_prime)
+        dark = DarkCountModel(p_dc)
+        cutoffs = data.draw(st.lists(st.integers(d, n_prime), min_size=1, max_size=6))
+        points = cutoff_tradeoff_scan(cfg, dark, cutoffs, k)
+        assert [p.n_prime for p in points] == cutoffs
+        for point in points:
+            sub = replace(cfg, n_prime=point.n_prime)
+            assert abs(
+                point.observed_error - observed_error_with_dark_counts(sub, dark, k)
+            ) <= 1e-13
+            assert abs(
+                point.accepted_probability - accepted_event_probability(sub, dark, k)
+            ) <= 1e-13
+
+    @given(case=window_cases(), p_dc=st.sampled_from([0.0, 1e-6, 1e-4]))
+    @settings(max_examples=50, deadline=None)
+    def test_accepted_probability_never_decreases(self, case, p_dc):
+        d, r, n_prime, k = case
+        cfg = symmetric_config(d, r, n_prime=n_prime)
+        points = cutoff_tradeoff_scan(
+            cfg, DarkCountModel(p_dc), range(d, n_prime + 1), k
+        )
+        accepted = [p.accepted_probability for p in points]
+        assert all(b >= a for a, b in zip(accepted, accepted[1:]))

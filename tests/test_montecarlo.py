@@ -193,6 +193,22 @@ class TestDarkCounts:
         assert d1_dark_region > 0
         assert d2_dark_region > d1_dark_region
 
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-300, 1e-17, 1e-12, 0.5])
+    def test_any_dark_rate_down_to_the_smallest(self, p_dc):
+        # (1 - p_dc)**2 rounds to 1 below ~1e-17; the per-bin survival must
+        # still be finite and the preemption rate match the closed form
+        cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.0, n_prime=8)
+        state = basis_state(4, 3)
+        n = 20_000
+        stats = run_trials(cfg, state, DarkCountModel(p_dc), n, 17)
+        assert sum(stats.counts.values()) == n
+        q = math.exp(2.0 * math.log1p(-p_dc))
+        p_dark_wins = (1.0 - q**2) + q**2 * (1.0 - q) / 2.0
+        assert within_binomial_error(stats.dark_clicks / n, p_dark_wins, n)
+        if p_dc < 1e-6:
+            clean = run_trials(cfg, state, NO_DARK, n, 17)
+            assert stats.counts == clean.counts
+
     def test_zero_dark_rate_never_flags_dark(self):
         cfg = symmetric_config(2, 0.5, 6)
         stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 10_000, 3)
