@@ -13,6 +13,7 @@ from .cavity import (
     OutcomeDistribution,
     Port,
     RoundTripFactor,
+    cutoff_acceptances,
     d1_bin_probability,
     d2_bin_probability,
     d2_total_probability,
@@ -21,6 +22,7 @@ from .cavity import (
     p_m_given_k,
     phase_for_outcome,
     projection_fidelity,
+    setting_acceptances,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
@@ -72,6 +74,7 @@ __all__ = [
     "accepted_event_probability",
     "basis_state",
     "compensating_reflectivity",
+    "cutoff_acceptances",
     "cutoff_tradeoff_scan",
     "d1_bin_probability",
     "d2_bin_probability",
@@ -90,6 +93,7 @@ __all__ = [
     "run_discrimination",
     "run_trials",
     "sample_frame",
+    "setting_acceptances",
     "theta_for_outcome",
     "total_error",
     "total_error_closed_form",

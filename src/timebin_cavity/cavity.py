@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -256,6 +256,14 @@ def _click_probability_blocks(
         yield amp.real**2 + amp.imag**2
 
 
+def _setting_blocks(cfg: CavityConfig, k: int, last: int) -> Iterator[np.ndarray]:
+    """Blocks of per-bin D2 probabilities for every setting, bins d..last."""
+    d = cfg.dim
+    check_mub_index(d, k)
+    phases = TWO_PI * np.arange(d) / d
+    return _click_probability_blocks(cfg, mub_state(d, k).amps, d, last, phases)
+
+
 def windowed_acceptance(cfg: CavityConfig, k: int) -> np.ndarray:
     """Per-bin D2 click probabilities for every setting, shape (d, W).
 
@@ -263,14 +271,54 @@ def windowed_acceptance(cfg: CavityConfig, k: int) -> np.ndarray:
     2 pi m / d, for the W = n_prime - d + 1 accepted bins N in [d, n_prime];
     row m sums to P(m|k). This is the direct per-bin sum, independent of
     :func:`total_error_closed_form`. The config's own ``theta`` is ignored.
+    Callers that need only the sums use :func:`cutoff_acceptances`, which
+    does not hold the (d, W) array.
+    """
+    out = np.empty((cfg.dim, cfg.n_prime - cfg.dim + 1))
+    start = 0
+    for block in _setting_blocks(cfg, k, cfg.n_prime):
+        out[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
+    return out
+
+
+def cutoff_acceptances(
+    cfg: CavityConfig, k: int, cutoffs: Sequence[int]
+) -> np.ndarray:
+    """P(m|k) for every setting m at every window cutoff, shape (len, d).
+
+    Row j sums the rows of :func:`windowed_acceptance` over the bins
+    d..cutoffs[j]: one pass over the bins up to the widest cutoff, reading
+    the running sums at each cutoff, so temporaries stay one block however
+    wide the window is. ``cfg.n_prime`` is not used.
     """
     d = cfg.dim
-    check_mub_index(d, k)
-    phases = TWO_PI * np.arange(d) / d
-    blocks = _click_probability_blocks(
-        cfg, mub_state(d, k).amps, d, cfg.n_prime, phases
-    )
-    return np.concatenate(list(blocks), axis=1)
+    for cutoff in cutoffs:
+        if cutoff < d:
+            raise ValueError(
+                f"cutoff {cutoff} precedes the measurement window "
+                f"(first accepted bin is {d})"
+            )
+    out = np.empty((len(cutoffs), d))
+    if not cutoffs:
+        return out
+    offsets = np.asarray(cutoffs) - d  # index of each cutoff's last bin
+    running = np.zeros(d)
+    start = 0
+    for block in _setting_blocks(cfg, k, max(cutoffs)):
+        block[:, 0] += running  # the block continues the running sums
+        prefix = np.cumsum(block, axis=1)
+        stop = start + block.shape[1]
+        inside = (offsets >= start) & (offsets < stop)
+        out[inside] = prefix[:, offsets[inside] - start].T
+        running = prefix[:, -1]
+        start = stop
+    return out
+
+
+def setting_acceptances(cfg: CavityConfig, k: int) -> List[float]:
+    """P(m|k) over the window [d, n_prime] for every setting m = 0..d-1."""
+    return cutoff_acceptances(cfg, k, [cfg.n_prime])[0].tolist()
 
 
 def p_m_given_k(cfg: CavityConfig, k: int) -> float:
@@ -289,11 +337,10 @@ def total_error(cfg: CavityConfig, k: int = 0) -> float:
 
     Ratio of the mismatched-setting acceptance to the total acceptance,
     with each setting m evaluated at phase 2 pi m / d and the same window
-    (the rows of :func:`windowed_acceptance`). The window length and the
-    prepared index cancel in the ratio, which is enforced by tests rather
-    than assumed.
+    (:func:`setting_acceptances`). The window length and the prepared index
+    cancel in the ratio, which is enforced by tests rather than assumed.
     """
-    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
+    probs = setting_acceptances(cfg, k)
     total = math.fsum(probs)
     if total == 0.0:
         raise ValueError("zero total acceptance; error ratio is undefined")

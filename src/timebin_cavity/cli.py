@@ -23,10 +23,10 @@ from typing import List, Optional, Sequence
 from .cavity import (
     CavityConfig,
     d2_total_probability,
+    setting_acceptances,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    windowed_acceptance,
 )
 from .imperfections import (
     DarkCountModel,
@@ -41,11 +41,15 @@ from .states import mub_state, verify_mub
 
 MUB_TOLERANCE = 1e-12
 CLOSED_FORM_TOLERANCE = 1e-10
-# Size caps, checked before anything is allocated: mub-verify stacks a d x d
-# complex matrix; the window commands hold d x (n_prime - d + 1) per-bin
-# probabilities and discriminate builds d outcome tables over n_prime bins.
+# Size caps, checked before anything is allocated. mub-verify stacks a d x d
+# complex matrix. In the window commands the memory that grows with the
+# window is bounded by d * (n_prime + d) cells: discriminate's d outcome
+# tables over n_prime bins take about 45 bytes per cell, the acceptance
+# kernel's per-block temporaries at most about 40. 2**22 cells keep that
+# under 200 MiB, within a 256 MiB budget next to the sampler's fixed chunk
+# buffers; the default window n_prime = 4 d passes up to d = 915.
 MAX_MUB_DIM = 1024
-MAX_WINDOW_CELLS = 1 << 18
+MAX_WINDOW_CELLS = 1 << 22
 
 
 class UsageError(Exception):
@@ -95,12 +99,6 @@ class ExperimentConfig:
             for value in cfg.n_prime_values:
                 if value < cfg.d:
                     raise UsageError(f"cutoff {value} must be >= d ({cfg.d})")
-        widest = max([cfg.n_prime, *(cfg.n_prime_values or ())])
-        if cfg.d * (widest + cfg.d) > MAX_WINDOW_CELLS:
-            raise UsageError(
-                f"d * (n_prime + d) = {cfg.d * (widest + cfg.d)} exceeds the "
-                f"size cap {MAX_WINDOW_CELLS}"
-            )
         if not 0.0 <= cfg.eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {cfg.eta}")
         if not 0.0 <= cfg.p_dc < 1.0:
@@ -110,6 +108,14 @@ class ExperimentConfig:
         if cfg.output_format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {cfg.output_format}")
         return cfg
+
+    def check_window(self, n_prime: int) -> None:
+        """Reject a window over the size cap before anything is allocated."""
+        cells = self.d * (n_prime + self.d)
+        if cells > MAX_WINDOW_CELLS:
+            raise UsageError(
+                f"d * (n_prime + d) = {cells} exceeds the size cap {MAX_WINDOW_CELLS}"
+            )
 
     def phase_theta(self) -> float:
         """Phase-shifter setting: explicit theta, else dialled to outcome k."""
@@ -272,7 +278,7 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         master_seed=config.master_seed,
     )
     window_dark = (config.n_prime - config.d + 1) * config.p_dc
-    acceptance = windowed_acceptance(cfg, config.k).sum(axis=1).tolist()
+    acceptance = setting_acceptances(cfg, config.k)
     settings = []
     for m in range(config.d):
         frames = stats.setting_frames.get(m, 0)
@@ -354,6 +360,7 @@ def cmd_mub_verify(args) -> int:
 
 def cmd_error_sweep(args) -> int:
     config = _load_config(args).resolved()
+    config.check_window(config.n_prime)
     rows = compute_sweep(config)
     _emit_rows(rows, SWEEP_COLUMNS, config)
     return 0
@@ -361,6 +368,7 @@ def cmd_error_sweep(args) -> int:
 
 def cmd_discriminate(args) -> int:
     config = _load_config(args).resolved()
+    config.check_window(config.n_prime)
     report = discrimination_report(config)
     _write_output(json.dumps(report, indent=2) + "\n", config.output_path)
     if config.output_path is not None:
@@ -370,6 +378,8 @@ def cmd_discriminate(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     config = _load_config(args).resolved()
+    if config.n_prime_values:  # tradeoff never builds the n_prime window
+        config.check_window(max(config.n_prime_values))
     rows = compute_tradeoff(config)
     _emit_rows(rows, TRADEOFF_COLUMNS, config)
     return 0

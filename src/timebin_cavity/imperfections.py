@@ -14,12 +14,15 @@ Two experimental error mechanisms are modelled:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence
 
-import numpy as np
-
-from .cavity import CavityConfig, total_error_closed_form, windowed_acceptance
+from .cavity import (
+    CavityConfig,
+    cutoff_acceptances,
+    setting_acceptances,
+    total_error_closed_form,
+)
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def observed_error_with_dark_counts(
 
     which reduces to the clean error ratio at p_dc = 0.
     """
-    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
+    probs = setting_acceptances(cfg, k)
     return _observed_error(probs, k, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
 
 
@@ -123,7 +126,7 @@ def accepted_event_probability(
     Averaged over uniform settings: sum_m P(m|k) / d signal clicks plus the
     W p_dc dark contribution. The count-rate side of the trade-off.
     """
-    probs = windowed_acceptance(cfg, k).sum(axis=1).tolist()
+    probs = setting_acceptances(cfg, k)
     return _accepted_probability(probs, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
 
 
@@ -142,24 +145,15 @@ def cutoff_tradeoff_scan(
     """Observed error and accepted probability across window cutoffs.
 
     Shrinking the window discards the late bins where dark counts dominate,
-    lowering the observed error at the cost of accepted events. The kernel
-    is evaluated once, at the widest cutoff; every cutoff reads prefix sums
-    of its per-bin probabilities over N.
+    lowering the observed error at the cost of accepted events. The bins
+    are evaluated once, up to the widest cutoff; every cutoff reads the
+    running per-setting sums at its last bin.
     """
     cutoffs = [int(n_prime) for n_prime in n_prime_values]
-    for n_prime in cutoffs:
-        if n_prime < cfg.dim:
-            raise ValueError(
-                f"cutoff {n_prime} precedes the measurement window "
-                f"(first accepted bin is {cfg.dim})"
-            )
-    if not cutoffs:
-        return []
-    widest = replace(cfg, n_prime=max(cutoffs))
-    prefix = np.cumsum(windowed_acceptance(widest, k), axis=1)
+    acceptances = cutoff_acceptances(cfg, k, cutoffs)
     points = []
-    for n_prime in cutoffs:
-        probs = prefix[:, n_prime - cfg.dim].tolist()
+    for n_prime, row in zip(cutoffs, acceptances):
+        probs = row.tolist()
         window_dark = (n_prime - cfg.dim + 1) * dark.p_dc
         points.append(
             TradeoffPoint(

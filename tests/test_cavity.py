@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from timebin_cavity import (
     Port,
     RoundTripFactor,
     basis_state,
+    cutoff_acceptances,
     d1_bin_probability,
     d2_bin_probability,
     d2_total_probability,
@@ -21,6 +23,7 @@ from timebin_cavity import (
     p_m_given_k,
     phase_for_outcome,
     projection_fidelity,
+    setting_acceptances,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
@@ -264,6 +267,49 @@ class TestWindowedAcceptanceKernel:
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
             windowed_acceptance(symmetric_config(4, 0.5), 4)
+
+
+class TestCutoffAcceptances:
+    def test_running_sums_across_blocks_match_prefix_sums(self):
+        d = 3
+        cfg = symmetric_config(d, 0.995, n_prime=d + 700)
+        prefix = np.cumsum(windowed_acceptance(cfg, 1), axis=1)
+        cutoffs = [d + 700, d, d + 255, d + 256, d + 257, d + 511, d + 512, d + 255]
+        sums = cutoff_acceptances(cfg, 1, cutoffs)
+        assert sums.shape == (len(cutoffs), d)
+        np.testing.assert_allclose(
+            sums, prefix[:, np.array(cutoffs) - d].T, rtol=0, atol=1e-13
+        )
+
+    def test_setting_acceptances_are_the_row_sums(self):
+        cfg = symmetric_config(5, 0.9, n_prime=40)
+        for k in (0, 3):
+            rows = windowed_acceptance(cfg, k).sum(axis=1)
+            np.testing.assert_allclose(
+                setting_acceptances(cfg, k), rows, rtol=0, atol=1e-13
+            )
+
+    def test_cutoff_before_the_window_is_rejected(self):
+        with pytest.raises(ValueError, match="precedes"):
+            cutoff_acceptances(symmetric_config(4, 0.5), 0, [8, 3])
+
+    def test_no_cutoffs(self):
+        assert cutoff_acceptances(symmetric_config(4, 0.5), 0, []).shape == (0, 4)
+
+    def test_temporaries_do_not_grow_with_the_window(self):
+        d = 32
+
+        def peak(n_prime):
+            cfg = symmetric_config(d, 0.9, n_prime=n_prime)
+            tracemalloc.start()
+            try:
+                setting_acceptances(cfg, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(d + 2 * 256), peak(d + 40 * 256)
+        assert long < 1.2 * short
 
 
 class TestTotalError:

@@ -266,11 +266,41 @@ class TestSizeCaps:
 
     def test_window_cap_boundary(self):
         d = 4
-        n_prime = cli.MAX_WINDOW_CELLS // d - d + 1  # d * (n' + d) = cap + d
+        config = ExperimentConfig(d=d).resolved()
+        n_prime = cli.MAX_WINDOW_CELLS // d - d  # d * (n' + d) = cap
+        config.check_window(n_prime)
         with pytest.raises(cli.UsageError, match="size cap"):
-            ExperimentConfig(d=d, n_prime=n_prime).resolved()
+            config.check_window(n_prime + 1)
+
+    @pytest.mark.parametrize("d", [64, 256, 915])
+    def test_default_window_is_accepted(self, d):
+        config = ExperimentConfig(d=d).resolved()
+        config.check_window(config.n_prime)
+
+    def test_default_window_cap_starts_at_d_916(self):
+        config = ExperimentConfig(d=916).resolved()
         with pytest.raises(cli.UsageError, match="size cap"):
-            ExperimentConfig(d=d, n_prime_values=[d, n_prime]).resolved()
+            config.check_window(config.n_prime)
+
+    @pytest.mark.parametrize(
+        "command,flags,target,stub",
+        [
+            ("error-sweep", ["--d", "256"], "compute_sweep", []),
+            ("discriminate", ["--d", "256"], "discrimination_report", {}),
+            # the default n' = 4d would exceed the cap; only cutoffs count
+            (
+                "tradeoff",
+                ["--d", "1000", "--n-prime", "1000,1010"],
+                "compute_tradeoff",
+                [],
+            ),
+        ],
+    )
+    def test_sizes_under_the_cap_reach_the_computation(
+        self, monkeypatch, command, flags, target, stub
+    ):
+        monkeypatch.setattr(cli, target, lambda config: stub)
+        assert run_cli(command, *flags) == 0
 
     @pytest.mark.parametrize(
         "command,flags,target",
