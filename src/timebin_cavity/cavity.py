@@ -404,6 +404,106 @@ def projection_fidelity(cfg: CavityConfig, N: int, k: int) -> float:
     return fidelity(gamma_state(cfg, N), mub_state(cfg.dim, k))
 
 
+# Exit ports in the order of OutcomeDistribution.sorted_entries ("BACK" <
+# "D1" < "D2"), then the still-circulating residual; outcome tables label
+# their columns by index into this tuple.
+TABLE_PORTS = (Port.BACK, Port.D1, Port.D2, Port.NONE)
+
+
+@dataclass(frozen=True)
+class OutcomeTable:
+    """Exit masses of one input state at several loop phases, one row each.
+
+    Column c is the exit (TABLE_PORTS[ports[c]], bins[c]); every row shares
+    the layout, which follows :meth:`OutcomeDistribution.sorted_entries`
+    with zero-mass slots kept: one upstream column per bin (BACK bins, then
+    D1 bins), D2 bins 1..bin_cap, then the residual (NONE, bin 0). Which
+    bins reach D1 depends on the input alone, not on the phase.
+    """
+
+    ports: np.ndarray
+    bins: np.ndarray
+    masses: np.ndarray
+
+
+def outcome_table(
+    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
+) -> OutcomeTable:
+    """Exit masses over D1, D2 and the backward port for every phase in thetas.
+
+    Runs the bin-by-bin recurrence of :func:`full_outcome_distribution`
+    for all phases at once: the loop runs over bins, each step on length
+    len(thetas) vectors, writing straight into one preallocated
+    (len(thetas), 2 bin_cap + 1) array. Complex products are written out
+    in real arithmetic in the same order as Python's complex type, so the
+    amplitudes equal the one-phase recurrence's bit for bit; only the
+    final squares may round differently (by one unit in the last place).
+    The config's own ``theta`` is ignored.
+    """
+    _require_normalized(state)
+    if state.dim != cfg.dim:
+        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
+    if bin_cap < cfg.n_prime:
+        raise ValueError(
+            f"bin_cap ({bin_cap}) must cover the accepted window "
+            f"(n_prime = {cfg.n_prime})"
+        )
+    d = cfg.dim
+    r1, r2, t1, t2 = cfg.r1, cfg.r2, cfg.t1, cfg.t2
+    amps = [complex(a) for a in state.amps]  # Python scalars, as in the one-phase loop
+    # A bin's upstream exit is the D1 click while an input slot enters and
+    # reflects there, otherwise backward leakage.
+    reflected = np.zeros(bin_cap, dtype=bool)
+    reflected[:d] = (state.amps != 0) & (r1 > 0.0)
+    upstream = np.concatenate(  # 0-based bins, in column order
+        [np.flatnonzero(~reflected), np.flatnonzero(reflected)]
+    )
+    upstream_col = np.empty(bin_cap, dtype=np.intp)
+    upstream_col[upstream] = np.arange(bin_cap)
+    n_back = bin_cap - int(reflected.sum())
+    ports = np.repeat(
+        np.arange(4, dtype=np.int8), [n_back, bin_cap - n_back, bin_cap, 1]
+    )
+    bins = np.concatenate([upstream + 1, np.arange(1, bin_cap + 1), [0]])
+
+    # Amplitudes are (real, imaginary) row pairs. A per-phase factor z
+    # multiplies a pair c as z_re * c + z_swap * c[::-1], with z_re =
+    # (Re z, Re z) and z_swap = (-Im z, Im z): Python's complex product,
+    # term for term.
+    def factor(values):
+        z = np.array(values)
+        return np.stack([z.real, z.real]), np.stack([-z.imag, z.imag])
+
+    loop_re, loop_swap = factor(
+        [r1 * r2 * cmath.exp(-1j * (theta + math.pi)) for theta in thetas]
+    )
+    leak_re, leak_swap = factor(
+        [1j * t1 * r2 * cmath.exp(-1j * theta) for theta in thetas]
+    )
+    entering = [np.array([[t1 * a.real], [t1 * a.imag]]) for a in amps]
+    reflecting = [np.array([[z.real], [z.imag]]) for z in (1j * r1 * a for a in amps)]
+
+    rows = len(thetas)
+    masses = np.empty((rows, 2 * bin_cap + 1))
+    circulating = np.zeros((2, rows))
+    norm = np.empty(rows)
+    for b in range(1, bin_cap + 1):
+        leak = leak_re * circulating + leak_swap * circulating[::-1]
+        circulating = loop_re * circulating + loop_swap * circulating[::-1]
+        if b <= d:
+            circulating += entering[b - 1]
+            if reflected[b - 1]:
+                leak += reflecting[b - 1]
+        exit_d2 = t2 * circulating
+        np.hypot(exit_d2[0], exit_d2[1], out=norm)
+        np.multiply(norm, norm, out=masses[:, bin_cap + b - 1])
+        np.hypot(leak[0], leak[1], out=norm)
+        np.multiply(norm, norm, out=masses[:, upstream_col[b - 1]])
+    np.hypot(circulating[0], circulating[1], out=norm)
+    masses[:, -1] = (r2 * norm) ** 2
+    return OutcomeTable(ports=ports, bins=bins, masses=masses)
+
+
 def full_outcome_distribution(
     cfg: CavityConfig, state: TimeBinState, bin_cap: int
 ) -> OutcomeDistribution:
@@ -421,36 +521,14 @@ def full_outcome_distribution(
     appears as (BACK, bin). When both reach the same bin (superposition
     inputs, bins 2..d) they exit on the same physical line, and their
     coherent combined mass is reported under D1 as an arrival-window click.
+    This is the one-phase view of :func:`outcome_table` at ``cfg.theta``;
+    zero-mass exits are left out.
     """
-    _require_normalized(state)
-    if state.dim != cfg.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
-    if bin_cap < cfg.n_prime:
-        raise ValueError(
-            f"bin_cap ({bin_cap}) must cover the accepted window "
-            f"(n_prime = {cfg.n_prime})"
-        )
-    d = cfg.dim
-    r1, r2, t1, t2 = cfg.r1, cfg.r2, cfg.t1, cfg.t2
-    loop = r1 * r2 * cmath.exp(-1j * (cfg.theta + math.pi))
-    leak_coefficient = 1j * t1 * r2 * cmath.exp(-1j * cfg.theta)
-
-    entries: Dict[Tuple[Port, int], float] = {}
-    circulating = 0j
-    for b in range(1, bin_cap + 1):
-        injected = complex(state.amps[b - 1]) if b <= d else 0j
-        leak = leak_coefficient * circulating
-        circulating = t1 * injected + loop * circulating
-        d2_mass = abs(t2 * circulating) ** 2
-        if d2_mass > 0.0:
-            entries[(Port.D2, b)] = d2_mass
-        if injected != 0 and r1 > 0.0:
-            upstream = abs(1j * r1 * injected + leak) ** 2
-            if upstream > 0.0:
-                entries[(Port.D1, b)] = upstream
-        else:
-            back = abs(leak) ** 2
-            if back > 0.0:
-                entries[(Port.BACK, b)] = back
-    residual = (r2 * abs(circulating)) ** 2
-    return OutcomeDistribution(dim=d, entries=entries, residual=residual)
+    table = outcome_table(cfg, state, [cfg.theta], bin_cap)
+    *masses, residual = table.masses[0].tolist()
+    entries = {
+        (TABLE_PORTS[port], b): mass
+        for port, b, mass in zip(table.ports.tolist(), table.bins.tolist(), masses)
+        if mass > 0.0
+    }
+    return OutcomeDistribution(dim=cfg.dim, entries=entries, residual=residual)

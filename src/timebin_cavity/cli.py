@@ -36,20 +36,15 @@ from .imperfections import (
     effective_round_trip,
     observed_error_with_dark_counts,
 )
-from .montecarlo import run_discrimination
+from .montecarlo import MAX_WINDOW_CELLS, check_window_size, run_discrimination
 from .states import mub_state, verify_mub
 
 MUB_TOLERANCE = 1e-12
 CLOSED_FORM_TOLERANCE = 1e-10
 # Size caps, checked before anything is allocated. mub-verify stacks a d x d
-# complex matrix. In the window commands the memory that grows with the
-# window is bounded by d * (n_prime + d) cells: discriminate's d outcome
-# tables over n_prime bins take about 45 bytes per cell, the acceptance
-# kernel's per-block temporaries at most about 40. 2**22 cells keep that
-# under 200 MiB, within a 256 MiB budget next to the sampler's fixed chunk
-# buffers; the default window n_prime = 4 d passes up to d = 915.
+# complex matrix. The window commands share the sampler's cap on
+# d * (n_prime + d) cells, MAX_WINDOW_CELLS.
 MAX_MUB_DIM = 1024
-MAX_WINDOW_CELLS = 1 << 22
 
 
 class UsageError(Exception):
@@ -111,11 +106,10 @@ class ExperimentConfig:
 
     def check_window(self, n_prime: int) -> None:
         """Reject a window over the size cap before anything is allocated."""
-        cells = self.d * (n_prime + self.d)
-        if cells > MAX_WINDOW_CELLS:
-            raise UsageError(
-                f"d * (n_prime + d) = {cells} exceeds the size cap {MAX_WINDOW_CELLS}"
-            )
+        try:
+            check_window_size(self.d, n_prime)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     def phase_theta(self) -> float:
         """Phase-shifter setting: explicit theta, else dialled to outcome k."""
@@ -192,6 +186,16 @@ def parse_tradeoff(text: str, fmt: str) -> List[TradeoffRow]:
     )
 
 
+def _check_dark_model(probability: float, what: str) -> None:
+    """Reject inputs where the first-order dark-count model exceeds 1."""
+    if probability > 1.0:
+        raise UsageError(
+            f"{what} = {probability!r} exceeds 1: the first-order dark-count "
+            "model holds only while W p_dc, W = n_prime - d + 1 accepted bins, "
+            "stays well below 1; lower p_dc or n_prime"
+        )
+
+
 def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     """One row per grid value of |R|^2 = |R1|^2 = |R2|^2.
 
@@ -220,6 +224,8 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
                 f"brute-force error {p_e!r} and closed form {p_e_closed!r} "
                 f"disagree at r_sq={r_sq}"
             )
+        accepted = accepted_event_probability(cfg_eff, dark, config.k)
+        _check_dark_model(accepted, f"accepted probability at r_sq={r_sq!r}")
         rows.append(
             SweepRow(
                 r_sq=r_sq,
@@ -227,9 +233,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
                 p_e_closed_form=p_e_closed,
                 p_d2=d2_total_probability(cfg_actual, prepared, include_early=True),
                 p_e_observed=observed_error_with_dark_counts(cfg_eff, dark, config.k),
-                accepted_probability=accepted_event_probability(
-                    cfg_eff, dark, config.k
-                ),
+                accepted_probability=accepted,
             )
         )
     return rows
@@ -252,6 +256,11 @@ def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
     points = cutoff_tradeoff_scan(
         cfg, DarkCountModel(config.p_dc), config.n_prime_values, config.k
     )
+    for point in points:
+        _check_dark_model(
+            point.accepted_probability,
+            f"accepted probability at n_prime={point.n_prime}",
+        )
     return [TradeoffRow(*point) for point in points]
 
 
@@ -267,6 +276,11 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         theta=theta_for_outcome(config.d, config.k),
         n_prime=config.n_prime,
     )
+    window_dark = (config.n_prime - config.d + 1) * config.p_dc
+    acceptance = setting_acceptances(cfg, config.k)
+    _check_dark_model(
+        max(acceptance) + window_dark, "largest P(m|k) + W p_dc over settings"
+    )
     stats = run_discrimination(
         d=config.d,
         r1_sq=r_eff,
@@ -277,8 +291,6 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         n_trials=config.n_trials,
         master_seed=config.master_seed,
     )
-    window_dark = (config.n_prime - config.d + 1) * config.p_dc
-    acceptance = setting_acceptances(cfg, config.k)
     settings = []
     for m in range(config.d):
         frames = stats.setting_frames.get(m, 0)

@@ -113,6 +113,12 @@ def observed_error_with_dark_counts(
         [ sum_m      P(m|k) +  d    W p_dc ]
 
     which reduces to the clean error ratio at p_dc = 0.
+
+    Domain: each setting's accepted-click probability in this model is
+    P(m|k) + W p_dc, which is a probability only while it stays at most 1
+    for every m; the model is meant for W p_dc << 1, where the neglected
+    coincidences are second order. Outside that domain the ratio is still
+    returned but describes no experiment; the CLI rejects such inputs.
     """
     probs = setting_acceptances(cfg, k)
     return _observed_error(probs, k, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)

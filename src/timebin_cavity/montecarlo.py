@@ -5,6 +5,16 @@ over the finite outcome list) rather than by re-simulating amplitudes; the
 sampler exists to exercise dark counts, the one-click-per-frame logic and
 the statistics pipeline against the analytic module.
 
+A run builds one stacked table: row m holds the cumulative exit masses
+for phase setting m over one shared column layout
+(:func:`cavity.outcome_table`), zero-mass columns included, which a
+variate can never land on. Each row carries a guide table (Chen & Asau
+1974) of ``_GUIDE + 1`` entries: entry j is the first column whose CDF
+exceeds j / _GUIDE. A variate u then lies between entries floor(u _GUIDE)
+and the next, and a bisection over only that range finds the column
+``searchsorted(row, u, side="right")`` would, for every u; most frames
+need no bisection at all.
+
 Randomness comes from a counter-based Philox stream keyed by the master
 seed, with each trial consuming a fixed block of variates. Results are a
 pure function of (config, n_trials, master_seed), independent of chunking
@@ -15,11 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cavity import CavityConfig, Port, full_outcome_distribution, theta_for_outcome
+from .cavity import (
+    CavityConfig,
+    Port,
+    full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
+    outcome_table,
+    theta_for_outcome,
+)
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
@@ -28,7 +44,29 @@ _PORT_BY_CODE = (Port.D1, Port.D2, Port.BACK, Port.NONE)
 # Per-trial variate block: setting, outcome, dark bin, dark detector,
 # dual-dark pick, photon/dark tie break.
 _DRAWS_PER_TRIAL = 6
-_DEFAULT_CHUNK = 262_144
+# Frames per chunk; results do not depend on it. Every per-chunk temporary,
+# the 3 MiB variate block included, scales with it.
+_DEFAULT_CHUNK = 65_536
+# Guide-table width; a power of two, so u * _GUIDE is exact.
+_GUIDE = 1 << 10
+# Port code of each cavity.TABLE_PORTS index.
+_CODE_OF_TABLE_PORT = np.array([_CODE_BACK, _CODE_D1, _CODE_D2, _CODE_NONE])
+# Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
+# The stacked table (8 B per row and column, 2 bin_cap + 1 columns) and its
+# guide rows take about 16 B per cell (tracemalloc, (d, bin_cap) =
+# (256, 1024)), the acceptance kernel's per-block temporaries at most about
+# 40; 2**22 cells keep either under 200 MiB next to the fixed chunk buffers.
+# The default window bin_cap = 4 d passes up to d = 915.
+MAX_WINDOW_CELLS = 1 << 22
+
+
+def check_window_size(d: int, last_bin: int) -> None:
+    """Reject d * (last_bin + d) cells over :data:`MAX_WINDOW_CELLS`."""
+    cells = d * (last_bin + d)
+    if cells > MAX_WINDOW_CELLS:
+        raise ValueError(
+            f"d * (last bin + d) = {cells} exceeds the size cap {MAX_WINDOW_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,66 +136,79 @@ class EmpiricalStats:
 
 @dataclass(frozen=True)
 class _OutcomeTable:
-    ports: np.ndarray
-    bins: np.ndarray
-    cdf: np.ndarray
+    """Stacked outcome CDF rows over one column layout, with guide rows."""
+
+    ports: np.ndarray  # (K,) port code of each column
+    bins: np.ndarray  # (K,) time bin of each column
+    cdf: np.ndarray  # (rows, K)
+    guide: np.ndarray  # (rows, _GUIDE + 1) int32
 
 
 def _outcome_table(
-    cfg: CavityConfig, state: TimeBinState, bin_cap: int
+    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
 ) -> _OutcomeTable:
-    dist = full_outcome_distribution(cfg, state, bin_cap)
-    ports: List[int] = []
-    bins: List[int] = []
-    probs: List[float] = []
-    for (port, b), p in dist.sorted_entries():
-        ports.append(_PORT_BY_CODE.index(port))
-        bins.append(b)
-        probs.append(p)
-    ports.append(_CODE_NONE)
-    bins.append(0)
-    probs.append(dist.residual)
-    cdf = np.cumsum(np.asarray(probs))
-    cdf[-1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
+    table = outcome_table(cfg, state, thetas, bin_cap)
+    cdf = np.cumsum(table.masses, axis=1, out=table.masses)
+    cdf[:, -1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
     return _OutcomeTable(
-        ports=np.asarray(ports, dtype=np.int64),
-        bins=np.asarray(bins, dtype=np.int64),
+        ports=_CODE_OF_TABLE_PORT[table.ports],
+        bins=table.bins,
         cdf=cdf,
+        guide=_guide_table(cdf),
     )
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Entry [m, j] = searchsorted(cdf[m], j / _GUIDE, side="right").
+
+    The last entry, j = _GUIDE, is the last column: every u < 1 stops at
+    the column pinned to 1 at the latest.
+    """
+    points = np.arange(_GUIDE) / _GUIDE
+    guide = np.empty((cdf.shape[0], _GUIDE + 1), dtype=np.int32)
+    for row, guide_row in zip(cdf, guide):
+        guide_row[:-1] = np.searchsorted(row, points, side="right")
+    guide[:, -1] = cdf.shape[1] - 1
+    return guide
 
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
 
 
-def _sample_photon(
-    tables: List[_OutcomeTable],
-    settings: Optional[np.ndarray],
-    u_outcome: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    n = u_outcome.shape[0]
-    ports = np.empty(n, dtype=np.int64)
-    bins = np.empty(n, dtype=np.int64)
-    if settings is None:
-        table = tables[0]
-        idx = np.minimum(
-            np.searchsorted(table.cdf, u_outcome, side="right"),
-            table.cdf.size - 1,
+def _lookup(cdf: np.ndarray, guide: np.ndarray, rows: np.ndarray, u: np.ndarray):
+    """Column ``searchsorted(cdf[row], u, side="right")`` of every frame.
+
+    The guide narrows each frame to [guide[row, j], guide[row, j + 1]] with
+    j = floor(u _GUIDE); frames whose range holds more than one column are
+    bisected together, at most ceil(log2 K) rounds.
+    """
+    cell = rows * (_GUIDE + 1) + (u * _GUIDE).astype(np.int64)
+    flat_guide = guide.ravel()
+    cols = flat_guide[cell].astype(np.int64)
+    todo = np.flatnonzero(flat_guide[cell + 1] > cols)
+    lo, hi = cols[todo], flat_guide[cell[todo] + 1].astype(np.int64)
+    flat_cdf, offset, u_todo = cdf.ravel(), rows[todo] * cdf.shape[1], u[todo]
+    while todo.size:
+        mid = (lo + hi) >> 1
+        right = flat_cdf[offset + mid] <= u_todo
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+        done = lo == hi
+        cols[todo[done]] = lo[done]
+        todo, lo, hi, offset, u_todo = (
+            a[~done] for a in (todo, lo, hi, offset, u_todo)
         )
-        ports[:] = table.ports[idx]
-        bins[:] = table.bins[idx]
-    else:
-        for m, table in enumerate(tables):
-            mask = settings == m
-            if not mask.any():
-                continue
-            idx = np.minimum(
-                np.searchsorted(table.cdf, u_outcome[mask], side="right"),
-                table.cdf.size - 1,
-            )
-            ports[mask] = table.ports[idx]
-            bins[mask] = table.bins[idx]
-    return ports, bins
+    return cols
+
+
+def _sample_photon(
+    table: _OutcomeTable, settings: Optional[np.ndarray], u_outcome: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    if settings is None:
+        settings = np.zeros(u_outcome.shape, dtype=np.int64)
+    cols = _lookup(table.cdf, table.guide, settings, u_outcome)
+    return table.ports[cols], table.bins[cols]
 
 
 def _merge_dark(
@@ -167,19 +218,24 @@ def _merge_dark(
     p_dc: float,
     bin_cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply per-bin Bernoulli dark clicks; the earliest click wins a frame."""
+    """Apply per-bin Bernoulli dark clicks; the earliest click wins a frame.
+
+    Updates ``ports`` and ``bins`` in place and returns them with the
+    dark-win flags. Detector and tie are resolved only on the frames with
+    a dark click inside the cap.
+    """
+    dark_wins = np.zeros(ports.shape, dtype=bool)
     if p_dc == 0.0:
-        return ports, bins, np.zeros(ports.shape, dtype=bool)
-    u_bin, u_det, u_both, u_tie = u[:, 2], u[:, 3], u[:, 4], u[:, 5]
+        return ports, bins, dark_wins
     # Log survival per bin, two detectors; log1p/expm1 keep it nonzero and
     # accurate down to the smallest p_dc, where (1 - p_dc)**2 rounds to 1.
     # Clipping at bin_cap keeps the cast in range: bin_cap + 1 means none.
     log_no_dark = 2.0 * math.log1p(-p_dc)
-    first_dark = (
-        np.floor(np.minimum(np.log1p(-u_bin) / log_no_dark, bin_cap)).astype(np.int64)
-        + 1
-    )
-    has_dark = first_dark <= bin_cap
+    first_dark = np.minimum(np.log1p(-u[:, 2]) / log_no_dark, bin_cap)
+    first_dark = np.floor(first_dark).astype(np.int64) + 1
+    hit = np.flatnonzero(first_dark <= bin_cap)
+    first_dark = first_dark[hit]
+    u_det, u_both, u_tie = u[hit, 3], u[hit, 4], u[hit, 5]
     any_dark = -math.expm1(log_no_dark)
     p_one_detector = p_dc * (1.0 - p_dc) / any_dark
     dark_detector = np.where(
@@ -191,19 +247,21 @@ def _merge_dark(
             np.where(u_both < 0.5, _CODE_D1, _CODE_D2),
         ),
     )
-    photon_clicked = ports <= _CODE_D2
-    dark_wins = has_dark & (
-        ~photon_clicked
-        | (first_dark < bins)
-        | ((first_dark == bins) & (u_tie < 0.5))
+    photon_bins = bins[hit]
+    wins = (
+        (ports[hit] > _CODE_D2)  # the photon clicked no detector
+        | (first_dark < photon_bins)
+        | ((first_dark == photon_bins) & (u_tie < 0.5))
     )
-    merged_ports = np.where(dark_wins, dark_detector, ports)
-    merged_bins = np.where(dark_wins, first_dark, bins)
-    return merged_ports, merged_bins, dark_wins
+    won = hit[wins]
+    ports[won] = dark_detector[wins]
+    bins[won] = first_dark[wins]
+    dark_wins[won] = True
+    return ports, bins, dark_wins
 
 
 def _run(
-    tables: List[_OutcomeTable],
+    table: _OutcomeTable,
     dim: int,
     n_prime: int,
     bin_cap: int,
@@ -233,7 +291,7 @@ def _run(
             settings = np.minimum((u[:, 0] * dim).astype(np.int64), dim - 1)
         else:
             settings = None
-        ports, bins = _sample_photon(tables, settings, u[:, 1])
+        ports, bins = _sample_photon(table, settings, u[:, 1])
         ports, bins, dark = _merge_dark(ports, bins, u, p_dc, bin_cap)
 
         codes = ports * (bin_cap + 1) + bins
@@ -286,9 +344,10 @@ def sample_frame(
     is the one counted, with a fair tie break.
     """
     cap = cfg.n_prime if bin_cap is None else bin_cap
-    table = _outcome_table(cfg, state, cap)
+    check_window_size(cfg.dim, cap)
+    table = _outcome_table(cfg, state, [cfg.theta], cap)
     u = _generator(seed).random((1, _DRAWS_PER_TRIAL))
-    ports, bins = _sample_photon([table], None, u[:, 1])
+    ports, bins = _sample_photon(table, None, u[:, 1])
     ports, bins, dark_flags = _merge_dark(ports, bins, u, dark.p_dc, cap)
     port = _PORT_BY_CODE[int(ports[0])]
     return TrialRecord(
@@ -316,9 +375,10 @@ def run_trials(
     the order chunks are evaluated in.
     """
     cap = cfg.n_prime if bin_cap is None else bin_cap
-    table = _outcome_table(cfg, state, cap)
+    check_window_size(cfg.dim, cap)
+    table = _outcome_table(cfg, state, [cfg.theta], cap)
     return _run(
-        tables=[table],
+        table=table,
         dim=cfg.dim,
         n_prime=cfg.n_prime,
         bin_cap=cap,
@@ -353,23 +413,14 @@ def run_discrimination(
     """
     check_mub_index(d, prepared_k)
     cap = n_prime if bin_cap is None else bin_cap
-    prepared = mub_state(d, prepared_k)
-    tables = [
-        _outcome_table(
-            CavityConfig(
-                dim=d,
-                r1_sq=r1_sq,
-                r2_sq=r2_sq,
-                theta=theta_for_outcome(d, m),
-                n_prime=n_prime,
-            ),
-            prepared,
-            cap,
-        )
-        for m in range(d)
-    ]
+    check_window_size(d, cap)
+    # theta is unused: the table takes one phase per setting
+    cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
+    table = _outcome_table(
+        cfg, mub_state(d, prepared_k), [theta_for_outcome(d, m) for m in range(d)], cap
+    )
     return _run(
-        tables=tables,
+        table=table,
         dim=d,
         n_prime=n_prime,
         bin_cap=cap,

@@ -3,10 +3,14 @@
 Everything here is written with plain-Python cmath loops, straight from the
 model definitions, and deliberately imports nothing from the package under
 test. Expected values frozen into tests were produced by these functions.
+The sampler's lookup oracle is the per-setting numpy ``searchsorted`` loop
+that the stacked guide-table lookup replaced.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 
 def mub_amplitudes(d, k):
@@ -67,3 +71,46 @@ def observed_error(d, r_sq, n_prime, p_dc, k=0):
     probs = [window_probability(d, r_sq, r_sq, n_prime, m, k) for m in range(d)]
     dark = (n_prime - d + 1) * p_dc
     return ((sum(probs) - probs[k]) + (d - 1) * dark) / (sum(probs) + d * dark)
+
+
+def outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap):
+    """Exit masses of one input, evolved bin by bin through both splitters.
+
+    Returns ({(port, bin): mass}, residual) with ports "D1", "D2", "BACK";
+    zero masses are left out. Symmetric convention: every reflection
+    contributes pi/2, the loop multiplies by r1 r2 e^{-i (theta + pi)}.
+    """
+    r1, r2 = math.sqrt(r1_sq), math.sqrt(r2_sq)
+    t1, t2 = math.sqrt(1 - r1_sq), math.sqrt(1 - r2_sq)
+    loop = r1 * r2 * cmath.exp(-1j * (theta + math.pi))
+    leak_coefficient = 1j * t1 * r2 * cmath.exp(-1j * theta)
+    entries = {}
+    circulating = 0j
+    for b in range(1, bin_cap + 1):
+        injected = complex(amps[b - 1]) if b <= d else 0j
+        leak = leak_coefficient * circulating
+        circulating = t1 * injected + loop * circulating
+        d2_mass = abs(t2 * circulating) ** 2
+        if d2_mass > 0.0:
+            entries[("D2", b)] = d2_mass
+        if injected != 0 and r1 > 0.0:
+            upstream = abs(1j * r1 * injected + leak) ** 2
+            if upstream > 0.0:
+                entries[("D1", b)] = upstream
+        else:
+            back = abs(leak) ** 2
+            if back > 0.0:
+                entries[("BACK", b)] = back
+    return entries, (r2 * abs(circulating)) ** 2
+
+
+def masked_lookup(cdf_rows, settings, u):
+    """Column searchsorted(cdf_rows[m], u, side="right") of each frame, one
+    masked pass over the frames per setting m."""
+    cols = np.empty(len(u), dtype=np.int64)
+    for m, cdf in enumerate(cdf_rows):
+        mask = settings == m
+        cols[mask] = np.minimum(
+            np.searchsorted(cdf, u[mask], side="right"), cdf.size - 1
+        )
+    return cols

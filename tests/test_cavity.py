@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from timebin_cavity import (
     CavityConfig,
     Port,
     RoundTripFactor,
+    TimeBinState,
     basis_state,
     cutoff_acceptances,
     d1_bin_probability,
@@ -31,6 +33,7 @@ from timebin_cavity import (
     truncated_gamma_state,
     windowed_acceptance,
 )
+from timebin_cavity.cavity import TABLE_PORTS, outcome_table
 
 
 def symmetric_config(d, r_sq, k=0, n_prime=None):
@@ -484,31 +487,6 @@ class TestFullOutcomeDistribution:
         assert dist.entries == {(Port.D2, 2): pytest.approx(1.0)}
         assert dist.residual == 0.0
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d=st.integers(1, 8),
-        r1_sq=st.floats(0.0, 0.97, allow_nan=False),
-        r2_sq=st.floats(0.0, 0.97, allow_nan=False),
-        theta=st.floats(-math.pi, math.pi, allow_nan=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_conservation_for_arbitrary_inputs(self, seed, d, r1_sq, r2_sq, theta):
-        rng = np.random.default_rng(seed)
-        state = random_normalized_state(rng, d)
-        cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=theta, n_prime=4 * d)
-        dist = full_outcome_distribution(cfg, state, 6 * d)
-        assert dist.total_mass() == pytest.approx(1.0, abs=1e-9)
-
-    def test_d2_entries_match_projection_probabilities(self):
-        rng = np.random.default_rng(5)
-        state = random_normalized_state(rng, 6)
-        cfg = CavityConfig(dim=6, r1_sq=0.62, r2_sq=0.77, theta=-0.8, n_prime=24)
-        dist = full_outcome_distribution(cfg, state, 24)
-        for N in range(6, 25):
-            assert dist.probability(Port.D2, N) == pytest.approx(
-                d2_bin_probability(cfg, state, N), abs=1e-14
-            )
-
     def test_d2_port_total_matches_summed_bins(self):
         rng = np.random.default_rng(6)
         state = random_normalized_state(rng, 5)
@@ -534,12 +512,103 @@ class TestFullOutcomeDistribution:
         assert large < small
         assert large < 1e-6
 
-    def test_cap_too_small(self):
-        cfg = symmetric_config(4, 0.5, n_prime=12)
-        with pytest.raises(ValueError, match="bin_cap"):
-            full_outcome_distribution(cfg, basis_state(4, 1), 11)
-
     def test_requires_normalized_input(self):
         cfg = symmetric_config(2, 0.5)
         with pytest.raises(ValueError, match="normalized"):
             full_outcome_distribution(cfg, gamma_state(cfg, 2), 8)
+
+
+# A few loop phases per table: settings of d = 5 and an off-grid one.
+TABLE_THETAS = [theta_for_outcome(5, m) for m in range(5)] + [0.3]
+
+
+@st.composite
+def table_cases(draw):
+    """Random (d <= 12, r1_sq, r2_sq, input state, bin_cap, phases).
+
+    Some input slots are zeroed, so bins split between D1 and BACK.
+    """
+    d = draw(st.integers(1, 12))
+    r1_sq = draw(st.floats(0.0, 0.97))
+    r2_sq = draw(st.floats(0.0, 0.97))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    keep[draw(st.integers(0, d - 1))] = True
+    amps = np.where(keep, amps, 0.0)
+    state = TimeBinState(amps / np.linalg.norm(amps), normalized=True)
+    bin_cap = draw(st.integers(d, 6 * d))
+    thetas = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4))
+    return d, r1_sq, r2_sq, state, bin_cap, thetas
+
+
+def column_keys(table):
+    return [(TABLE_PORTS[p].value, b) for p, b in zip(table.ports, table.bins)]
+
+
+class TestOutcomeTable:
+    @given(case=table_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_per_bin_oracle(self, case):
+        d, r1_sq, r2_sq, state, bin_cap, thetas = case
+        cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=d)
+        table = outcome_table(cfg, state, thetas, bin_cap)
+        keys = column_keys(table)
+        assert keys[-1] == ("NONE", 0)
+        assert keys[:-1] == sorted(keys[:-1])  # OutcomeDistribution.sorted_entries
+        assert len(set(keys)) == len(keys) == 2 * bin_cap + 1
+        for row, theta in zip(table.masses, thetas):
+            entries, residual = reference.outcome_masses(
+                d, r1_sq, r2_sq, theta, list(state.amps), bin_cap
+            )
+            assert set(entries) <= set(keys)
+            for key, mass in zip(keys[:-1], row[:-1]):
+                assert abs(mass - entries.get(key, 0.0)) <= 1e-15
+            assert abs(row[-1] - residual) <= 1e-15
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        r1_sq=st.floats(0.0, 0.97, allow_nan=False),
+        r2_sq=st.floats(0.0, 0.97, allow_nan=False),
+        theta=st.floats(-math.pi, math.pi, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_conservation_for_arbitrary_inputs(self, seed, d, r1_sq, r2_sq, theta):
+        rng = np.random.default_rng(seed)
+        state = random_normalized_state(rng, d)
+        cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=theta, n_prime=4 * d)
+        table = outcome_table(cfg, state, [theta] + TABLE_THETAS, 6 * d)
+        for row in table.masses:
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+
+    def test_d2_entries_match_projection_probabilities(self):
+        rng = np.random.default_rng(5)
+        state = random_normalized_state(rng, 6)
+        cfg = CavityConfig(dim=6, r1_sq=0.62, r2_sq=0.77, theta=-0.8, n_prime=24)
+        table = outcome_table(cfg, state, [-0.8] + TABLE_THETAS, 24)
+        column = {key: c for c, key in enumerate(column_keys(table))}
+        for row, theta in zip(table.masses, [-0.8] + TABLE_THETAS):
+            for N in range(6, 25):
+                assert row[column[("D2", N)]] == pytest.approx(
+                    d2_bin_probability(replace(cfg, theta=theta), state, N), abs=1e-14
+                )
+
+    def test_cap_too_small(self):
+        cfg = symmetric_config(4, 0.5, n_prime=12)
+        with pytest.raises(ValueError, match="bin_cap"):
+            outcome_table(cfg, basis_state(4, 1), TABLE_THETAS, 11)
+
+    def test_one_phase_view(self):
+        rng = np.random.default_rng(8)
+        state = random_normalized_state(rng, 5)
+        cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.3, theta=1.1, n_prime=20)
+        table = outcome_table(cfg, state, [1.1], 20)
+        dist = full_outcome_distribution(cfg, state, 20)
+        nonzero = {
+            (TABLE_PORTS[p], b): m
+            for p, b, m in zip(table.ports, table.bins, table.masses[0])
+            if m > 0.0 and TABLE_PORTS[p] is not Port.NONE
+        }
+        assert dist.entries == nonzero
+        assert dist.residual == table.masses[0, -1]

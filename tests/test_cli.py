@@ -318,6 +318,36 @@ class TestSizeCaps:
         assert "size cap" in capsys.readouterr().err
 
 
+class TestDarkModelDomain:
+    """W p_dc = 7 * 0.5 puts the first-order dark model above probability 1."""
+
+    @pytest.mark.parametrize(
+        "command,flags,stage",
+        [
+            ("discriminate", ["--trials", "1000"], "run_discrimination"),
+            ("error-sweep", [], "emit_csv"),
+            ("tradeoff", ["--n-prime", "2,8"], "emit_csv"),
+        ],
+    )
+    def test_rejected_before_any_output(
+        self, monkeypatch, capsys, tmp_path, command, flags, stage
+    ):
+        monkeypatch.setattr(cli, stage, _must_not_run)
+        out = tmp_path / "out.txt"
+        argv = [command, "--d", "2", "--p-dc", "0.5", "--r-grid", "0.5"]
+        assert run_cli(*argv, *flags, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "exceeds 1" in captured.err and "dark-count model" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_inputs_inside_the_domain_still_run(self, capsys):
+        argv = ["--d", "2", "--p-dc", "0.01", "--r-grid", "0.5"]
+        assert run_cli("discriminate", *argv, "--trials", "1000") == 0
+        assert run_cli("error-sweep", *argv) == 0
+        assert run_cli("tradeoff", *argv, "--n-prime", "2,8") == 0
+
+
 class TestDefaults:
     def test_prints_every_config_key(self, capsys):
         assert run_cli("defaults") == 0

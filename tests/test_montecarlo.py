@@ -1,10 +1,16 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import random_normalized_state, retry_once, within_binomial_error
+from timebin_cavity import montecarlo
 from timebin_cavity import (
     CavityConfig,
     DarkCountModel,
@@ -273,3 +279,125 @@ class TestFixedRunAgainstAnalyticD2:
             return within_binomial_error(stats.d2_window_frequency(), expected, n)
 
         assert retry_once(check, seeds=(61, 62))
+
+
+@st.composite
+def cdf_tables(draw):
+    """Stacked CDF rows as the sampler builds them, plus variates to look up.
+
+    Rows are non-decreasing with the last entry pinned to 1; repeated
+    values are zero-mass entries, guide points j / 1024 appear as CDF
+    values, and the entry before the pin may exceed 1 by one rounding, as
+    a cumulative sum can. Variates include every CDF value below 1, 0,
+    nextafter(1, 0) and every guide point.
+    """
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 40))
+    value = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 1023).map(lambda j: j / 1024),
+        st.floats(1023 / 1024, 1.0, exclude_max=True),  # inside the last guide cell
+        st.just(0.0),
+        st.just(np.nextafter(1.0, 2.0)),
+    )
+    cdf = np.empty((rows, width))
+    for row in cdf:
+        row[:-1] = sorted(draw(st.lists(value, min_size=width - 1, max_size=width - 1)))
+        row[-1] = 1.0
+    on_points = cdf[cdf < 1.0]
+    extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    u = np.concatenate(
+        [on_points, [0.0, np.nextafter(1.0, 0.0)], np.arange(1024) / 1024, extra]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cdf, rng.integers(0, rows, size=u.size), u
+
+
+class TestStackedLookup:
+    @given(case=cdf_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_guide_lookup_equals_per_setting_searchsorted(self, case):
+        cdf, settings_, u = case
+        guide = montecarlo._guide_table(cdf)
+        points = np.arange(montecarlo._GUIDE) / montecarlo._GUIDE
+        for row, guide_row in zip(cdf, guide):
+            expected = np.searchsorted(row, points, side="right")
+            assert guide_row[:-1].tolist() == expected.tolist()
+        got = montecarlo._lookup(cdf, guide, settings_, u)
+        assert got.tolist() == reference.masked_lookup(cdf, settings_, u).tolist()
+
+    def test_frozen_counts(self):
+        # recorded from the per-setting masked searchsorted sampler
+        stats = run_discrimination(
+            16, 0.8, 0.8, 64, 3, DarkCountModel(1e-3), 60_000, 2024, chunk_size=7777
+        )
+        assert stats.accepted_total == 1172
+        assert stats.dark_clicks == 1094
+        assert [stats.setting_accepted.get(m, 0) for m in range(16)] == [
+            26, 45, 153, 642, 162, 56, 22, 9, 10, 6, 3, 4, 5, 9, 7, 13
+        ]  # fmt: skip
+        assert [stats.setting_frames[m] for m in range(16)] == [
+            3744, 3698, 3779, 3804, 3675, 3761, 3784, 3745,
+            3749, 3724, 3809, 3691, 3766, 3798, 3834, 3639,
+        ]  # fmt: skip
+        for port, frames in ((Port.D1, 52048), (Port.D2, 7195), (Port.BACK, 757)):
+            assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
+        items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "c2e3a028f7fd93821eab9c4c197a5dd7b738066d91ba1a37f33fc35d9246c7db"
+        )
+
+
+def _must_not_allocate(*args, **kwargs):
+    raise AssertionError("oversized window reached the table build")
+
+
+class TestWindowCap:
+    def test_cli_uses_the_sampler_cap(self):
+        from timebin_cavity import cli
+
+        assert cli.MAX_WINDOW_CELLS is montecarlo.MAX_WINDOW_CELLS
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda cap: run_trials(
+                symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 10, 1,
+                bin_cap=cap,
+            ),
+            lambda cap: sample_frame(
+                symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 1, bin_cap=cap
+            ),
+            lambda cap: run_discrimination(
+                4, 0.5, 0.5, 8, 0, NO_DARK, 10, 1, bin_cap=cap
+            ),
+        ],
+        ids=["run_trials", "sample_frame", "run_discrimination"],
+    )  # fmt: skip
+    def test_oversized_bin_cap_is_rejected_before_allocation(self, monkeypatch, entry):
+        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        one_bin_over = montecarlo.MAX_WINDOW_CELLS // 4 - 4 + 1  # d = 4
+        with pytest.raises(ValueError, match="size cap"):
+            entry(one_bin_over)
+        with pytest.raises(ValueError, match="size cap"):
+            entry(10**12)
+
+    def test_oversized_dimension_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        with pytest.raises(ValueError, match="size cap"):
+            run_discrimination(4096, 0.5, 0.5, 4096, 0, NO_DARK, 10, 1)
+
+    def test_table_build_stays_under_45_bytes_per_cell(self):
+        d, n_prime = 256, 1024
+        cfg = symmetric_config(d, 0.9, n_prime)
+        state = mub_state(d, 0)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        tracemalloc.start()
+        try:
+            table = montecarlo._outcome_table(cfg, state, thetas, n_prime)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.cdf.shape == (d, 2 * n_prime + 1)
+        assert (table.cdf[:, -1] == 1.0).all()
+        assert peak <= 45 * d * (n_prime + d)
