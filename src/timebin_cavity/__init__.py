@@ -12,7 +12,6 @@ from .cavity import (
     CavityConfig,
     OutcomeDistribution,
     Port,
-    RoundTripFactor,
     cutoff_acceptances,
     d1_bin_probability,
     d2_bin_probability,
@@ -20,14 +19,11 @@ from .cavity import (
     full_outcome_distribution,
     gamma_state,
     p_m_given_k,
-    phase_for_outcome,
     projection_fidelity,
     setting_acceptances,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    total_error_limit,
-    truncated_gamma_state,
     windowed_acceptance,
 )
 from .imperfections import (
@@ -67,7 +63,6 @@ __all__ = [
     "MismatchModel",
     "OutcomeDistribution",
     "Port",
-    "RoundTripFactor",
     "TimeBinState",
     "TradeoffPoint",
     "TrialRecord",
@@ -88,7 +83,6 @@ __all__ = [
     "observed_error_with_dark_counts",
     "overlap_probability",
     "p_m_given_k",
-    "phase_for_outcome",
     "projection_fidelity",
     "run_discrimination",
     "run_trials",
@@ -97,9 +91,7 @@ __all__ = [
     "theta_for_outcome",
     "total_error",
     "total_error_closed_form",
-    "total_error_limit",
     "total_error_with_mismatch",
-    "truncated_gamma_state",
     "verify_mub",
     "windowed_acceptance",
 ]

@@ -88,27 +88,19 @@ class CavityConfig:
     def t2(self) -> float:
         return math.sqrt(1.0 - self.r2_sq)
 
-    def round_trip(self) -> "RoundTripFactor":
-        return RoundTripFactor.from_config(self)
+    @property
+    def r(self) -> float:
+        """Amplitude survival per circulation, |R1||R2|."""
+        return math.sqrt(self.r1_sq * self.r2_sq)
+
+    @property
+    def phi(self) -> float:
+        """Phase per circulation: the setting plus pi from the two reflections."""
+        return (self.theta + math.pi) % TWO_PI
 
     def for_outcome(self, m: int) -> "CavityConfig":
         """Copy of this config with the phase dialled to target outcome m."""
         return replace(self, theta=theta_for_outcome(self.dim, m))
-
-
-@dataclass(frozen=True)
-class RoundTripFactor:
-    """Amplitude survival r = |R1||R2| and total phase per circulation."""
-
-    r: float
-    phi: float
-
-    @classmethod
-    def from_config(cls, cfg: CavityConfig) -> "RoundTripFactor":
-        return cls(
-            r=math.sqrt(cfg.r1_sq * cfg.r2_sq),
-            phi=(cfg.theta + math.pi) % TWO_PI,
-        )
 
 
 @dataclass(frozen=True)
@@ -149,20 +141,15 @@ class OutcomeDistribution:
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
 
 
-def phase_for_outcome(d: int, m: int) -> float:
-    """Round-trip phase 2 pi m / d that targets Fourier-basis outcome m."""
-    check_dimension(d)
-    check_mub_index(d, m)
-    return TWO_PI * m / d
-
-
 def theta_for_outcome(d: int, m: int) -> float:
-    """Phase-shifter setting whose round-trip phase targets outcome m.
+    """Phase-shifter setting whose round-trip phase 2 pi m / d targets outcome m.
 
     The two reflections contribute pi per circulation, so theta must be
     2 pi m / d - pi.
     """
-    return phase_for_outcome(d, m) - math.pi
+    check_dimension(d)
+    check_mub_index(d, m)
+    return TWO_PI * m / d - math.pi
 
 
 def gamma_state(cfg: CavityConfig, N: int) -> TimeBinState:
@@ -178,42 +165,24 @@ def gamma_state(cfg: CavityConfig, N: int) -> TimeBinState:
         raise ValueError(
             f"bin {N} precedes the measurement window (first accepted bin is {d})"
         )
-    rt = cfg.round_trip()
     n = np.arange(d)
     trips = N - d + n
     amps = np.zeros(d, dtype=np.complex128)
-    amps[d - 1 - n] = (
-        cfg.t1 * cfg.t2 * rt.r ** trips * np.exp(1j * trips * rt.phi)
-    )
+    amps[d - 1 - n] = cfg.t1 * cfg.t2 * cfg.r**trips * np.exp(1j * trips * cfg.phi)
     return TimeBinState(amps, normalized=False)
 
 
-def truncated_gamma_state(cfg: CavityConfig, N: int) -> TimeBinState:
-    """Projection state for a D2 click at any bin N >= 1.
-
-    For N >= d this coincides with :func:`gamma_state`; for earlier bins
-    only the slots that have already entered the loop contribute, which is
-    what makes such clicks inconclusive for the basis measurement.
-    """
-    d = cfg.dim
-    if N < 1:
-        raise ValueError(f"bin {N} out of range (bins start at 1)")
-    rt = cfg.round_trip()
-    slots = np.arange(1, min(d, N) + 1)
-    trips = N - slots
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[slots - 1] = cfg.t1 * cfg.t2 * rt.r ** trips * np.exp(1j * trips * rt.phi)
-    return TimeBinState(amps, normalized=False)
-
-
-def _require_normalized(state: TimeBinState) -> None:
+def _check_input(cfg: CavityConfig, state: TimeBinState) -> None:
     if not state.normalized:
         raise ValueError("input state must be normalized")
+    if state.dim != cfg.dim:
+        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
 
 
+# Not called in the package; bound for the benchmark's traced run.
 def d2_bin_probability(cfg: CavityConfig, state: TimeBinState, N: int) -> float:
     """Probability of a D2 click at bin N (N >= d) for the given input."""
-    _require_normalized(state)
+    _check_input(cfg, state)
     return float(abs(inner_product(gamma_state(cfg, N), state)) ** 2)
 
 
@@ -224,7 +193,7 @@ def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
     leakage on later circulations exits toward the source instead and is
     accounted as the BACK port of :func:`full_outcome_distribution`.
     """
-    _require_normalized(state)
+    _check_input(cfg, state)
     if not 1 <= n <= cfg.dim:
         raise ValueError(f"bin {n} outside the arrival window 1..{cfg.dim}")
     return float(cfg.r1_sq * abs(state.amps[n - 1]) ** 2)
@@ -244,7 +213,7 @@ def _click_probability_blocks(
     """
     d = cfg.dim
     coupling = cfg.t1 * cfg.t2
-    r = cfg.round_trip().r
+    r = cfg.r
     by_trips = amps[::-1]  # entry n: amplitude of slot d - n
     for start in range(first, last + 1, _BIN_BLOCK):
         stop = min(start + _BIN_BLOCK, last + 1)
@@ -321,56 +290,62 @@ def setting_acceptances(cfg: CavityConfig, k: int) -> List[float]:
     return cutoff_acceptances(cfg, k, [cfg.n_prime])[0].tolist()
 
 
+# Not called in the package; bound for the benchmark's traced run.
 def p_m_given_k(cfg: CavityConfig, k: int) -> float:
-    """Windowed D2 click probability for prepared Fourier state k.
-
-    Sum of the per-bin projections over the accepted window [d, n_prime]
-    at the config's own phase (one blocked contraction, as in
-    :func:`windowed_acceptance`), normally dialled with
-    :meth:`CavityConfig.for_outcome` to target some outcome m.
-    """
+    """Windowed D2 click probability for Fourier state k at the config's phase."""
     return d2_total_probability(cfg, mub_state(cfg.dim, k))
+
+
+def error_ratio(probs: Sequence[float], k: int, window_dark: float = 0.0) -> float:
+    """Mismatched share of accepted clicks when each setting's window also
+    fires on dark mass w (first order, :mod:`imperfections`):
+
+        [ sum_{m != k} P(m|k) + (d-1) w ] / [ sum_m P(m|k) + d w ].
+
+    At w = 0 this is the clean discrimination error.
+    """
+    total = math.fsum(probs)
+    numerator = (total - probs[k]) + (len(probs) - 1) * window_dark
+    denominator = total + len(probs) * window_dark
+    if denominator == 0.0:
+        raise ValueError("zero acceptance and zero dark rate; ratio undefined")
+    return numerator / denominator
 
 
 def total_error(cfg: CavityConfig, k: int = 0) -> float:
     """Discrimination error over all settings, by brute-force summation.
 
-    Ratio of the mismatched-setting acceptance to the total acceptance,
-    with each setting m evaluated at phase 2 pi m / d and the same window
+    :func:`error_ratio` of the per-setting acceptances, each setting m
+    evaluated at phase 2 pi m / d over the same window
     (:func:`setting_acceptances`). The window length and the prepared index
     cancel in the ratio, which is enforced by tests rather than assumed.
     """
-    probs = setting_acceptances(cfg, k)
-    total = math.fsum(probs)
-    if total == 0.0:
-        raise ValueError("zero total acceptance; error ratio is undefined")
-    return (total - probs[k]) / total
+    return error_ratio(setting_acceptances(cfg, k), k)
 
 
 def total_error_closed_form(r: float, d: int) -> float:
     """Geometric-series reduction of the discrimination error.
 
     Summing |1 - r e^{2 pi i j / d}|^{-2} over j collapses the double sum
-    behind :func:`total_error` to
+    behind :func:`total_error` to 1 - (1 + r)(1 - r^d) / [d (1 - r)(1 + r^d)],
+    evaluated here in the equivalent form with only nonnegative terms,
 
-        1 - (1 + r)(1 - r^d) / [ d (1 - r)(1 + r^d) ].
+        sum_{j=1}^{d-1} (1 - r^j)(1 - r^(d-j)) / [ d (1 + r^d) ],
 
-    Valid for 0 <= r < 1; see :func:`total_error_limit` for r -> 1.
+    with 1 - r^j = -expm1(j ln r), so nothing cancels as r -> 1, where the
+    error tends to 0. Valid for 0 <= r < 1.
     """
     check_dimension(d)
     if not 0.0 <= r < 1.0:
         raise ValueError(
             f"round-trip factor must lie in [0, 1), got {r}; "
-            "the r -> 1 limit is available via total_error_limit"
+            "the r -> 1 limit of the error is 0"
         )
-    r_d = r**d
-    return 1.0 - (1.0 + r) * (1.0 - r_d) / (d * (1.0 - r) * (1.0 + r_d))
-
-
-def total_error_limit(d: int) -> float:
-    """r -> 1 limit of the discrimination error (perfect projection)."""
-    check_dimension(d)
-    return 0.0
+    if r == 0.0:
+        return (d - 1) / d
+    log_r = math.log(r)
+    terms = (math.expm1(j * log_r) * math.expm1((d - j) * log_r) for j in range(1, d))
+    return math.fsum(terms) / (d * (1.0 + r**d))
 
 
 def d2_total_probability(
@@ -383,13 +358,9 @@ def d2_total_probability(
     bins 1..d-1 are counted as well, giving the full mass the detector
     sees up to bin n_prime.
     """
-    _require_normalized(state)
-    if state.dim != cfg.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
+    _check_input(cfg, state)
     first = 1 if include_early else cfg.dim
-    blocks = _click_probability_blocks(
-        cfg, state.amps, first, cfg.n_prime, cfg.round_trip().phi
-    )
+    blocks = _click_probability_blocks(cfg, state.amps, first, cfg.n_prime, cfg.phi)
     return math.fsum(float(block.sum()) for block in blocks)
 
 
@@ -440,9 +411,7 @@ def outcome_table(
     final squares may round differently (by one unit in the last place).
     The config's own ``theta`` is ignored.
     """
-    _require_normalized(state)
-    if state.dim != cfg.dim:
-        raise ValueError(f"dimension mismatch: {state.dim} vs {cfg.dim}")
+    _check_input(cfg, state)
     if bin_cap < cfg.n_prime:
         raise ValueError(
             f"bin_cap ({bin_cap}) must cover the accepted window "

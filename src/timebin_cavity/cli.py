@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,18 +24,19 @@ from typing import List, Optional, Sequence
 from .cavity import (
     CavityConfig,
     d2_total_probability,
+    error_ratio,
     setting_acceptances,
     theta_for_outcome,
-    total_error,
+    total_error,  # noqa: F401  (bound for the benchmark's traced run)
     total_error_closed_form,
 )
 from .imperfections import (
     DarkCountModel,
     MismatchModel,
-    accepted_event_probability,
+    accepted_probability,
     cutoff_tradeoff_scan,
     effective_round_trip,
-    observed_error_with_dark_counts,
+    window_dark_mass,
 )
 from .montecarlo import MAX_WINDOW_CELLS, check_window_size, run_discrimination
 from .states import mub_state, verify_mub
@@ -43,8 +45,10 @@ MUB_TOLERANCE = 1e-12
 CLOSED_FORM_TOLERANCE = 1e-10
 # Size caps, checked before anything is allocated. mub-verify stacks a d x d
 # complex matrix. The window commands share the sampler's cap on
-# d * (n_prime + d) cells, MAX_WINDOW_CELLS.
+# d * (n_prime + d) cells, MAX_WINDOW_CELLS. An a:b:step r-grid spec names at
+# most MAX_GRID_POINTS values.
 MAX_MUB_DIM = 1024
+MAX_GRID_POINTS = 10**5
 
 
 class UsageError(Exception):
@@ -111,11 +115,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
-    def phase_theta(self) -> float:
-        """Phase-shifter setting: explicit theta, else dialled to outcome k."""
-        if self.theta is not None:
-            return self.theta
-        return theta_for_outcome(self.d, self.k)
+    def cavity_config(self, r_sq: float, n_prime: int) -> CavityConfig:
+        """Cavity for grid value r_sq: both reflectivities r_sq * eta, and the
+        explicit theta, else the phase dialled to outcome k."""
+        r_eff = effective_round_trip(r_sq, MismatchModel(self.eta))
+        theta = theta_for_outcome(self.d, self.k) if self.theta is None else self.theta
+        return CavityConfig(self.d, r_eff, r_eff, theta, n_prime)
 
 
 @dataclass
@@ -157,35 +162,6 @@ def emit_json(rows: Sequence, columns: Sequence[str]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_rows(text: str, fmt: str, row_type, columns, int_columns=()):
-    rows = []
-    if fmt == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or tuple(lines[0].split(",")) != tuple(columns):
-            raise ValueError("unexpected header row")
-        for line in lines[1:]:
-            cells = line.split(",")
-            kwargs = {
-                c: int(cell) if c in int_columns else float(cell)
-                for c, cell in zip(columns, cells)
-            }
-            rows.append(row_type(**kwargs))
-    else:
-        for item in json.loads(text):
-            rows.append(row_type(**item))
-    return rows
-
-
-def parse_sweep(text: str, fmt: str) -> List[SweepRow]:
-    return _parse_rows(text, fmt, SweepRow, SWEEP_COLUMNS)
-
-
-def parse_tradeoff(text: str, fmt: str) -> List[TradeoffRow]:
-    return _parse_rows(
-        text, fmt, TradeoffRow, TRADEOFF_COLUMNS, int_columns=("n_prime",)
-    )
-
-
 def _check_dark_model(probability: float, what: str) -> None:
     """Reject inputs where the first-order dark-count model exceeds 1."""
     if probability > 1.0:
@@ -199,40 +175,34 @@ def _check_dark_model(probability: float, what: str) -> None:
 def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     """One row per grid value of |R|^2 = |R1|^2 = |R2|^2.
 
-    Error columns are evaluated at the mismatch-reduced round-trip factor;
-    the detection column uses the actual reflectivities, counts every D2
-    bin up to n_prime, and the phase dialled to the configured outcome.
+    Error and count columns share one kernel pass at the mismatch-reduced
+    round-trip factor; the detection column uses the actual reflectivities,
+    counts every D2 bin up to n_prime, and the configured phase.
     """
-    mismatch = MismatchModel(config.eta)
-    dark = DarkCountModel(config.p_dc)
-    prepared = mub_state(config.d, config.k)
+    k = config.k
+    window_dark = window_dark_mass(config.d, config.n_prime, config.p_dc)
+    prepared = mub_state(config.d, k)
     rows = []
     for r_sq in config.r_grid:
-        r_eff = effective_round_trip(r_sq, mismatch)
-        cfg_eff = CavityConfig(
-            dim=config.d,
-            r1_sq=r_eff,
-            r2_sq=r_eff,
-            theta=config.phase_theta(),
-            n_prime=config.n_prime,
-        )
-        cfg_actual = dataclasses.replace(cfg_eff, r1_sq=r_sq, r2_sq=r_sq)
-        p_e = total_error(cfg_eff, config.k)
-        p_e_closed = total_error_closed_form(r_eff, config.d)
+        cfg = config.cavity_config(r_sq, config.n_prime)
+        probs = setting_acceptances(cfg, k)
+        p_e = error_ratio(probs, k)
+        p_e_closed = total_error_closed_form(cfg.r1_sq, config.d)
         if abs(p_e - p_e_closed) > CLOSED_FORM_TOLERANCE:
             raise NumericalInvariantViolation(
                 f"brute-force error {p_e!r} and closed form {p_e_closed!r} "
                 f"disagree at r_sq={r_sq}"
             )
-        accepted = accepted_event_probability(cfg_eff, dark, config.k)
+        accepted = accepted_probability(probs, window_dark)
         _check_dark_model(accepted, f"accepted probability at r_sq={r_sq!r}")
+        actual = dataclasses.replace(cfg, r1_sq=r_sq, r2_sq=r_sq)
         rows.append(
             SweepRow(
                 r_sq=r_sq,
                 p_e_analytic=p_e,
                 p_e_closed_form=p_e_closed,
-                p_d2=d2_total_probability(cfg_actual, prepared, include_early=True),
-                p_e_observed=observed_error_with_dark_counts(cfg_eff, dark, config.k),
+                p_d2=d2_total_probability(actual, prepared, include_early=True),
+                p_e_observed=error_ratio(probs, k, window_dark),
                 accepted_probability=accepted,
             )
         )
@@ -245,14 +215,7 @@ def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
             "or set n_prime_values in the config file"
         )
-    r_eff = effective_round_trip(config.r_grid[0], MismatchModel(config.eta))
-    cfg = CavityConfig(
-        dim=config.d,
-        r1_sq=r_eff,
-        r2_sq=r_eff,
-        theta=config.phase_theta(),
-        n_prime=max(config.n_prime_values),
-    )
+    cfg = config.cavity_config(config.r_grid[0], max(config.n_prime_values))
     points = cutoff_tradeoff_scan(
         cfg, DarkCountModel(config.p_dc), config.n_prime_values, config.k
     )
@@ -264,27 +227,25 @@ def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
     return [TradeoffRow(*point) for point in points]
 
 
+def _z_score(observed: float, expected: float, n: int) -> float:
+    """Binomial z-score of a frequency over n trials; 0 when sigma is 0."""
+    sigma = math.sqrt(expected * (1.0 - expected) / n) if n else 0.0
+    return (observed - expected) / sigma if sigma > 0.0 else 0.0
+
+
 def discrimination_report(config: ExperimentConfig) -> dict:
-    """Empirical vs analytic discrimination statistics as a JSON-ready dict."""
-    mismatch = MismatchModel(config.eta)
+    """Empirical vs analytic statistics as a JSON-ready dict; one kernel pass."""
     dark = DarkCountModel(config.p_dc)
-    r_eff = effective_round_trip(config.r_grid[0], mismatch)
-    cfg = CavityConfig(
-        dim=config.d,
-        r1_sq=r_eff,
-        r2_sq=r_eff,
-        theta=theta_for_outcome(config.d, config.k),
-        n_prime=config.n_prime,
-    )
-    window_dark = (config.n_prime - config.d + 1) * config.p_dc
+    cfg = config.cavity_config(config.r_grid[0], config.n_prime)
+    window_dark = window_dark_mass(config.d, config.n_prime, config.p_dc)
     acceptance = setting_acceptances(cfg, config.k)
     _check_dark_model(
         max(acceptance) + window_dark, "largest P(m|k) + W p_dc over settings"
     )
     stats = run_discrimination(
         d=config.d,
-        r1_sq=r_eff,
-        r2_sq=r_eff,
+        r1_sq=cfg.r1_sq,
+        r2_sq=cfg.r2_sq,
         n_prime=config.n_prime,
         prepared_k=config.k,
         dark=dark,
@@ -296,7 +257,6 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         frames = stats.setting_frames.get(m, 0)
         p_analytic = acceptance[m] + window_dark
         p_hat = stats.p_hat(m)
-        sigma = math.sqrt(p_analytic * (1.0 - p_analytic) / frames) if frames else 0.0
         settings.append(
             {
                 "m": m,
@@ -304,22 +264,18 @@ def discrimination_report(config: ExperimentConfig) -> dict:
                 "accepted": stats.setting_accepted.get(m, 0),
                 "p_hat": p_hat,
                 "p_analytic": p_analytic,
-                "z": (p_hat - p_analytic) / sigma if sigma > 0.0 else 0.0,
+                "z": _z_score(p_hat, p_analytic, frames),
             }
         )
-    p_e_expected = observed_error_with_dark_counts(cfg, dark, config.k)
-    p_e_hat = stats.p_e_hat() if stats.accepted_total else None
-    if p_e_hat is None:
-        p_e_z = None
-    else:
-        sigma_e = math.sqrt(
-            p_e_expected * (1.0 - p_e_expected) / stats.accepted_total
-        )
-        p_e_z = (p_e_hat - p_e_expected) / sigma_e if sigma_e > 0.0 else 0.0
+    p_e_expected = error_ratio(acceptance, config.k, window_dark)
+    p_e_hat = p_e_z = None
+    if stats.accepted_total:
+        p_e_hat = stats.p_e_hat()
+        p_e_z = _z_score(p_e_hat, p_e_expected, stats.accepted_total)
     return {
         "d": config.d,
         "r_sq": config.r_grid[0],
-        "r_effective": r_eff,
+        "r_effective": cfg.r1_sq,
         "n_prime": config.n_prime,
         "prepared_k": config.k,
         "p_dc": config.p_dc,
@@ -403,17 +359,25 @@ def cmd_defaults(args) -> int:
 
 
 def parse_r_grid(text: str) -> List[float]:
-    """Grid spec: ``a:b:step``, a comma list, or a single value."""
+    """Grid spec: ``a:b:step``, a comma list, or a single value.
+
+    A range needs finite ``a <= b`` in [0, 1) and names at most
+    :data:`MAX_GRID_POINTS` values, checked before the list is built.
+    """
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("expected a:b:step")
             a, b, step = (float(p) for p in parts)
-            if step <= 0.0 or b < a:
+            if not (0.0 <= a < 1.0 and 0.0 <= b < 1.0):
+                raise ValueError("a and b must lie in [0, 1)")
+            if not step > 0.0 or b < a:
                 raise ValueError("need step > 0 and b >= a")
-            count = int(math.floor((b - a) / step + 1e-9)) + 1
-            return [a + i * step for i in range(count)]
+            span = (b - a) / step + 1e-9
+            if span >= MAX_GRID_POINTS:
+                raise ValueError(f"more than {MAX_GRID_POINTS} points (size cap)")
+            return [a + i * step for i in range(int(math.floor(span)) + 1)]
         if "," in text:
             return [float(p) for p in text.split(",")]
         return [float(text)]
@@ -431,49 +395,62 @@ def parse_n_prime(text: str):
         raise UsageError(f"bad n-prime spec {text!r}: {exc}") from exc
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# Every ExperimentConfig field: its config-file value type, then the flag
+# (argparse dest) that overrides it and the parser of that flag's text.
+# Fields that default to None also accept null.
+_FIELDS = (
+    ("d", "int", "d", None),
+    ("r_grid", "list of float", "r_grid", parse_r_grid),
+    ("k", "int", None, None),
+    ("theta", "float", None, None),
+    ("n_prime", "int", "n_prime", parse_n_prime),
+    ("n_prime_values", "list of int", None, None),
+    ("eta", "float", "eta", None),
+    ("p_dc", "float", "p_dc", None),
+    ("n_trials", "int", "trials", None),
+    ("master_seed", "int", "seed", None),
+    ("output_path", "str", "out", None),
+    ("output_format", "str", "format", None),
+)
+_NULLABLE = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _has_type(value, kind: str) -> bool:
+    """JSON type check: int excludes bool, and float admits int."""
+    if kind.startswith("list of "):
+        return isinstance(value, list) and all(_has_type(v, kind[8:]) for v in value)
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
 
 
 def _load_config(args) -> ExperimentConfig:
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            raw = Path(args.config).read_text()
+            data = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must contain a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {name for name, *_ in _FIELDS}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for name, kind, _, _ in _FIELDS:
+        value = data.get(name)
+        if name in data and not (value is None and name in _NULLABLE):
+            if not _has_type(value, kind):
+                raise UsageError(f"config key {name!r} must be {kind}, got {value!r}")
     config = ExperimentConfig(**data)
-
-    if getattr(args, "d", None) is not None:
-        config.d = args.d
-    if getattr(args, "r_grid", None) is not None:
-        config.r_grid = parse_r_grid(args.r_grid)
-    if getattr(args, "n_prime", None) is not None:
-        parsed = parse_n_prime(args.n_prime)
-        if isinstance(parsed, list):
-            config.n_prime_values = parsed
-        else:
-            config.n_prime = parsed
-    if getattr(args, "eta", None) is not None:
-        config.eta = args.eta
-    if getattr(args, "p_dc", None) is not None:
-        config.p_dc = args.p_dc
-    if getattr(args, "trials", None) is not None:
-        config.n_trials = args.trials
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "out", None) is not None:
-        config.output_path = args.out
-    if getattr(args, "format", None) is not None:
-        config.output_format = args.format
+    for name, _, dest, parse in _FIELDS:  # flags override the file
+        value = None if dest is None else getattr(args, dest)
+        if value is None:
+            continue
+        value = value if parse is None else parse(value)
+        if name == "n_prime" and isinstance(value, list):
+            name = "n_prime_values"  # a comma list sets the tradeoff cutoffs
+        setattr(config, name, value)
     return config
 
 
@@ -482,7 +459,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_COMMANDS = (
+    ("mub-verify", "check the basis unbiasedness", cmd_mub_verify),
+    ("error-sweep", "error and detection vs |R|^2", cmd_error_sweep),
+    ("discriminate", "Monte Carlo discrimination run", cmd_discriminate),
+    ("tradeoff", "error vs count rate across cutoffs", cmd_tradeoff),
+    ("defaults", "print the default configuration", cmd_defaults),
+)
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged."""
     parser = _Parser(
         prog="timebin-cavity",
         description=(
@@ -507,21 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), help="output format")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "mub-verify", parents=[common], help="check the basis unbiasedness"
-    ).set_defaults(func=cmd_mub_verify)
-    sub.add_parser(
-        "error-sweep", parents=[common], help="error and detection vs |R|^2"
-    ).set_defaults(func=cmd_error_sweep)
-    sub.add_parser(
-        "discriminate", parents=[common], help="Monte Carlo discrimination run"
-    ).set_defaults(func=cmd_discriminate)
-    sub.add_parser(
-        "tradeoff", parents=[common], help="error vs count rate across cutoffs"
-    ).set_defaults(func=cmd_tradeoff)
-    sub.add_parser(
-        "defaults", parents=[common], help="print the default configuration"
-    ).set_defaults(func=cmd_defaults)
+    for name, help_text, func in _COMMANDS:
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
     return parser
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, List, NamedTuple, Sequence
 from .cavity import (
     CavityConfig,
     cutoff_acceptances,
+    error_ratio,
     setting_acceptances,
     total_error_closed_form,
 )
@@ -85,18 +86,13 @@ def total_error_with_mismatch(r: float, d: int, mismatch: MismatchModel) -> floa
     return total_error_closed_form(effective_round_trip(r, mismatch), d)
 
 
-def _observed_error(probs: Sequence[float], k: int, window_dark: float) -> float:
-    """Dark-diluted error ratio from per-setting acceptances P(m|k)."""
-    total = math.fsum(probs)
-    numerator = (total - probs[k]) + (len(probs) - 1) * window_dark
-    denominator = total + len(probs) * window_dark
-    if denominator == 0.0:
-        raise ValueError("zero acceptance and zero dark rate; ratio undefined")
-    return numerator / denominator
+def window_dark_mass(d: int, n_prime: int, p_dc: float) -> float:
+    """First-order dark mass W p_dc over the W = n_prime - d + 1 accepted bins."""
+    return (n_prime - d + 1) * p_dc
 
 
-def _accepted_probability(probs: Sequence[float], window_dark: float) -> float:
-    """Per-frame accepted-event probability from per-setting acceptances."""
+def accepted_probability(probs: Sequence[float], window_dark: float) -> float:
+    """Per-frame accepted-event probability sum_m P(m|k) / d + W p_dc."""
     return math.fsum(probs) / len(probs) + window_dark
 
 
@@ -107,12 +103,9 @@ def observed_error_with_dark_counts(
 
     Model: one photon per frame, settings drawn uniformly, and each of the
     W = n_prime - d + 1 accepted bins can fire D2 spuriously with
-    probability p_dc. To first order (signal-dark coincidences neglected):
-
-        [ sum_{m != k} P(m|k) + (d-1) W p_dc ] /
-        [ sum_m      P(m|k) +  d    W p_dc ]
-
-    which reduces to the clean error ratio at p_dc = 0.
+    probability p_dc. To first order (signal-dark coincidences neglected)
+    this is :func:`cavity.error_ratio` with dark mass w = W p_dc per
+    setting, which reduces to the clean error ratio at p_dc = 0.
 
     Domain: each setting's accepted-click probability in this model is
     P(m|k) + W p_dc, which is a probability only while it stays at most 1
@@ -120,8 +113,8 @@ def observed_error_with_dark_counts(
     coincidences are second order. Outside that domain the ratio is still
     returned but describes no experiment; the CLI rejects such inputs.
     """
-    probs = setting_acceptances(cfg, k)
-    return _observed_error(probs, k, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
+    window_dark = window_dark_mass(cfg.dim, cfg.n_prime, dark.p_dc)
+    return error_ratio(setting_acceptances(cfg, k), k, window_dark)
 
 
 def accepted_event_probability(
@@ -132,8 +125,8 @@ def accepted_event_probability(
     Averaged over uniform settings: sum_m P(m|k) / d signal clicks plus the
     W p_dc dark contribution. The count-rate side of the trade-off.
     """
-    probs = setting_acceptances(cfg, k)
-    return _accepted_probability(probs, (cfg.n_prime - cfg.dim + 1) * dark.p_dc)
+    window_dark = window_dark_mass(cfg.dim, cfg.n_prime, dark.p_dc)
+    return accepted_probability(setting_acceptances(cfg, k), window_dark)
 
 
 class TradeoffPoint(NamedTuple):
@@ -160,12 +153,7 @@ def cutoff_tradeoff_scan(
     points = []
     for n_prime, row in zip(cutoffs, acceptances):
         probs = row.tolist()
-        window_dark = (n_prime - cfg.dim + 1) * dark.p_dc
-        points.append(
-            TradeoffPoint(
-                n_prime=n_prime,
-                observed_error=_observed_error(probs, k, window_dark),
-                accepted_probability=_accepted_probability(probs, window_dark),
-            )
-        )
+        w = window_dark_mass(cfg.dim, n_prime, dark.p_dc)
+        error = error_ratio(probs, k, w)
+        points.append(TradeoffPoint(n_prime, error, accepted_probability(probs, w)))
     return points

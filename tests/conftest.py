@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
 from timebin_cavity import TimeBinState
+from timebin_cavity.cli import SWEEP_COLUMNS, TRADEOFF_COLUMNS, SweepRow, TradeoffRow
 
 
 def random_normalized_state(rng, d):
@@ -38,3 +41,34 @@ def window_cases(draw):
     n_prime = draw(st.integers(d, 6 * d))
     k = draw(st.integers(0, d - 1))
     return d, r, n_prime, k
+
+
+def _parse_rows(text, fmt, row_type, columns, int_columns=()):
+    rows = []
+    if fmt == "csv":
+        lines = [ln for ln in text.splitlines() if ln]
+        if not lines or tuple(lines[0].split(",")) != tuple(columns):
+            raise ValueError("unexpected header row")
+        for line in lines[1:]:
+            cells = line.split(",")
+            kwargs = {
+                c: int(cell) if c in int_columns else float(cell)
+                for c, cell in zip(columns, cells)
+            }
+            rows.append(row_type(**kwargs))
+    else:
+        for item in json.loads(text):
+            rows.append(row_type(**item))
+    return rows
+
+
+def parse_sweep(text, fmt):
+    """Rows of ``error-sweep`` output in csv or json, as SweepRow."""
+    return _parse_rows(text, fmt, SweepRow, SWEEP_COLUMNS)
+
+
+def parse_tradeoff(text, fmt):
+    """Rows of ``tradeoff`` output in csv or json, as TradeoffRow."""
+    return _parse_rows(
+        text, fmt, TradeoffRow, TRADEOFF_COLUMNS, int_columns=("n_prime",)
+    )

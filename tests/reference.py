@@ -9,6 +9,7 @@ that the stacked guide-table lookup replaced.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,6 +65,13 @@ def d2_mass(d, r1_sq, r2_sq, phi, xi, lo, hi):
             amp += t1t2 * r ** (b - j) * cmath.exp(-1j * (b - j) * phi) * xi[j - 1]
         total += abs(amp) ** 2
     return total
+
+
+def closed_form_error(r, d):
+    """The paper's closed-form error 1 - (1+r)(1-r^d) / (d (1-r)(1+r^d)),
+    evaluated in exact rational arithmetic at the float r (r < 1)."""
+    r = Fraction(r)
+    return 1 - (1 + r) * (1 - r**d) / (d * (1 - r) * (1 + r**d))
 
 
 def observed_error(d, r_sq, n_prime, p_dc, k=0):

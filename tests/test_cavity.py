@@ -12,7 +12,6 @@ from conftest import random_normalized_state, window_cases
 from timebin_cavity import (
     CavityConfig,
     Port,
-    RoundTripFactor,
     TimeBinState,
     basis_state,
     cutoff_acceptances,
@@ -23,17 +22,14 @@ from timebin_cavity import (
     gamma_state,
     mub_state,
     p_m_given_k,
-    phase_for_outcome,
     projection_fidelity,
     setting_acceptances,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    total_error_limit,
-    truncated_gamma_state,
     windowed_acceptance,
 )
-from timebin_cavity.cavity import TABLE_PORTS, outcome_table
+from timebin_cavity.cavity import TABLE_PORTS, _click_probability_blocks, outcome_table
 
 
 def symmetric_config(d, r_sq, k=0, n_prime=None):
@@ -48,24 +44,26 @@ def symmetric_config(d, r_sq, k=0, n_prime=None):
 
 
 class TestPhaseHelpers:
+    """theta_for_outcome(d, m) + pi is the round-trip phase 2 pi m / d."""
+
     def test_zero_setting(self):
-        assert phase_for_outcome(4, 0) == 0.0
+        assert theta_for_outcome(4, 0) + math.pi == 0.0
 
     def test_half_turn(self):
-        assert phase_for_outcome(4, 2) == pytest.approx(math.pi)
+        assert theta_for_outcome(4, 2) + math.pi == pytest.approx(math.pi)
 
     def test_three_sixteenths(self):
-        assert phase_for_outcome(16, 3) == pytest.approx(3.0 * math.pi / 8.0)
+        assert theta_for_outcome(16, 3) + math.pi == pytest.approx(3.0 * math.pi / 8.0)
 
     def test_theta_compensates_reflection_phases(self):
         for d, m in [(2, 1), (5, 3), (16, 9)]:
-            assert theta_for_outcome(d, m) + math.pi == pytest.approx(
-                phase_for_outcome(d, m)
+            assert symmetric_config(d, 0.5, k=m).phi == pytest.approx(
+                2.0 * math.pi * m / d
             )
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            phase_for_outcome(4, 4)
+            theta_for_outcome(4, 4)
 
 
 class TestCavityConfig:
@@ -87,9 +85,8 @@ class TestCavityConfig:
 
     def test_round_trip_factor(self):
         cfg = CavityConfig(dim=2, r1_sq=0.5, r2_sq=0.72, theta=0.25, n_prime=4)
-        rt = RoundTripFactor.from_config(cfg)
-        assert rt.r == pytest.approx(math.sqrt(0.5 * 0.72))
-        assert rt.phi == pytest.approx((0.25 + math.pi) % (2.0 * math.pi))
+        assert cfg.r == pytest.approx(math.sqrt(0.5 * 0.72))
+        assert cfg.phi == pytest.approx((0.25 + math.pi) % (2.0 * math.pi))
 
 
 class TestGammaState:
@@ -112,7 +109,7 @@ class TestGammaState:
     @pytest.mark.parametrize("r_sq,theta", [(0.3, 0.9), (0.81, -1.2), (0.05, 2.4)])
     def test_norm_scales_by_round_trip_factor(self, r_sq, theta):
         cfg = CavityConfig(dim=5, r1_sq=r_sq, r2_sq=0.6, theta=theta, n_prime=40)
-        r = cfg.round_trip().r
+        r = cfg.r
         for N in range(5, 12):
             ratio = math.sqrt(gamma_state(cfg, N + 1).norm_sq())
             ratio /= math.sqrt(gamma_state(cfg, N).norm_sq())
@@ -129,18 +126,26 @@ class TestGammaState:
         with pytest.raises(ValueError, match="window"):
             gamma_state(symmetric_config(4, 0.5), 3)
 
+    # The kernel's truncated projection states: bins N >= d use the full
+    # state, earlier bins only the slots that have already entered the loop.
     def test_truncated_state_agrees_inside_window(self):
         cfg = CavityConfig(dim=4, r1_sq=0.8, r2_sq=0.65, theta=0.37, n_prime=9)
-        np.testing.assert_allclose(
-            truncated_gamma_state(cfg, 6).amps, gamma_state(cfg, 6).amps, atol=0
-        )
+        state = random_normalized_state(np.random.default_rng(3), 4)
+        (kernel,) = _click_probability_blocks(cfg, state.amps, 6, 6, cfg.phi)
+        assert kernel[0] == pytest.approx(d2_bin_probability(cfg, state, 6), abs=1e-15)
 
     def test_truncated_state_has_only_arrived_slots(self):
         cfg = symmetric_config(4, 0.5)
-        early = truncated_gamma_state(cfg, 2)
-        assert early.amplitude(3) == 0.0
-        assert early.amplitude(4) == 0.0
-        assert abs(early.amplitude(2)) > 0.0
+
+        def bin_2(slot):
+            (probs,) = _click_probability_blocks(
+                cfg, basis_state(4, slot).amps, 2, 2, cfg.phi
+            )
+            return probs[0]
+
+        assert bin_2(3) == 0.0
+        assert bin_2(4) == 0.0
+        assert bin_2(2) > 0.0
 
 
 class TestD2BinProbability:
@@ -365,14 +370,35 @@ class TestTotalErrorClosedForm:
         with pytest.raises(ValueError, match="limit"):
             total_error_closed_form(1.0, 16)
 
-    def test_explicit_limit_helper(self):
-        assert total_error_limit(16) == 0.0
+    def test_limit_is_stated_in_domain_error(self):
+        with pytest.raises(ValueError, match="r -> 1 limit of the error is 0"):
+            total_error_closed_form(1.0, 16)
 
     def test_matches_brute_force_on_grid(self):
         for d in (2, 3, 8):
             for r_sq in (0.0, 0.2, 0.5, 0.8, 0.95):
                 cfg = symmetric_config(d, r_sq)
                 assert abs(total_error(cfg) - total_error_closed_form(r_sq, d)) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 16, 64, 256])
+    @pytest.mark.parametrize(
+        "r", [1e-300, 0.1, 0.5, 0.985, 1 - 1e-6, 1 - 1e-8, 1 - 1e-12, 1 - 2**-53]
+    )
+    def test_matches_exact_rational_value(self, d, r):
+        exact = reference.closed_form_error(r, d)
+        assert total_error_closed_form(r, d) == pytest.approx(float(exact), rel=1e-14)
+
+    @given(
+        d=st.integers(1, 64),
+        r=st.floats(0.0, 1.0, exclude_max=True),
+        extra=st.integers(0, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kernel_for_any_round_trip_factor(self, d, r, extra):
+        cfg = CavityConfig(dim=d, r1_sq=r, r2_sq=r, theta=0.0, n_prime=d + extra)
+        assert total_error_closed_form(cfg.r, d) == pytest.approx(
+            total_error(cfg), abs=1e-12
+        )
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64])
     def test_strictly_decreasing_in_round_trip_factor(self, d):

@@ -1,8 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
-from timebin_cavity import cli
+from conftest import parse_sweep, parse_tradeoff
+from timebin_cavity import CavityConfig, DarkCountModel, cavity, cli
+from timebin_cavity.imperfections import (
+    accepted_event_probability,
+    observed_error_with_dark_counts,
+)
 from timebin_cavity.cli import (
     ExperimentConfig,
     SweepRow,
@@ -13,8 +19,6 @@ from timebin_cavity.cli import (
     emit_json,
     main,
     parse_r_grid,
-    parse_sweep,
-    parse_tradeoff,
 )
 
 
@@ -40,6 +44,19 @@ class TestParsing:
     def test_n_prime_single_and_list(self):
         assert cli.parse_n_prime("32") == 32
         assert cli.parse_n_prime("21,36,66") == [21, 36, 66]
+
+    def test_grid_at_the_point_cap(self):
+        assert len(parse_r_grid("0:0.99999:0.00001")) == cli.MAX_GRID_POINTS
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_field_table_covers_the_config(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {row[0] for row in cli._FIELDS} == fields
+        args = cli.build_parser().parse_args(["defaults"])
+        for _, _, dest, _ in cli._FIELDS:
+            assert dest is None or hasattr(args, dest)
 
 
 class TestConfigResolution:
@@ -92,6 +109,50 @@ class TestRoundTrip:
         rows = cli.compute_tradeoff(config)
         emit = emit_csv if fmt == "csv" else emit_json
         assert parse_tradeoff(emit(rows, TRADEOFF_COLUMNS), fmt) == rows
+
+
+class TestOneKernelPass:
+    """Every analytic column of a sweep row or a report comes from one pass."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = cavity.cutoff_acceptances
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(cavity, "cutoff_acceptances", counted)
+        return calls
+
+    def test_once_per_sweep_row(self, kernel_calls):
+        config = ExperimentConfig(
+            d=4, r_grid=[0.3, 0.6, 0.9], k=1, eta=0.97, p_dc=1e-4, n_prime=12
+        ).resolved()
+        rows = compute_sweep(config)
+        assert len(kernel_calls) == len(rows) == 3
+
+    def test_once_per_report(self, kernel_calls):
+        config = ExperimentConfig(
+            d=4, r_grid=[0.6], eta=0.97, p_dc=1e-4, n_trials=1000
+        ).resolved()
+        cli.discrimination_report(config)
+        assert len(kernel_calls) == 1
+
+    def test_columns_equal_the_library_functions(self):
+        config = ExperimentConfig(
+            d=4, r_grid=[0.3, 0.9], k=2, eta=0.97, p_dc=1e-4, n_prime=12
+        ).resolved()
+        dark = DarkCountModel(config.p_dc)
+        for row in compute_sweep(config):
+            r_eff = row.r_sq * config.eta
+            cfg = CavityConfig(4, r_eff, r_eff, 0.0, 12)
+            assert row.p_e_analytic == cli.total_error(cfg, 2)
+            assert row.p_e_observed == observed_error_with_dark_counts(cfg, dark, 2)
+            assert row.accepted_probability == accepted_event_probability(
+                cfg, dark, 2
+            )
 
 
 class TestMubVerify:
@@ -163,6 +224,16 @@ class TestErrorSweep:
         ) == 0
         for row in parse_sweep(out.read_text(), "csv"):
             assert abs(row.p_e_analytic - row.p_e_closed_form) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_round_trip_factor_near_one(self, d, tmp_path):
+        out = tmp_path / "sweep.csv"
+        grid = ",".join(repr(1.0 - x) for x in (1e-8, 1e-10, 1e-12))
+        argv = ["--d", str(d), "--r-grid", grid, "--out", str(out)]
+        assert run_cli("error-sweep", *argv) == 0
+        for row in parse_sweep(out.read_text(), "csv"):
+            assert 0.0 <= row.p_e_analytic <= 1e-10
+            assert 0.0 <= row.p_e_closed_form <= 1e-10
 
     def test_closed_form_disagreement_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "total_error_closed_form", lambda r, d: 0.5)
@@ -318,6 +389,25 @@ class TestSizeCaps:
         assert "size cap" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "spec,match",
+        [
+            ("0:inf:1", "[0, 1)"),
+            ("nan:0.5:0.1", "[0, 1)"),
+            ("0:0.5:nan", "step > 0"),
+            ("0:0.99:1e-9", "size cap"),
+            ("0:0.5:5e-324", "size cap"),
+        ],
+    )
+    def test_r_grid_spec_rejected_before_the_grid_is_built(
+        self, monkeypatch, capsys, spec, match
+    ):
+        monkeypatch.setattr(cli, "compute_sweep", _must_not_run)
+        assert run_cli("error-sweep", "--d", "2", "--r-grid", spec) == 1
+        err = capsys.readouterr().err
+        assert "bad r-grid spec" in err and match in err
+
+
 class TestDarkModelDomain:
     """W p_dc = 7 * 0.5 puts the first-order dark model above probability 1."""
 
@@ -379,6 +469,47 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"dd": 4}))
         assert run_cli("error-sweep", "--config", str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "command,data",
+        [
+            ("discriminate", {"k": 1.0}),
+            ("discriminate", {"master_seed": "x"}),
+            ("discriminate", {"n_prime_values": 40}),
+            ("tradeoff", {"d": "16"}),
+            ("tradeoff", {"r_grid": 0.5}),
+            ("tradeoff", {"n_prime_values": [8, True]}),
+        ],
+    )
+    def test_wrong_value_type_exits_one(
+        self, tmp_path, monkeypatch, capsys, command, data
+    ):
+        for stage in ("compute_tradeoff", "discrimination_report"):
+            monkeypatch.setattr(cli, stage, _must_not_run)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(command, "--config", str(path)) == 1
+        (key,) = data
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    def test_ints_as_floats_and_nulls_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        data = {"d": 4, "r_grid": [0, 0.5], "eta": 1, "theta": None, "n_prime": None}
+        path.write_text(json.dumps(data))
+        assert run_cli("error-sweep", "--config", str(path)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_defaults_output_is_a_valid_config_file(self, tmp_path, capsys):
+        assert run_cli("defaults") == 0
+        path = tmp_path / "config.json"
+        path.write_text(capsys.readouterr().out)
+        assert run_cli("mub-verify", "--config", str(path)) == 0
+
+    def test_file_that_is_not_text_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert run_cli("error-sweep", "--config", str(path)) == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_file_rejected(self):
         assert run_cli("error-sweep", "--config", "/nonexistent.json") == 1
