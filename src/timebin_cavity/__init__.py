@@ -39,10 +39,8 @@ from .imperfections import (
 )
 from .montecarlo import (
     EmpiricalStats,
-    TrialRecord,
     run_discrimination,
     run_trials,
-    sample_frame,
 )
 from .states import (
     TimeBinState,
@@ -65,7 +63,6 @@ __all__ = [
     "Port",
     "TimeBinState",
     "TradeoffPoint",
-    "TrialRecord",
     "accepted_event_probability",
     "basis_state",
     "compensating_reflectivity",
@@ -86,7 +83,6 @@ __all__ = [
     "projection_fidelity",
     "run_discrimination",
     "run_trials",
-    "sample_frame",
     "setting_acceptances",
     "theta_for_outcome",
     "total_error",

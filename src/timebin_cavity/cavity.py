@@ -375,10 +375,10 @@ def projection_fidelity(cfg: CavityConfig, N: int, k: int) -> float:
     return fidelity(gamma_state(cfg, N), mub_state(cfg.dim, k))
 
 
-# Exit ports in the order of OutcomeDistribution.sorted_entries ("BACK" <
-# "D1" < "D2"), then the still-circulating residual; outcome tables label
-# their columns by index into this tuple.
-TABLE_PORTS = (Port.BACK, Port.D1, Port.D2, Port.NONE)
+# Port codes: outcome tables label each column by its index into this
+# tuple, and the sampler counts frames by it. The detectors come first, so
+# a code above D2's is a frame that clicked no detector.
+TABLE_PORTS = (Port.D1, Port.D2, Port.BACK, Port.NONE)
 
 
 @dataclass(frozen=True)
@@ -430,8 +430,10 @@ def outcome_table(
     upstream_col = np.empty(bin_cap, dtype=np.intp)
     upstream_col[upstream] = np.arange(bin_cap)
     n_back = bin_cap - int(reflected.sum())
+    column_ports = (Port.BACK, Port.D1, Port.D2, Port.NONE)
     ports = np.repeat(
-        np.arange(4, dtype=np.int8), [n_back, bin_cap - n_back, bin_cap, 1]
+        np.array([TABLE_PORTS.index(p) for p in column_ports], dtype=np.int8),
+        [n_back, bin_cap - n_back, bin_cap, 1],
     )
     bins = np.concatenate([upstream + 1, np.arange(1, bin_cap + 1), [0]])
 

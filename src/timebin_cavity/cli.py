@@ -90,6 +90,8 @@ class ExperimentConfig:
                 raise UsageError(f"r_grid values must lie in [0, 1), got {value}")
         if not 0 <= cfg.k < cfg.d:
             raise UsageError(f"k must lie in 0..{cfg.d - 1}, got {cfg.k}")
+        if cfg.theta is not None and not math.isfinite(cfg.theta):
+            raise UsageError(f"theta must be finite, got {cfg.theta}")
         if cfg.n_prime is None:
             cfg.n_prime = 4 * cfg.d
         if cfg.n_prime < cfg.d:
@@ -210,7 +212,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
 
 
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
-    if config.n_prime_values is None:
+    if not config.n_prime_values:
         raise UsageError(
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
             "or set n_prime_values in the config file"

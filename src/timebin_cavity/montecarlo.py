@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import (
+    TABLE_PORTS,
     CavityConfig,
     Port,
     full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
@@ -39,8 +40,7 @@ from .cavity import (
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-_CODE_D1, _CODE_D2, _CODE_BACK, _CODE_NONE = 0, 1, 2, 3
-_PORT_BY_CODE = (Port.D1, Port.D2, Port.BACK, Port.NONE)
+_D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
 # Per-trial variate block: setting, outcome, dark bin, dark detector,
 # dual-dark pick, photon/dark tie break.
 _DRAWS_PER_TRIAL = 6
@@ -49,8 +49,6 @@ _DRAWS_PER_TRIAL = 6
 _DEFAULT_CHUNK = 65_536
 # Guide-table width; a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 10
-# Port code of each cavity.TABLE_PORTS index.
-_CODE_OF_TABLE_PORT = np.array([_CODE_BACK, _CODE_D1, _CODE_D2, _CODE_NONE])
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
 # The stacked table (8 B per row and column, 2 bin_cap + 1 columns) and its
 # guide rows take about 16 B per cell (tracemalloc, (d, bin_cap) =
@@ -67,23 +65,6 @@ def check_window_size(d: int, last_bin: int) -> None:
         raise ValueError(
             f"d * (last bin + d) = {cells} exceeds the size cap {MAX_WINDOW_CELLS}"
         )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One simulated frame: which detector fired (if any), when, and why."""
-
-    port: Port
-    time_bin: Optional[int]
-    dark: bool
-    setting_m: Optional[int] = None
-    prepared_k: Optional[int] = None
-
-    def __post_init__(self):
-        if self.dark and self.port not in (Port.D1, Port.D2):
-            raise ValueError("dark clicks can only fire a physical detector")
-        if (self.port is Port.NONE) != (self.time_bin is None):
-            raise ValueError("exactly the no-click frames carry no bin")
 
 
 @dataclass
@@ -104,12 +85,6 @@ class EmpiricalStats:
 
     def frequency(self, port: Port, time_bin: int) -> float:
         return self.counts.get((port, time_bin), 0) / self.n_trials
-
-    def port_frequency(self, port: Port) -> float:
-        return (
-            sum(c for (prt, _), c in self.counts.items() if prt is port)
-            / self.n_trials
-        )
 
     def d2_window_frequency(self) -> float:
         """Fraction of frames with a D2 click inside the accepted window."""
@@ -138,7 +113,7 @@ class EmpiricalStats:
 class _OutcomeTable:
     """Stacked outcome CDF rows over one column layout, with guide rows."""
 
-    ports: np.ndarray  # (K,) port code of each column
+    ports: np.ndarray  # (K,) cavity.TABLE_PORTS index of each column, intp
     bins: np.ndarray  # (K,) time bin of each column
     cdf: np.ndarray  # (rows, K)
     guide: np.ndarray  # (rows, _GUIDE + 1) int32
@@ -151,7 +126,7 @@ def _outcome_table(
     cdf = np.cumsum(table.masses, axis=1, out=table.masses)
     cdf[:, -1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
     return _OutcomeTable(
-        ports=_CODE_OF_TABLE_PORT[table.ports],
+        ports=table.ports.astype(np.intp),  # int8 overflows ports * (cap + 1)
         bins=table.bins,
         cdf=cdf,
         guide=_guide_table(cdf),
@@ -240,16 +215,16 @@ def _merge_dark(
     p_one_detector = p_dc * (1.0 - p_dc) / any_dark
     dark_detector = np.where(
         u_det < p_one_detector,
-        _CODE_D1,
+        _D1,
         np.where(
             u_det < 2.0 * p_one_detector,
-            _CODE_D2,
-            np.where(u_both < 0.5, _CODE_D1, _CODE_D2),
+            _D2,
+            np.where(u_both < 0.5, _D1, _D2),
         ),
     )
     photon_bins = bins[hit]
     wins = (
-        (ports[hit] > _CODE_D2)  # the photon clicked no detector
+        (ports[hit] > _D2)  # the photon clicked no detector
         | (first_dark < photon_bins)
         | ((first_dark == photon_bins) & (u_tie < 0.5))
     )
@@ -260,63 +235,71 @@ def _merge_dark(
     return ports, bins, dark_wins
 
 
-def _run(
-    table: _OutcomeTable,
-    dim: int,
-    n_prime: int,
-    bin_cap: int,
-    p_dc: float,
+def _sample(
+    cfg: CavityConfig,
+    state: Optional[TimeBinState],
+    dark: DarkCountModel,
     n_trials: int,
     master_seed: int,
-    prepared_k: Optional[int],
-    random_settings: bool,
+    bin_cap: Optional[int],
     chunk_size: Optional[int],
+    prepared_k: Optional[int] = None,
 ) -> EmpiricalStats:
+    """Sample frames from one stacked table; every entry point runs here.
+
+    Without ``prepared_k`` the table has one row, ``state`` at the config's
+    phase. With it the input is Fourier state ``prepared_k``, the table has
+    one row per setting phase, and each frame draws its setting uniformly.
+    Trial i consumes the i-th fixed-size block of the Philox stream keyed
+    by ``master_seed``, so the aggregate is independent of chunking and of
+    the order chunks are evaluated in.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    chunk = chunk_size or _DEFAULT_CHUNK
+    d = cfg.dim
+    cap = cfg.n_prime if bin_cap is None else bin_cap
+    check_window_size(d, cap)  # before anything that grows with d
+    if prepared_k is None:
+        thetas = [cfg.theta]
+    else:
+        state = mub_state(d, prepared_k)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+    table = _outcome_table(cfg, state, thetas, cap)
+
     rng = _generator(master_seed)
-
-    count_vec = np.zeros(4 * (bin_cap + 1), dtype=np.int64)
-    setting_frames = np.zeros(dim, dtype=np.int64)
-    setting_accepted = np.zeros(dim, dtype=np.int64)
-    dark_total = 0
-    accepted_total = 0
-
-    done = 0
-    while done < n_trials:
-        take = min(chunk, n_trials - done)
-        u = rng.random((take, _DRAWS_PER_TRIAL))
-        if random_settings:
-            settings = np.minimum((u[:, 0] * dim).astype(np.int64), dim - 1)
-        else:
-            settings = None
+    chunk = chunk_size or _DEFAULT_CHUNK
+    width = cap + 1
+    count_vec = np.zeros(len(TABLE_PORTS) * width, dtype=np.int64)
+    setting_frames = np.zeros(d, dtype=np.int64)
+    setting_accepted = np.zeros(d, dtype=np.int64)
+    dark_total = accepted_total = 0
+    settings = None
+    for done in range(0, n_trials, chunk):
+        u = rng.random((min(chunk, n_trials - done), _DRAWS_PER_TRIAL))
+        if prepared_k is not None:
+            settings = np.minimum((u[:, 0] * d).astype(np.int64), d - 1)
         ports, bins = _sample_photon(table, settings, u[:, 1])
-        ports, bins, dark = _merge_dark(ports, bins, u, p_dc, bin_cap)
+        ports, bins, dark_wins = _merge_dark(ports, bins, u, dark.p_dc, cap)
 
-        codes = ports * (bin_cap + 1) + bins
-        count_vec += np.bincount(codes, minlength=count_vec.size)
-        dark_total += int(dark.sum())
-        accepted = (ports == _CODE_D2) & (bins >= dim) & (bins <= n_prime)
+        count_vec += np.bincount(ports * width + bins, minlength=count_vec.size)
+        dark_total += int(dark_wins.sum())
+        accepted = (ports == _D2) & (bins >= d) & (bins <= cfg.n_prime)
         accepted_total += int(accepted.sum())
         if settings is not None:
-            setting_frames += np.bincount(settings, minlength=dim)
-            setting_accepted += np.bincount(settings[accepted], minlength=dim)
-        done += take
-
-    counts: Dict[Tuple[Port, int], int] = {}
-    for flat in np.flatnonzero(count_vec):
-        port = _PORT_BY_CODE[flat // (bin_cap + 1)]
-        counts[(port, int(flat % (bin_cap + 1)))] = int(count_vec[flat])
+            setting_frames += np.bincount(settings, minlength=d)
+            setting_accepted += np.bincount(settings[accepted], minlength=d)
 
     return EmpiricalStats(
         n_trials=n_trials,
         master_seed=master_seed,
-        dim=dim,
-        n_prime=n_prime,
-        bin_cap=bin_cap,
+        dim=d,
+        n_prime=cfg.n_prime,
+        bin_cap=cap,
         prepared_k=prepared_k,
-        counts=counts,
+        counts={
+            (TABLE_PORTS[flat // width], int(flat % width)): int(count_vec[flat])
+            for flat in np.flatnonzero(count_vec)
+        },
         dark_clicks=dark_total,
         accepted_total=accepted_total,
         setting_frames={
@@ -325,37 +308,6 @@ def _run(
         setting_accepted={
             int(m): int(c) for m, c in enumerate(setting_accepted) if c
         },
-    )
-
-
-def sample_frame(
-    cfg: CavityConfig,
-    state: TimeBinState,
-    dark: DarkCountModel,
-    seed: int,
-    bin_cap: Optional[int] = None,
-    setting_m: Optional[int] = None,
-    prepared_k: Optional[int] = None,
-) -> TrialRecord:
-    """Draw one frame outcome; deterministic for a given seed.
-
-    The photon branch is sampled from the exact outcome distribution, then
-    merged with per-bin dark clicks on both detectors: the earliest click
-    is the one counted, with a fair tie break.
-    """
-    cap = cfg.n_prime if bin_cap is None else bin_cap
-    check_window_size(cfg.dim, cap)
-    table = _outcome_table(cfg, state, [cfg.theta], cap)
-    u = _generator(seed).random((1, _DRAWS_PER_TRIAL))
-    ports, bins = _sample_photon(table, None, u[:, 1])
-    ports, bins, dark_flags = _merge_dark(ports, bins, u, dark.p_dc, cap)
-    port = _PORT_BY_CODE[int(ports[0])]
-    return TrialRecord(
-        port=port,
-        time_bin=None if port is Port.NONE else int(bins[0]),
-        dark=bool(dark_flags[0]),
-        setting_m=setting_m,
-        prepared_k=prepared_k,
     )
 
 
@@ -370,25 +322,14 @@ def run_trials(
 ) -> EmpiricalStats:
     """Sample many frames at the config's fixed phase setting.
 
-    Trial i consumes the i-th fixed-size block of the Philox stream keyed
-    by ``master_seed``, so the aggregate is independent of chunking and of
-    the order chunks are evaluated in.
+    The photon branch is drawn from the exact outcome distribution, then
+    merged with per-bin dark clicks on both detectors: the earliest click
+    is the one counted, with a fair tie break. One frame is
+    ``run_trials(..., n_trials=1, master_seed=seed)``: its single
+    ``counts`` key is the click, (Port.NONE, 0) for none, and
+    ``dark_clicks`` says whether a dark count won it.
     """
-    cap = cfg.n_prime if bin_cap is None else bin_cap
-    check_window_size(cfg.dim, cap)
-    table = _outcome_table(cfg, state, [cfg.theta], cap)
-    return _run(
-        table=table,
-        dim=cfg.dim,
-        n_prime=cfg.n_prime,
-        bin_cap=cap,
-        p_dc=dark.p_dc,
-        n_trials=n_trials,
-        master_seed=master_seed,
-        prepared_k=None,
-        random_settings=False,
-        chunk_size=chunk_size,
-    )
+    return _sample(cfg, state, dark, n_trials, master_seed, bin_cap, chunk_size)
 
 
 def run_discrimination(
@@ -412,22 +353,8 @@ def run_discrimination(
     accepted clicks estimates the discrimination error.
     """
     check_mub_index(d, prepared_k)
-    cap = n_prime if bin_cap is None else bin_cap
-    check_window_size(d, cap)
     # theta is unused: the table takes one phase per setting
     cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
-    table = _outcome_table(
-        cfg, mub_state(d, prepared_k), [theta_for_outcome(d, m) for m in range(d)], cap
-    )
-    return _run(
-        table=table,
-        dim=d,
-        n_prime=n_prime,
-        bin_cap=cap,
-        p_dc=dark.p_dc,
-        n_trials=n_trials,
-        master_seed=master_seed,
-        prepared_k=prepared_k,
-        random_settings=True,
-        chunk_size=chunk_size,
+    return _sample(
+        cfg, None, dark, n_trials, master_seed, bin_cap, chunk_size, prepared_k
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -319,6 +320,12 @@ class TestTradeoff:
         assert run_cli("tradeoff", "--d", "8", "--r-grid", "0.9") == 1
         assert "cutoff" in capsys.readouterr().err
 
+    def test_empty_cutoff_list_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_prime_values": []}))
+        assert run_cli("tradeoff", "--config", str(path)) == 1
+        assert "tradeoff needs a list of cutoffs" in capsys.readouterr().err
+
     def test_cutoff_before_window_is_usage_error(self):
         assert run_cli(
             "tradeoff", "--d", "8", "--r-grid", "0.9", "--n-prime", "4,16"
@@ -491,6 +498,13 @@ class TestConfigFile:
         assert run_cli(command, "--config", str(path)) == 1
         (key,) = data
         assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_exits_one(self, tmp_path, capsys, theta):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"theta": theta, "d": 4, "r_grid": [0.5]}))
+        assert run_cli("error-sweep", "--config", str(path)) == 1
+        assert "theta must be finite" in capsys.readouterr().err
 
     def test_ints_as_floats_and_nulls_are_accepted(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -15,14 +15,12 @@ from timebin_cavity import (
     CavityConfig,
     DarkCountModel,
     Port,
-    TrialRecord,
     basis_state,
     d2_total_probability,
     full_outcome_distribution,
     mub_state,
     run_discrimination,
     run_trials,
-    sample_frame,
     theta_for_outcome,
     total_error,
 )
@@ -36,33 +34,14 @@ def symmetric_config(d, r_sq, n_prime):
     )
 
 
-class TestTrialRecord:
-    def test_dark_clicks_need_a_detector(self):
-        with pytest.raises(ValueError, match="detector"):
-            TrialRecord(port=Port.BACK, time_bin=3, dark=True)
-
-    def test_no_click_frames_carry_no_bin(self):
-        with pytest.raises(ValueError, match="no bin"):
-            TrialRecord(port=Port.NONE, time_bin=2, dark=False)
-        with pytest.raises(ValueError, match="no bin"):
-            TrialRecord(port=Port.D1, time_bin=None, dark=False)
-
-
 class TestSampleFrame:
-    def test_deterministic_for_fixed_seed(self):
-        cfg = symmetric_config(2, 0.5, 4)
-        state = mub_state(2, 0)
-        first = sample_frame(cfg, state, NO_DARK, seed=42)
-        for _ in range(3):
-            assert sample_frame(cfg, state, NO_DARK, seed=42) == first
+    """Frame-level behaviour, sampled through run_trials."""
 
     def test_transparent_splitters_always_click_input_bin(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.1, n_prime=8)
-        for seed in range(25):
-            record = sample_frame(cfg, basis_state(4, 3), NO_DARK, seed=seed)
-            assert record.port is Port.D2
-            assert record.time_bin == 3
-            assert not record.dark
+        stats = run_trials(cfg, basis_state(4, 3), NO_DARK, 25, master_seed=0)
+        assert stats.counts == {(Port.D2, 3): 25}
+        assert stats.dark_clicks == 0
 
     def test_certain_dark_rate_is_rejected_by_model(self):
         with pytest.raises(ValueError, match="dark-count"):
@@ -72,18 +51,12 @@ class TestSampleFrame:
         cfg = symmetric_config(3, 0.9, 9)
         state = mub_state(3, 1)
         dark = DarkCountModel(0.05)
-        for seed in range(60):
-            record = sample_frame(cfg, state, dark, seed=seed, bin_cap=12)
-            if record.port is not Port.NONE:
-                assert 1 <= record.time_bin <= 12
-
-    def test_metadata_passthrough(self):
-        cfg = symmetric_config(2, 0.5, 4)
-        record = sample_frame(
-            cfg, mub_state(2, 0), NO_DARK, seed=7, setting_m=1, prepared_k=0
-        )
-        assert record.setting_m == 1
-        assert record.prepared_k == 0
+        stats = run_trials(cfg, state, dark, 60, master_seed=0, bin_cap=12)
+        for port, time_bin in stats.counts:
+            if port is Port.NONE:
+                assert time_bin == 0
+            else:
+                assert 1 <= time_bin <= 12
 
 
 class TestRunTrials:
@@ -95,12 +68,17 @@ class TestRunTrials:
         assert a == b
 
     def test_independent_of_chunking(self):
+        # both entry points: a one-row and a d-row table
         cfg = symmetric_config(3, 0.6, 9)
         state = mub_state(3, 2)
         dark = DarkCountModel(0.001)
-        full = run_trials(cfg, state, dark, 30_000, 99)
-        for chunk in (1_000, 7_777, 30_000):
-            assert run_trials(cfg, state, dark, 30_000, 99, chunk_size=chunk) == full
+        for run in (
+            lambda **kw: run_trials(cfg, state, dark, 30_000, 99, **kw),
+            lambda **kw: run_discrimination(3, 0.6, 0.6, 9, 2, dark, 30_000, 99, **kw),
+        ):
+            full = run()
+            for chunk in (1_000, 7_777, 30_000):
+                assert run(chunk_size=chunk) == full
 
     def test_requires_at_least_one_trial(self):
         cfg = symmetric_config(2, 0.5, 4)
@@ -365,14 +343,11 @@ class TestWindowCap:
                 symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 10, 1,
                 bin_cap=cap,
             ),
-            lambda cap: sample_frame(
-                symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 1, bin_cap=cap
-            ),
             lambda cap: run_discrimination(
                 4, 0.5, 0.5, 8, 0, NO_DARK, 10, 1, bin_cap=cap
             ),
         ],
-        ids=["run_trials", "sample_frame", "run_discrimination"],
+        ids=["run_trials", "run_discrimination"],
     )  # fmt: skip
     def test_oversized_bin_cap_is_rejected_before_allocation(self, monkeypatch, entry):
         monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
@@ -386,6 +361,9 @@ class TestWindowCap:
         monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
         with pytest.raises(ValueError, match="size cap"):
             run_discrimination(4096, 0.5, 0.5, 4096, 0, NO_DARK, 10, 1)
+        monkeypatch.setattr(montecarlo, "mub_state", _must_not_allocate)
+        with pytest.raises(ValueError, match="size cap"):
+            run_discrimination(10**9, 0.5, 0.5, 10**9, 0, NO_DARK, 10, 1)
 
     def test_table_build_stays_under_45_bytes_per_cell(self):
         d, n_prime = 256, 1024
