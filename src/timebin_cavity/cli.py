@@ -451,6 +451,11 @@ def _load_config(args) -> ExperimentConfig:
             continue
         value = value if parse is None else parse(value)
         if name == "n_prime" and isinstance(value, list):
+            if args.command != "tradeoff":
+                raise UsageError(
+                    f"{args.command} takes one --n-prime cutoff; "
+                    "only tradeoff takes a comma list"
+                )
             name = "n_prime_values"  # a comma list sets the tradeoff cutoffs
         setattr(config, name, value)
     return config

@@ -16,14 +16,22 @@ and the next, and a bisection over only that range finds the column
 need no bisection at all.
 
 Randomness comes from a counter-based Philox stream keyed by the master
-seed, with each trial consuming a fixed block of variates. Results are a
-pure function of (config, n_trials, master_seed), independent of chunking
-or evaluation order.
+seed, with each trial consuming a fixed block of variates. Because Philox
+is counter-based, any chunk of trials gets its own generator positioned at
+its first trial (:func:`_generator`), and chunks are sampled by one worker
+per usable CPU (at most one per chunk and :data:`_MAX_WORKERS`): the
+calling thread and a pool of helper threads. Each chunk's counts are
+folded into one accumulator as it finishes; integer sums do not depend on
+the order, so results are a pure function of (config, n_trials,
+master_seed), independent of the worker count, the chunking and the order
+chunks finish in.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -45,8 +53,12 @@ _D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
 # dual-dark pick, photon/dark tie break.
 _DRAWS_PER_TRIAL = 6
 # Frames per chunk; results do not depend on it. Every per-chunk temporary,
-# the 3 MiB variate block included, scales with it.
-_DEFAULT_CHUNK = 65_536
+# the 1.5 MiB variate block included, scales with it, and each worker holds
+# one chunk's temporaries: two workers keep as many frames in flight as one
+# worker with chunks twice the size.
+_DEFAULT_CHUNK = 32_768
+# Most sampler threads a run starts, however many CPUs it may use.
+_MAX_WORKERS = 8
 # Guide-table width; a power of two, so u * _GUIDE is exact.
 _GUIDE = 1 << 10
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
@@ -147,8 +159,38 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+def _generator(seed: int, first_trial: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by ``seed``, positioned at trial ``first_trial``.
+
+    Philox makes four doubles per counter value, and numpy steps the
+    counter before each block, so a stream started at counter c continues
+    the one started at 0 from block c on. Trial t starts at double 6 t:
+    block 6 t // 4, after discarding 6 t % 4 doubles.
+    """
+    block, skip = divmod(_DRAWS_PER_TRIAL * first_trial, 4)
+    bits = np.random.Philox(key=seed & ((1 << 128) - 1), counter=block)
+    rng = np.random.Generator(bits)
+    if skip:
+        rng.random(skip)
+    return rng
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(n_chunks: int, chunk: int, count_bytes: int) -> int:
+    """Sampler threads: one per usable CPU, per chunk, at most _MAX_WORKERS.
+
+    Every thread holds one chunk's count vector until it is folded in, so
+    a run whose count vector outweighs a chunk's variate block keeps one.
+    """
+    if count_bytes > chunk * _DRAWS_PER_TRIAL * 8:
+        return 1
+    return min(_usable_cpus(), n_chunks, _MAX_WORKERS)
 
 
 def _lookup(cdf: np.ndarray, guide: np.ndarray, rows: np.ndarray, u: np.ndarray):
@@ -251,8 +293,8 @@ def _sample(
     phase. With it the input is Fourier state ``prepared_k``, the table has
     one row per setting phase, and each frame draws its setting uniformly.
     Trial i consumes the i-th fixed-size block of the Philox stream keyed
-    by ``master_seed``, so the aggregate is independent of chunking and of
-    the order chunks are evaluated in.
+    by ``master_seed``, so the aggregate is independent of chunking, of the
+    worker count and of the order chunks finish in.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -266,28 +308,64 @@ def _sample(
         thetas = [theta_for_outcome(d, m) for m in range(d)]
     table = _outcome_table(cfg, state, thetas, cap)
 
-    rng = _generator(master_seed)
     chunk = chunk_size or _DEFAULT_CHUNK
     width = cap + 1
     count_vec = np.zeros(len(TABLE_PORTS) * width, dtype=np.int64)
     setting_frames = np.zeros(d, dtype=np.int64)
     setting_accepted = np.zeros(d, dtype=np.int64)
     dark_total = accepted_total = 0
-    settings = None
-    for done in range(0, n_trials, chunk):
-        u = rng.random((min(chunk, n_trials - done), _DRAWS_PER_TRIAL))
-        if prepared_k is not None:
-            settings = np.minimum((u[:, 0] * d).astype(np.int64), d - 1)
-        ports, bins = _sample_photon(table, settings, u[:, 1])
-        ports, bins, dark_wins = _merge_dark(ports, bins, u, dark.p_dc, cap)
+    starts = iter(range(0, n_trials, chunk))
+    lock = threading.Lock()
 
-        count_vec += np.bincount(ports * width + bins, minlength=count_vec.size)
-        dark_total += int(dark_wins.sum())
-        accepted = (ports == _D2) & (bins >= d) & (bins <= cfg.n_prime)
-        accepted_total += int(accepted.sum())
-        if settings is not None:
-            setting_frames += np.bincount(settings, minlength=d)
-            setting_accepted += np.bincount(settings[accepted], minlength=d)
+    def drain() -> None:
+        """Sample chunks until none is left, folding each one in as it ends."""
+        nonlocal starts, count_vec, setting_frames, setting_accepted
+        nonlocal dark_total, accepted_total
+        # one variate block per worker, refilled for every chunk it takes
+        block = np.empty((min(chunk, n_trials), _DRAWS_PER_TRIAL))
+        try:
+            while True:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                size = min(chunk, n_trials - start)
+                u = _generator(master_seed, start).random(out=block[:size])
+                settings = None
+                if prepared_k is not None:
+                    settings = np.minimum((u[:, 0] * d).astype(np.int64), d - 1)
+                ports, bins = _sample_photon(table, settings, u[:, 1])
+                ports, bins, dark_wins = _merge_dark(ports, bins, u, dark.p_dc, cap)
+
+                counts = np.bincount(ports * width + bins, minlength=count_vec.size)
+                accepted = (ports == _D2) & (bins >= d) & (bins <= cfg.n_prime)
+                if settings is not None:
+                    frames = np.bincount(settings, minlength=d)
+                    hits = np.bincount(settings[accepted], minlength=d)
+                with lock:
+                    count_vec += counts
+                    dark_total += int(dark_wins.sum())
+                    accepted_total += int(accepted.sum())
+                    if settings is not None:
+                        setting_frames += frames
+                        setting_accepted += hits
+                del counts  # at the size cap it is as large as the accumulator
+        except BaseException:  # an error or an interrupt: no worker goes on
+            starts = iter(())
+            raise
+
+    helpers = _workers(-(-n_trials // chunk), chunk, count_vec.nbytes) - 1
+    if not helpers:
+        drain()
+    else:
+        # imported here: about 8 ms, and only threaded runs need it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            jobs = [pool.submit(drain) for _ in range(helpers)]
+            drain()  # the calling thread is one of the workers
+            for job in jobs:
+                job.result()
 
     return EmpiricalStats(
         n_trials=n_trials,

@@ -326,6 +326,18 @@ class TestTradeoff:
         assert run_cli("tradeoff", "--config", str(path)) == 1
         assert "tradeoff needs a list of cutoffs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["error-sweep", "discriminate"])
+    def test_cutoff_list_outside_tradeoff_is_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out.txt"
+        argv = ["--d", "2", "--r-grid", "0.5", "--trials", "1000", "--seed", "1"]
+        assert run_cli(command, *argv, "--n-prime", "4,40", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "only tradeoff takes a comma list" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_cutoff_before_window_is_usage_error(self):
         assert run_cli(
             "tradeoff", "--d", "8", "--r-grid", "0.9", "--n-prime", "4,16"

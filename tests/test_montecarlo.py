@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,107 @@ class TestStackedLookup:
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
             "c2e3a028f7fd93821eab9c4c197a5dd7b738066d91ba1a37f33fc35d9246c7db"
         )
+
+
+class TestParallelChunks:
+    """Chunks run on worker threads; no result may depend on how many."""
+
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        first=st.integers(0, 400),
+        n=st.integers(1, 50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generator_continues_the_one_stream(self, seed, first, n):
+        stream = np.random.Generator(np.random.Philox(key=seed))
+        rows = stream.random((first + n, montecarlo._DRAWS_PER_TRIAL))
+        block = montecarlo._generator(seed, first).random(
+            (n, montecarlo._DRAWS_PER_TRIAL)
+        )
+        assert np.array_equal(block, rows[first:])
+
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "chunk_size,n_trials", [(1, 1_500), (7_777, 40_000), (None, 70_000)]
+    )
+    @pytest.mark.parametrize("entry", ["run_trials", "run_discrimination"])
+    def test_counts_independent_of_worker_count(
+        self, monkeypatch, entry, chunk_size, n_trials, p_dc
+    ):
+        dark = DarkCountModel(p_dc)
+        if entry == "run_trials":
+            cfg = symmetric_config(3, 0.6, 9)
+            state = mub_state(3, 2)
+            run = lambda: run_trials(cfg, state, dark, n_trials, 99, None, chunk_size)
+        else:
+            run = lambda: run_discrimination(
+                3, 0.6, 0.6, 9, 2, dark, n_trials, 99, chunk_size=chunk_size
+            )
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda *_: workers)
+            results.append(run())
+        assert results[1] == results[0] and results[2] == results[0]
+        assert sum(results[0].counts.values()) == n_trials
+
+    def test_no_lost_update_under_frequent_thread_switches(self, monkeypatch):
+        # more workers than cores, small chunks and a 1 us switch interval:
+        # a fold outside the lock would drop counts
+        def run(workers):
+            monkeypatch.setattr(montecarlo, "_workers", lambda *_: workers)
+            return run_discrimination(
+                3, 0.6, 0.6, 9, 2, DarkCountModel(0.01), 20_000, 7, chunk_size=64
+            )
+
+        expected = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
+        assert montecarlo._workers(31, 32_768, 1_000) == montecarlo._MAX_WORKERS
+        assert montecarlo._workers(3, 32_768, 1_000) == 3
+        block = 32_768 * montecarlo._DRAWS_PER_TRIAL * 8
+        assert montecarlo._workers(31, 32_768, block) == montecarlo._MAX_WORKERS
+        assert montecarlo._workers(31, 32_768, block + 8) == 1
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        assert montecarlo._workers(31, 32_768, 1_000) == 1
+
+    def test_memory_does_not_grow_with_chunks(self, monkeypatch):
+        # At bin_cap 2**16 one chunk's count vector is 2 MiB; a list of
+        # per-chunk partials would hold 10x more of them at 40 chunks.
+        d, cap, chunk = 2, 2**16, 4_096
+        table = montecarlo._outcome_table(
+            symmetric_config(d, 0.9, 8),
+            mub_state(d, 0),
+            [theta_for_outcome(d, m) for m in range(d)],
+            cap,
+        )
+        monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                run_discrimination(
+                    d, 0.9, 0.9, 8, 0, DarkCountModel(1e-3), chunks * chunk, 3,
+                    bin_cap=cap, chunk_size=chunk,
+                )  # fmt: skip
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one worker here: the count vector outweighs a chunk's variates
+        assert montecarlo._workers(40, chunk, 4 * (cap + 1) * 8) == 1
+        one_worker = peak(4)
+        assert peak(40) <= 1.2 * one_worker
+        # two workers hold at most two count vectors and chunks in flight
+        monkeypatch.setattr(montecarlo, "_workers", lambda *_: 2)
+        assert peak(40) <= 2 * one_worker
 
 
 def _must_not_allocate(*args, **kwargs):
