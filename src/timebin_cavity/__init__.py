@@ -31,11 +31,9 @@ from .imperfections import (
     MismatchModel,
     TradeoffPoint,
     accepted_event_probability,
-    compensating_reflectivity,
     cutoff_tradeoff_scan,
     effective_round_trip,
     observed_error_with_dark_counts,
-    total_error_with_mismatch,
 )
 from .montecarlo import (
     EmpiricalStats,
@@ -65,7 +63,6 @@ __all__ = [
     "TradeoffPoint",
     "accepted_event_probability",
     "basis_state",
-    "compensating_reflectivity",
     "cutoff_acceptances",
     "cutoff_tradeoff_scan",
     "d1_bin_probability",
@@ -87,7 +84,6 @@ __all__ = [
     "theta_for_outcome",
     "total_error",
     "total_error_closed_form",
-    "total_error_with_mismatch",
     "verify_mub",
     "windowed_acceptance",
 ]

@@ -14,7 +14,6 @@ Everything in this module is a pure function of immutable configs/states.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -402,14 +401,19 @@ def outcome_table(
 ) -> OutcomeTable:
     """Exit masses over D1, D2 and the backward port for every phase in thetas.
 
-    Runs the bin-by-bin recurrence of :func:`full_outcome_distribution`
-    for all phases at once: the loop runs over bins, each step on length
-    len(thetas) vectors, writing straight into one preallocated
-    (len(thetas), 2 bin_cap + 1) array. Complex products are written out
-    in real arithmetic in the same order as Python's complex type, so the
-    amplitudes equal the one-phase recurrence's bit for bit; only the
-    final squares may round differently (by one unit in the last place).
-    The config's own ``theta`` is ignored.
+    Built in two parts for all phases at once, straight into one
+    preallocated (len(thetas), 2 bin_cap + 1) array. Over the entry bins
+    1..d the circulating amplitude steps as c_b = loop c_(b-1) + t1 psi_b,
+    with loop = r1 r2 e^{-i (theta + pi)}; bin b's upstream exit comes from
+    c_(b-1) and the slot reflecting there. Nothing enters after bin d, so
+    |c_(d+j)|^2 = (r1 r2)^(2j) |c_d|^2, and the tail is outer products of
+    |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
+    at bin b + 1 is t1^2 r2^2 |c_b|^2, and the residual is r2^2 |c_cap|^2.
+    The D2 masses are not taken from the acceptance kernel
+    (:func:`_click_probability_blocks`): the sampler draws from this table
+    and its report compares the counts with the kernel's P(m|k), which
+    checks something only while the two are different algorithms. The
+    config's own ``theta`` is ignored.
     """
     _check_input(cfg, state)
     if bin_cap < cfg.n_prime:
@@ -419,7 +423,6 @@ def outcome_table(
         )
     d = cfg.dim
     r1, r2, t1, t2 = cfg.r1, cfg.r2, cfg.t1, cfg.t2
-    amps = [complex(a) for a in state.amps]  # Python scalars, as in the one-phase loop
     # A bin's upstream exit is the D1 click while an input slot enters and
     # reflects there, otherwise backward leakage.
     reflected = np.zeros(bin_cap, dtype=bool)
@@ -427,8 +430,6 @@ def outcome_table(
     upstream = np.concatenate(  # 0-based bins, in column order
         [np.flatnonzero(~reflected), np.flatnonzero(reflected)]
     )
-    upstream_col = np.empty(bin_cap, dtype=np.intp)
-    upstream_col[upstream] = np.arange(bin_cap)
     n_back = bin_cap - int(reflected.sum())
     column_ports = (Port.BACK, Port.D1, Port.D2, Port.NONE)
     ports = np.repeat(
@@ -437,41 +438,27 @@ def outcome_table(
     )
     bins = np.concatenate([upstream + 1, np.arange(1, bin_cap + 1), [0]])
 
-    # Amplitudes are (real, imaginary) row pairs. A per-phase factor z
-    # multiplies a pair c as z_re * c + z_swap * c[::-1], with z_re =
-    # (Re z, Re z) and z_swap = (-Im z, Im z): Python's complex product,
-    # term for term.
-    def factor(values):
-        z = np.array(values)
-        return np.stack([z.real, z.real]), np.stack([-z.imag, z.imag])
-
-    loop_re, loop_swap = factor(
-        [r1 * r2 * cmath.exp(-1j * (theta + math.pi)) for theta in thetas]
+    thetas = np.asarray(thetas, dtype=float)
+    loop = r1 * r2 * np.exp(-1j * (thetas + math.pi))
+    leak = 1j * t1 * r2 * np.exp(-1j * thetas)
+    masses = np.empty((len(thetas), 2 * bin_cap + 1))
+    d2 = masses[:, bin_cap:-1]  # column b - 1 is D2 bin b
+    circulating = np.zeros(len(thetas), dtype=np.complex128)
+    entry_bins = zip(
+        np.argsort(upstream)[:d].tolist(),  # upstream column of each entry bin
+        (1j * r1 * state.amps).tolist(),
+        (t1 * state.amps).tolist(),
     )
-    leak_re, leak_swap = factor(
-        [1j * t1 * r2 * cmath.exp(-1j * theta) for theta in thetas]
-    )
-    entering = [np.array([[t1 * a.real], [t1 * a.imag]]) for a in amps]
-    reflecting = [np.array([[z.real], [z.imag]]) for z in (1j * r1 * a for a in amps)]
-
-    rows = len(thetas)
-    masses = np.empty((rows, 2 * bin_cap + 1))
-    circulating = np.zeros((2, rows))
-    norm = np.empty(rows)
-    for b in range(1, bin_cap + 1):
-        leak = leak_re * circulating + leak_swap * circulating[::-1]
-        circulating = loop_re * circulating + loop_swap * circulating[::-1]
-        if b <= d:
-            circulating += entering[b - 1]
-            if reflected[b - 1]:
-                leak += reflecting[b - 1]
-        exit_d2 = t2 * circulating
-        np.hypot(exit_d2[0], exit_d2[1], out=norm)
-        np.multiply(norm, norm, out=masses[:, bin_cap + b - 1])
-        np.hypot(leak[0], leak[1], out=norm)
-        np.multiply(norm, norm, out=masses[:, upstream_col[b - 1]])
-    np.hypot(circulating[0], circulating[1], out=norm)
-    masses[:, -1] = (r2 * norm) ** 2
+    for b, (col, reflecting, entering) in enumerate(entry_bins):
+        masses[:, col] = abs(leak * circulating + reflecting) ** 2
+        circulating = loop * circulating + entering
+        d2[:, b] = abs(t2 * circulating) ** 2
+    norm = abs(circulating) ** 2
+    decay = (r1 * r2) ** (2 * np.arange(bin_cap - d + 1))
+    np.multiply.outer(t2**2 * norm, decay[1:], out=d2[:, d:])
+    back = masses[:, n_back - (bin_cap - d) : n_back]  # BACK bins d + 1..bin_cap
+    np.multiply.outer(t1**2 * r2**2 * norm, decay[:-1], out=back)
+    masses[:, -1] = r2**2 * norm * decay[-1]
     return OutcomeTable(ports=ports, bins=bins, masses=masses)
 
 
@@ -480,10 +467,14 @@ def full_outcome_distribution(
 ) -> OutcomeDistribution:
     """Exit probabilities over D1, D2 and the backward port up to bin_cap.
 
-    Evolves the input bin-by-bin through the two splitters with the
-    symmetric phase convention (every reflection contributes pi/2), so the
-    map from input amplitudes to exit amplitudes is an isometry and the
-    reported masses plus the still-circulating residual sum to one exactly.
+    Evolves the input through the two splitters with the symmetric phase
+    convention (every reflection contributes pi/2), so the map from input
+    amplitudes to exit amplitudes is an isometry and the reported masses
+    plus the still-circulating residual sum to one exactly. The amplitude
+    is stepped over the d entry bins only; after them nothing enters, and
+    every later mass is a power of r^2 times one number (the two parts of
+    :func:`outcome_table`). Its D2 masses are computed apart from the
+    acceptance kernel, so the two cross-check each other.
     The loop phase is applied with the sign that makes the per-bin D2
     masses equal the literal projection-state probabilities.
 

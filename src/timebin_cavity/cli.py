@@ -337,6 +337,8 @@ def cmd_error_sweep(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
+    if args.format == "csv":  # a config file's output_format is for the tables
+        raise UsageError("discriminate writes a JSON report; it takes no --format csv")
     config = _load_config(args).resolved()
     config.check_window(config.n_prime)
     report = discrimination_report(config)

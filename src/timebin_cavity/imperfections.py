@@ -22,7 +22,6 @@ from .cavity import (
     cutoff_acceptances,
     error_ratio,
     setting_acceptances,
-    total_error_closed_form,
 )
 
 
@@ -63,27 +62,6 @@ def effective_round_trip(r: float, mismatch: MismatchModel) -> float:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"round-trip factor must lie in [0, 1), got {r}")
     return r * mismatch.eta
-
-
-def compensating_reflectivity(target_r_eff: float, mismatch: MismatchModel) -> float:
-    """Actual round-trip factor restoring a target effective value.
-
-    Raises when no physical factor below one can reach the target, i.e.
-    when target_r_eff >= eta.
-    """
-    if target_r_eff < 0.0:
-        raise ValueError(f"target must be nonnegative, got {target_r_eff}")
-    if target_r_eff >= mismatch.eta:
-        raise ValueError(
-            f"unreachable target: effective factor {target_r_eff} requires an "
-            f"actual factor >= 1 at overlap {mismatch.eta}"
-        )
-    return target_r_eff / mismatch.eta
-
-
-def total_error_with_mismatch(r: float, d: int, mismatch: MismatchModel) -> float:
-    """Discrimination error at the mismatch-reduced round-trip factor."""
-    return total_error_closed_form(effective_round_trip(r, mismatch), d)
 
 
 def window_dark_mass(d: int, n_prime: int, p_dc: float) -> float:

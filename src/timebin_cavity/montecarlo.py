@@ -8,7 +8,11 @@ the statistics pipeline against the analytic module.
 A run builds one stacked table: row m holds the cumulative exit masses
 for phase setting m over one shared column layout
 (:func:`cavity.outcome_table`), zero-mass columns included, which a
-variate can never land on. Each row carries a guide table (Chen & Asau
+variate can never land on. The table steps the loop amplitude over the d
+entry bins and writes every later bin in closed form, as a power of r^2
+times that amplitude's mass; it does not reuse the acceptance kernel, so
+the report's Monte Carlo vs analytic z-scores compare two independent
+computations. Each row carries a guide table (Chen & Asau
 1974) of ``_GUIDE + 1`` entries: entry j is the first column whose CDF
 exceeds j / _GUIDE. A variate u then lies between entries floor(u _GUIDE)
 and the next, and a bisection over only that range finds the column

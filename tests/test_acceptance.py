@@ -10,7 +10,6 @@ from conftest import random_normalized_state
 from timebin_cavity import (
     CavityConfig,
     DarkCountModel,
-    MismatchModel,
     basis_state,
     cutoff_tradeoff_scan,
     d2_total_probability,
@@ -23,10 +22,9 @@ from timebin_cavity import (
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    total_error_with_mismatch,
     verify_mub,
 )
-from timebin_cavity.cli import main
+from timebin_cavity.cli import ExperimentConfig, main
 
 
 def _report(number, label, ok):
@@ -208,7 +206,8 @@ def test_criterion_07_monte_carlo_agreement():
 
 
 def test_criterion_08_mismatch_model():
-    mismatched = total_error_with_mismatch(0.9, 16, MismatchModel(0.99))
+    cfg = ExperimentConfig(d=16, eta=0.99).cavity_config(0.9, 64)
+    mismatched = total_error_closed_form(cfg.r1_sq, 16)
     reduced = total_error_closed_form(0.891, 16)
     clean = total_error_closed_form(0.9, 16)
     ok = abs(mismatched - reduced) < 1e-12 and mismatched > clean

@@ -552,18 +552,20 @@ TABLE_THETAS = [theta_for_outcome(5, m) for m in range(5)] + [0.3]
 def table_cases(draw):
     """Random (d <= 12, r1_sq, r2_sq, input state, bin_cap, phases).
 
-    Some input slots are zeroed, so bins split between D1 and BACK.
+    Some input slots are zeroed, so bins split between D1 and BACK. The
+    reflectivities reach 1 - 1e-6 and bin_cap reaches d + 2000, so the
+    table's geometric tail is checked far past the entry bins.
     """
     d = draw(st.integers(1, 12))
-    r1_sq = draw(st.floats(0.0, 0.97))
-    r2_sq = draw(st.floats(0.0, 0.97))
+    r1_sq = draw(st.floats(0.0, 1.0 - 1e-6))
+    r2_sq = draw(st.floats(0.0, 1.0 - 1e-6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     keep = draw(st.lists(st.booleans(), min_size=d, max_size=d))
     keep[draw(st.integers(0, d - 1))] = True
     amps = np.where(keep, amps, 0.0)
     state = TimeBinState(amps / np.linalg.norm(amps), normalized=True)
-    bin_cap = draw(st.integers(d, 6 * d))
+    bin_cap = draw(st.integers(d, d + 2000))
     thetas = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4))
     return d, r1_sq, r2_sq, state, bin_cap, thetas
 
@@ -619,6 +621,29 @@ class TestOutcomeTable:
                 assert row[column[("D2", N)]] == pytest.approx(
                     d2_bin_probability(replace(cfg, theta=theta), state, N), abs=1e-14
                 )
+
+    def test_tail_decays_geometrically(self):
+        # After the d entry bins nothing enters: each later D2 and BACK mass
+        # is the previous one times (r1 r2)^2, and BACK at bin b + 1 stands
+        # to D2 at bin b as t1^2 r2^2 : t2^2.
+        rng = np.random.default_rng(9)
+        state = random_normalized_state(rng, 3)
+        cfg = CavityConfig(dim=3, r1_sq=0.999, r2_sq=0.998, theta=0.0, n_prime=3)
+        bin_cap = 3 + 3000
+        table = outcome_table(cfg, state, [0.2, -1.0], bin_cap)
+        column = {key: c for c, key in enumerate(column_keys(table))}
+        tail = np.arange(3, bin_cap + 1)
+        d2 = [column[("D2", b)] for b in tail]
+        back = [column[("BACK", b + 1)] for b in tail[:-1]]
+        decay = (cfg.r1_sq * cfg.r2_sq) ** (tail - 3)
+        for row in table.masses:
+            assert row[d2] == pytest.approx(row[d2[0]] * decay, rel=1e-12)
+            assert row[back] == pytest.approx(
+                row[d2[:-1]] * cfg.t1**2 * cfg.r2_sq / cfg.t2**2, rel=1e-12
+            )
+            assert row[-1] == pytest.approx(
+                row[d2[-1]] * cfg.r2_sq / cfg.t2**2, rel=1e-12
+            )
 
     def test_cap_too_small(self):
         cfg = symmetric_config(4, 0.5, n_prime=12)

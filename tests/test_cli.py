@@ -293,6 +293,25 @@ class TestDiscriminate:
         assert code == 1
         assert "trials" in capsys.readouterr().err
 
+    def test_csv_flag_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "discrimination_report", _must_not_run)
+        out = tmp_path / "report.csv"
+        code = run_cli(
+            "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "100",
+            "--seed", "1", "--format", "csv", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "takes no --format csv" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_csv_from_config_file_still_runs(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        data = {"d": 2, "r_grid": [0.5], "n_trials": 100, "output_format": "csv"}
+        path.write_text(json.dumps(data))
+        assert run_cli("discriminate", "--config", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["n_trials"] == 100
+
 
 class TestTradeoff:
     def test_clean_detectors_constant_error_column(self, tmp_path):

@@ -12,15 +12,14 @@ from timebin_cavity import (
     DarkCountModel,
     MismatchModel,
     accepted_event_probability,
-    compensating_reflectivity,
     cutoff_tradeoff_scan,
     effective_round_trip,
     observed_error_with_dark_counts,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    total_error_with_mismatch,
 )
+from timebin_cavity.cli import ExperimentConfig
 
 
 def symmetric_config(d, r_sq, n_prime):
@@ -60,38 +59,20 @@ class TestEffectiveRoundTrip:
             effective_round_trip(1.0, MismatchModel(0.9))
 
 
-class TestCompensatingReflectivity:
-    def test_perfect_overlap(self):
-        assert compensating_reflectivity(0.9, MismatchModel(1.0)) == 0.9
-
-    def test_inverse_of_effective_round_trip(self):
-        assert compensating_reflectivity(0.891, MismatchModel(0.99)) == pytest.approx(0.9)
-
-    def test_unreachable_target(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            compensating_reflectivity(0.99, MismatchModel(0.98))
-
-    @given(
-        r=st.floats(0.0, 0.95, allow_nan=False),
-        eta=st.floats(0.2, 1.0, allow_nan=False),
-    )
-    @settings(max_examples=100)
-    def test_round_trip_identity(self, r, eta):
-        mismatch = MismatchModel(eta)
-        r_eff = effective_round_trip(r, mismatch)
-        if r_eff >= eta:
-            return
-        assert abs(compensating_reflectivity(r_eff, mismatch) - r) <= 1e-14
-
-
 class TestMismatchWiring:
     def test_error_evaluates_at_reduced_factor(self):
-        mismatch = MismatchModel(0.97)
         for r, d in [(0.5, 2), (0.9, 16), (0.99, 64)]:
-            assert total_error_with_mismatch(r, d, mismatch) == pytest.approx(
+            cfg = ExperimentConfig(d=d, eta=0.97).cavity_config(r, 4 * d)
+            assert total_error_closed_form(cfg.r1_sq, d) == pytest.approx(
                 total_error_closed_form(r * 0.97, d), abs=1e-12
             )
 
+
+    @pytest.mark.parametrize("eta", [1.0, 0.99, 0.0])
+    def test_both_mirrors_see_reduced_factor(self, eta):
+        cfg = ExperimentConfig(d=16, eta=eta).cavity_config(0.9, 64)
+        assert cfg.r1_sq == cfg.r2_sq == effective_round_trip(0.9, MismatchModel(eta))
+        assert cfg.r1_sq == pytest.approx(0.9 * eta, abs=1e-15)
 
 class TestObservedErrorWithDarkCounts:
     def test_clean_detectors_reduce_to_total_error(self):
