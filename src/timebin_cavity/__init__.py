@@ -24,7 +24,6 @@ from .cavity import (
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    windowed_acceptance,
 )
 from .imperfections import (
     DarkCountModel,
@@ -46,7 +45,6 @@ from .states import (
     fidelity,
     inner_product,
     mub_state,
-    overlap_probability,
     verify_mub,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "inner_product",
     "mub_state",
     "observed_error_with_dark_counts",
-    "overlap_probability",
     "p_m_given_k",
     "projection_fidelity",
     "run_discrimination",
@@ -85,5 +82,4 @@ __all__ = [
     "total_error",
     "total_error_closed_form",
     "verify_mub",
-    "windowed_acceptance",
 ]

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .states import (
     TimeBinState,
@@ -32,9 +31,6 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
-# Bins per evaluation block of the windowed-acceptance kernel: temporaries
-# stay O(rows * (block + d)) however long the accepted window is.
-_BIN_BLOCK = 256
 
 
 class Port(Enum):
@@ -119,21 +115,8 @@ class OutcomeDistribution:
     def probability(self, port: Port, time_bin: int) -> float:
         return self.entries.get((port, time_bin), 0.0)
 
-    def port_total(self, port: Port) -> float:
-        return math.fsum(
-            p for (prt, _), p in self.entries.items() if prt is port
-        )
-
     def total_mass(self) -> float:
         return math.fsum(self.entries.values()) + self.residual
-
-    def inconclusive_d2_mass(self) -> float:
-        """Mass of D2 clicks arriving before bin d (not a basis measurement)."""
-        return math.fsum(
-            p
-            for (prt, b), p in self.entries.items()
-            if prt is Port.D2 and b < self.dim
-        )
 
     def sorted_entries(self):
         """Entries in a deterministic (port, bin) order."""
@@ -198,56 +181,25 @@ def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
     return float(cfg.r1_sq * abs(state.amps[n - 1]) ** 2)
 
 
-def _click_probability_blocks(
-    cfg: CavityConfig, amps: np.ndarray, first: int, last: int, phi
-) -> Iterator[np.ndarray]:
-    """Per-bin D2 click probabilities |<gamma_N|psi>|^2 for N = first..last.
+def _round_trips(cfg: CavityConfig, trips, phi) -> np.ndarray:
+    """(r e^{-i phi})^trips, elementwise over ``trips`` and ``phi`` broadcast
+    together: a slot's D2 amplitude factor after that many round trips."""
+    return cfg.r**trips * np.exp(-1j * np.multiply(phi, trips))
 
-    ``phi`` is one round-trip phase, or an array of them (one output row
-    each). At bin N, slot d - n has made N - d + n round trips; slots that
-    have not yet entered the loop (negative counts, only in bins N < d)
-    contribute nothing, which gives the truncated projection states. Each
-    block of at most ``_BIN_BLOCK`` bins is one contraction of the Hankel
-    block of conjugated projection amplitudes with the input amplitudes.
+
+def _window_sums(cfg: CavityConfig, widths) -> np.ndarray:
+    """sum_{j=0}^{W-1} r^(2j) for each window width W, one per entry.
+
+    Evaluated as expm1(W L) / expm1(L) with L = ln r^2 taken as
+    ln r1^2 + ln r2^2: the product r1^2 r2^2 would round before the log,
+    which near r = 1 costs digits of L and, through W L, of the sum. At
+    r = 0 only the j = 0 term is left.
     """
-    d = cfg.dim
-    coupling = cfg.t1 * cfg.t2
-    r = cfg.r
-    by_trips = amps[::-1]  # entry n: amplitude of slot d - n
-    for start in range(first, last + 1, _BIN_BLOCK):
-        stop = min(start + _BIN_BLOCK, last + 1)
-        trips = np.arange(start - d, stop - 1)
-        entered = np.maximum(trips, 0)
-        loop = coupling * r**entered * np.exp(-1j * np.multiply.outer(phi, entered))
-        loop[..., trips < 0] = 0.0
-        amp = sliding_window_view(loop, d, axis=-1) @ by_trips
-        yield amp.real**2 + amp.imag**2
-
-
-def _setting_blocks(cfg: CavityConfig, k: int, last: int) -> Iterator[np.ndarray]:
-    """Blocks of per-bin D2 probabilities for every setting, bins d..last."""
-    d = cfg.dim
-    check_mub_index(d, k)
-    phases = TWO_PI * np.arange(d) / d
-    return _click_probability_blocks(cfg, mub_state(d, k).amps, d, last, phases)
-
-
-def windowed_acceptance(cfg: CavityConfig, k: int) -> np.ndarray:
-    """Per-bin D2 click probabilities for every setting, shape (d, W).
-
-    Entry [m, N - d] is |<gamma_N|phi_k>|^2 with the loop phase dialled to
-    2 pi m / d, for the W = n_prime - d + 1 accepted bins N in [d, n_prime];
-    row m sums to P(m|k). This is the direct per-bin sum, independent of
-    :func:`total_error_closed_form`. The config's own ``theta`` is ignored.
-    Callers that need only the sums use :func:`cutoff_acceptances`, which
-    does not hold the (d, W) array.
-    """
-    out = np.empty((cfg.dim, cfg.n_prime - cfg.dim + 1))
-    start = 0
-    for block in _setting_blocks(cfg, k, cfg.n_prime):
-        out[:, start : start + block.shape[1]] = block
-        start += block.shape[1]
-    return out
+    widths = np.asarray(widths, dtype=float)
+    if cfg.r1_sq == 0.0 or cfg.r2_sq == 0.0:
+        return np.ones_like(widths)
+    log_r_sq = math.log(cfg.r1_sq) + math.log(cfg.r2_sq)
+    return np.expm1(widths * log_r_sq) / math.expm1(log_r_sq)
 
 
 def cutoff_acceptances(
@@ -255,10 +207,14 @@ def cutoff_acceptances(
 ) -> np.ndarray:
     """P(m|k) for every setting m at every window cutoff, shape (len, d).
 
-    Row j sums the rows of :func:`windowed_acceptance` over the bins
-    d..cutoffs[j]: one pass over the bins up to the widest cutoff, reading
-    the running sums at each cutoff, so temporaries stay one block however
-    wide the window is. ``cfg.n_prime`` is not used.
+    From bin d on every input slot is inside the loop, so the D2 amplitude
+    at bin N is t1 t2 (r e^{-i phi})^(N-d) A(phi), with
+    A(phi) = sum_n r^n e^{-i n phi} psi_(d-n). One d x d product of
+    r^n e^{-i n phi_m}, phi_m = 2 pi m / d, with the reversed input gives
+    A for every setting, and row j is the bin-d probability (t1 t2)^2 |A|^2
+    times the window sum over the bins d..cutoffs[j] (:func:`_window_sums`).
+    The cost is O(d^2) however wide the window is. ``cfg.n_prime`` and the
+    config's own ``theta`` are not used.
     """
     d = cfg.dim
     for cutoff in cutoffs:
@@ -267,21 +223,11 @@ def cutoff_acceptances(
                 f"cutoff {cutoff} precedes the measurement window "
                 f"(first accepted bin is {d})"
             )
-    out = np.empty((len(cutoffs), d))
-    if not cutoffs:
-        return out
-    offsets = np.asarray(cutoffs) - d  # index of each cutoff's last bin
-    running = np.zeros(d)
-    start = 0
-    for block in _setting_blocks(cfg, k, max(cutoffs)):
-        block[:, 0] += running  # the block continues the running sums
-        prefix = np.cumsum(block, axis=1)
-        stop = start + block.shape[1]
-        inside = (offsets >= start) & (offsets < stop)
-        out[inside] = prefix[:, offsets[inside] - start].T
-        running = prefix[:, -1]
-        start = stop
-    return out
+    phases = TWO_PI * np.arange(d) / d
+    amp = _round_trips(cfg, np.arange(d), phases[:, None]) @ mub_state(d, k).amps[::-1]
+    first_bin = (1.0 - cfg.r1_sq) * (1.0 - cfg.r2_sq) * (amp.real**2 + amp.imag**2)
+    widths = np.asarray(cutoffs, dtype=float) - d + 1
+    return np.multiply.outer(_window_sums(cfg, widths), first_bin)
 
 
 def setting_acceptances(cfg: CavityConfig, k: int) -> List[float]:
@@ -353,14 +299,26 @@ def d2_total_probability(
     """Total D2 detection probability for the given input.
 
     By default sums the per-bin click probabilities over the accepted
-    window [d, n_prime] only. With ``include_early=True`` the inconclusive
-    bins 1..d-1 are counted as well, giving the full mass the detector
-    sees up to bin n_prime.
+    window [d, n_prime] only: the bin-d probability times the window sum,
+    as in :func:`cutoff_acceptances`. With ``include_early=True`` the
+    inconclusive bins 1..d-1 are counted as well, giving the full mass the
+    detector sees up to bin n_prime. The D2 amplitudes of the entry bins
+    1..d are one lower-triangular d x d product: at bin b, slot j has made
+    b - j round trips, and slots that enter after bin b contribute nothing.
     """
     _check_input(cfg, state)
-    first = 1 if include_early else cfg.dim
-    blocks = _click_probability_blocks(cfg, state.amps, first, cfg.n_prime, cfg.phi)
-    return math.fsum(float(block.sum()) for block in blocks)
+    d = cfg.dim
+    trips = np.subtract.outer(np.arange(d), np.arange(d))
+    loop = np.tril(_round_trips(cfg, np.maximum(trips, 0), cfg.phi))
+    amp = loop @ state.amps
+    probs = (1.0 - cfg.r1_sq) * (1.0 - cfg.r2_sq) * (amp.real**2 + amp.imag**2)
+    total = float(probs[-1] * _window_sums(cfg, cfg.n_prime - d + 1))
+    if include_early:
+        total = math.fsum([total, *probs[:-1].tolist()])
+    # The map from input to exit amplitudes is an isometry, so anything
+    # above 1 is rounding: at r = 0 and d = 3 the three entry masses
+    # (1/sqrt 3)^2 sum to 1.0000000000000002.
+    return min(total, 1.0)
 
 
 def projection_fidelity(cfg: CavityConfig, N: int, k: int) -> float:
@@ -410,7 +368,7 @@ def outcome_table(
     |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
     at bin b + 1 is t1^2 r2^2 |c_b|^2, and the residual is r2^2 |c_cap|^2.
     The D2 masses are not taken from the acceptance kernel
-    (:func:`_click_probability_blocks`): the sampler draws from this table
+    (:func:`cutoff_acceptances`): the sampler draws from this table
     and its report compares the counts with the kernel's P(m|k), which
     checks something only while the two are different algorithms. The
     config's own ``theta`` is ignored.

@@ -106,6 +106,11 @@ class ExperimentConfig:
             raise UsageError(f"p_dc must lie in [0, 1), got {cfg.p_dc}")
         if cfg.n_trials < 1:
             raise UsageError(f"trials must be >= 1, got {cfg.n_trials}")
+        if not 0 <= cfg.master_seed < 2**128:
+            raise UsageError(
+                "seed must lie in [0, 2**128), the Philox key range, "
+                f"got {cfg.master_seed}"
+            )
         if cfg.output_format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {cfg.output_format}")
         return cfg
@@ -180,6 +185,12 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     Error and count columns share one kernel pass at the mismatch-reduced
     round-trip factor; the detection column uses the actual reflectivities,
     counts every D2 bin up to n_prime, and the configured phase.
+
+    The exit-2 check stays independent of the kernel: the kernel's window
+    sum is one factor common to every setting and cancels in the error
+    ratio, so the check compares the numerical d-term amplitude sums
+    |A(2 pi m / d)|^2 with the analytic sum over j in
+    :func:`total_error_closed_form`.
     """
     k = config.k
     window_dark = window_dark_mass(config.d, config.n_prime, config.p_dc)

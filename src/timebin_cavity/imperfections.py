@@ -122,9 +122,9 @@ def cutoff_tradeoff_scan(
     """Observed error and accepted probability across window cutoffs.
 
     Shrinking the window discards the late bins where dark counts dominate,
-    lowering the observed error at the cost of accepted events. The bins
-    are evaluated once, up to the widest cutoff; every cutoff reads the
-    running per-setting sums at its last bin.
+    lowering the observed error at the cost of accepted events. One
+    kernel call gives every cutoff's per-setting acceptances: the bin-d
+    probabilities times each window's geometric sum.
     """
     cutoffs = [int(n_prime) for n_prime in n_prime_values]
     acceptances = cutoff_acceptances(cfg, k, cutoffs)

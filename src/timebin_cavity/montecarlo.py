@@ -68,8 +68,8 @@ _GUIDE = 1 << 10
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
 # The stacked table (8 B per row and column, 2 bin_cap + 1 columns) and its
 # guide rows take about 16 B per cell (tracemalloc, (d, bin_cap) =
-# (256, 1024)), the acceptance kernel's per-block temporaries at most about
-# 40; 2**22 cells keep either under 200 MiB next to the fixed chunk buffers.
+# (256, 1024)), so 2**22 cells keep it under 100 MiB next to the fixed chunk
+# buffers. The acceptance kernel allocates nothing per cell.
 # The default window bin_cap = 4 d passes up to d = 915.
 MAX_WINDOW_CELLS = 1 << 22
 
@@ -169,10 +169,12 @@ def _generator(seed: int, first_trial: int = 0) -> np.random.Generator:
     Philox makes four doubles per counter value, and numpy steps the
     counter before each block, so a stream started at counter c continues
     the one started at 0 from block c on. Trial t starts at double 6 t:
-    block 6 t // 4, after discarding 6 t % 4 doubles.
+    block 6 t // 4, after discarding 6 t % 4 doubles. The seed is the
+    Philox key itself, so it must lie in [0, 2**128); numpy raises
+    ValueError otherwise rather than reducing it onto another seed's stream.
     """
     block, skip = divmod(_DRAWS_PER_TRIAL * first_trial, 4)
-    bits = np.random.Philox(key=seed & ((1 << 128) - 1), counter=block)
+    bits = np.random.Philox(key=seed, counter=block)
     rng = np.random.Generator(bits)
     if skip:
         rng.random(skip)

@@ -61,27 +61,8 @@ class TimeBinState:
     def dim(self) -> int:
         return int(self.amps.size)
 
-    def amplitude(self, n: int) -> complex:
-        """Amplitude of ket |n> (1-based slot index)."""
-        if not 1 <= n <= self.dim:
-            raise ValueError(f"bin {n} out of range 1..{self.dim}")
-        return complex(self.amps[n - 1])
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-    def normalize(self) -> "TimeBinState":
-        norm = math.sqrt(self.norm_sq())
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero-norm state")
-        return TimeBinState(self.amps / norm, normalized=True)
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "TimeBinState":
-        """Build a state, flagging it normalized when its norm is unity."""
-        arr = _as_amplitude_array(amps)
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
-        return cls(arr, normalized=abs(norm_sq - 1.0) <= NORMALIZATION_ATOL)
 
 
 def basis_state(d: int, n: int) -> TimeBinState:
@@ -118,11 +99,6 @@ def inner_product(a: TimeBinState, b: TimeBinState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _check_same_dim(a, b)
     return complex(np.vdot(a.amps, b.amps))
-
-
-def overlap_probability(a: TimeBinState, b: TimeBinState) -> float:
-    """|<a|b>|^2."""
-    return float(abs(inner_product(a, b)) ** 2)
 
 
 def verify_mub(d: int) -> float:

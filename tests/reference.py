@@ -8,6 +8,7 @@ that the stacked guide-table lookup replaced.
 """
 
 import cmath
+import decimal
 import math
 from fractions import Fraction
 
@@ -122,3 +123,12 @@ def masked_lookup(cdf_rows, settings, u):
             np.searchsorted(cdf, u[mask], side="right"), cdf.size - 1
         )
     return cols
+
+
+def window_sum(r1_sq, r2_sq, width, digits=50):
+    """sum_{j=0}^{width-1} (r1_sq r2_sq)^j in ``digits``-digit decimal
+    arithmetic, from the exact binary values of the float inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        q = decimal.Decimal(r1_sq) * decimal.Decimal(r2_sq)
+        return float((1 - q**width) / (1 - q))

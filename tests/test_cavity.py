@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -27,9 +27,8 @@ from timebin_cavity import (
     theta_for_outcome,
     total_error,
     total_error_closed_form,
-    windowed_acceptance,
 )
-from timebin_cavity.cavity import TABLE_PORTS, _click_probability_blocks, outcome_table
+from timebin_cavity.cavity import TABLE_PORTS, outcome_table
 
 
 def symmetric_config(d, r_sq, k=0, n_prime=None):
@@ -126,27 +125,6 @@ class TestGammaState:
         with pytest.raises(ValueError, match="window"):
             gamma_state(symmetric_config(4, 0.5), 3)
 
-    # The kernel's truncated projection states: bins N >= d use the full
-    # state, earlier bins only the slots that have already entered the loop.
-    def test_truncated_state_agrees_inside_window(self):
-        cfg = CavityConfig(dim=4, r1_sq=0.8, r2_sq=0.65, theta=0.37, n_prime=9)
-        state = random_normalized_state(np.random.default_rng(3), 4)
-        (kernel,) = _click_probability_blocks(cfg, state.amps, 6, 6, cfg.phi)
-        assert kernel[0] == pytest.approx(d2_bin_probability(cfg, state, 6), abs=1e-15)
-
-    def test_truncated_state_has_only_arrived_slots(self):
-        cfg = symmetric_config(4, 0.5)
-
-        def bin_2(slot):
-            (probs,) = _click_probability_blocks(
-                cfg, basis_state(4, slot).amps, 2, 2, cfg.phi
-            )
-            return probs[0]
-
-        assert bin_2(3) == 0.0
-        assert bin_2(4) == 0.0
-        assert bin_2(2) > 0.0
-
 
 class TestD2BinProbability:
     def test_matched_two_bin_example(self):
@@ -216,83 +194,121 @@ class TestWindowedAcceptance:
             )
 
 
+def per_bin_acceptances(cfg, k):
+    """Per-bin D2 probabilities over [d, n_prime], shape (W, d), as the
+    differences of the kernel's acceptances at every cutoff."""
+    sums = cutoff_acceptances(cfg, k, range(cfg.dim, cfg.n_prime + 1))
+    return np.diff(sums, axis=0, prepend=0.0)
+
+
+@st.composite
+def long_window_cases(draw):
+    """(d <= 4, r_sq up to 1 - 1e-9, two cutoffs up to d + 3000, k)."""
+    d = draw(st.integers(1, 4))
+    r_sq = draw(
+        st.one_of(
+            st.floats(0.0, 0.999),
+            st.floats(1e-9, 1e-3).map(lambda gap: 1.0 - gap),
+        )
+    )
+    cutoffs = draw(st.lists(st.integers(d, d + 3000), min_size=2, max_size=2))
+    return d, r_sq, cutoffs, draw(st.integers(0, d - 1))
+
+
 class TestWindowedAcceptanceKernel:
     @given(case=window_cases())
+    @example(case=(2, 0.5, 3, 0))  # the frozen two-bin values below
+    @example(case=(5, 0.0, 15, 1))  # no recirculation
+    @example(case=(7, 0.8, 7, 6))  # one-bin window, n' == d
     @settings(max_examples=50, deadline=None)
     def test_rows_match_reference_and_per_bin_probabilities(self, case):
         d, r, n_prime, k = case
         cfg = symmetric_config(d, r, n_prime=n_prime)
-        acceptance = windowed_acceptance(cfg, k)
-        assert acceptance.shape == (d, n_prime - d + 1)
+        per_bin = per_bin_acceptances(cfg, k)
+        assert per_bin.shape == (n_prime - d + 1, d)
+        rows = setting_acceptances(cfg, k)
         prepared = mub_state(d, k)
         for m in range(d):
-            per_bin = [
+            expected = [
                 d2_bin_probability(cfg.for_outcome(m), prepared, N)
                 for N in range(d, n_prime + 1)
             ]
-            np.testing.assert_allclose(acceptance[m], per_bin, rtol=0, atol=1e-13)
-            assert abs(acceptance[m].sum() - math.fsum(per_bin)) <= 1e-13
+            np.testing.assert_allclose(per_bin[:, m], expected, rtol=0, atol=1e-13)
+            assert abs(rows[m] - math.fsum(expected)) <= 1e-13
             oracle = reference.window_probability(d, r, r, n_prime, m, k)
-            assert abs(acceptance[m].sum() - oracle) <= 1e-13
+            assert abs(rows[m] - oracle) <= 1e-13
+
+    @given(case=long_window_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_long_windows_match_reference(self, case):
+        # Near r = 1 every P(m|k) is small, so the gap is measured against
+        # the row's total over settings rather than in absolute terms.
+        d, r_sq, cutoffs, k = case
+        sums = cutoff_acceptances(symmetric_config(d, r_sq), k, cutoffs)
+        for row, cutoff in zip(sums, cutoffs):
+            oracle = [
+                reference.window_probability(d, r_sq, r_sq, cutoff, m, k)
+                for m in range(d)
+            ]
+            assert np.max(np.abs(row - oracle)) <= 1e-13 * math.fsum(oracle)
+
+    @pytest.mark.parametrize("r_sq", [0.999999, 1.0 - 1e-9])
+    def test_window_sum_matches_decimal_oracle(self, r_sq):
+        # The bin-d probability times sum_{j<W} (r1^2 r2^2)^j: the ratio of
+        # the one-bin and W-bin rows is that sum, at the d = 2 size cap.
+        width = 2097149
+        cfg = symmetric_config(2, r_sq)
+        one_bin, window = cutoff_acceptances(cfg, 0, [2, 2 + width - 1])
+        expected = reference.window_sum(r_sq, r_sq, width)
+        assert window[0] / one_bin[0] == pytest.approx(expected, rel=1e-14)
 
     def test_two_bin_frozen_values(self):
-        acceptance = windowed_acceptance(symmetric_config(2, 0.5, n_prime=3), 0)
+        per_bin = per_bin_acceptances(symmetric_config(2, 0.5, n_prime=3), 0)
         np.testing.assert_allclose(
-            acceptance, [[0.28125, 0.0703125], [0.03125, 0.0078125]], atol=1e-15
+            per_bin.T, [[0.28125, 0.0703125], [0.03125, 0.0078125]], atol=1e-15
         )
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_single_bin_window(self, d):
-        cfg = symmetric_config(d, 0.8, n_prime=d)
-        acceptance = windowed_acceptance(cfg, d - 1)
-        assert acceptance.shape == (d, 1)
+        acceptance = cutoff_acceptances(symmetric_config(d, 0.8, n_prime=d), d - 1, [d])
+        assert acceptance.shape == (1, d)
         for m in range(d):
-            assert acceptance[m, 0] == pytest.approx(
+            assert acceptance[0, m] == pytest.approx(
                 reference.window_probability(d, 0.8, 0.8, d, m, d - 1), abs=1e-13
             )
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_no_recirculation_clicks_once_uniformly(self, d):
-        acceptance = windowed_acceptance(symmetric_config(d, 0.0, n_prime=3 * d), 1)
-        expected = np.zeros((d, 2 * d + 1))
-        expected[:, 0] = 1.0 / d
-        np.testing.assert_allclose(acceptance, expected, rtol=0, atol=1e-15)
-
-    def test_window_longer_than_one_block(self):
-        d, n_prime = 3, 3 + 700
-        cfg = symmetric_config(d, 0.995, n_prime=n_prime)
-        acceptance = windowed_acceptance(cfg, 1)
-        prepared = mub_state(d, 1)
-        for m in range(d):
-            for N in (d, d + 255, d + 256, d + 257, d + 600, n_prime):
-                assert acceptance[m, N - d] == pytest.approx(
-                    d2_bin_probability(cfg.for_outcome(m), prepared, N), abs=1e-15
-                )
-            assert acceptance[m].sum() == pytest.approx(
-                p_m_given_k(cfg.for_outcome(m), 1), abs=1e-13
-            )
+        per_bin = per_bin_acceptances(symmetric_config(d, 0.0, n_prime=3 * d), 1)
+        expected = np.zeros((2 * d + 1, d))
+        expected[0] = 1.0 / d
+        np.testing.assert_allclose(per_bin, expected, rtol=0, atol=1e-15)
 
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
-            windowed_acceptance(symmetric_config(4, 0.5), 4)
+            cutoff_acceptances(symmetric_config(4, 0.5), 4, [8])
 
 
 class TestCutoffAcceptances:
-    def test_running_sums_across_blocks_match_prefix_sums(self):
+    def test_each_row_depends_only_on_its_cutoff(self):
         d = 3
-        cfg = symmetric_config(d, 0.995, n_prime=d + 700)
-        prefix = np.cumsum(windowed_acceptance(cfg, 1), axis=1)
+        cfg = symmetric_config(d, 0.995)
+        every = cutoff_acceptances(cfg, 1, range(d, d + 701))
         cutoffs = [d + 700, d, d + 255, d + 256, d + 257, d + 511, d + 512, d + 255]
         sums = cutoff_acceptances(cfg, 1, cutoffs)
         assert sums.shape == (len(cutoffs), d)
-        np.testing.assert_allclose(
-            sums, prefix[:, np.array(cutoffs) - d].T, rtol=0, atol=1e-13
-        )
+        np.testing.assert_array_equal(sums, every[np.array(cutoffs) - d])
 
     def test_setting_acceptances_are_the_row_sums(self):
         cfg = symmetric_config(5, 0.9, n_prime=40)
         for k in (0, 3):
-            rows = windowed_acceptance(cfg, k).sum(axis=1)
+            rows = [
+                math.fsum(
+                    d2_bin_probability(cfg.for_outcome(m), mub_state(5, k), N)
+                    for N in range(5, 41)
+                )
+                for m in range(5)
+            ]
             np.testing.assert_allclose(
                 setting_acceptances(cfg, k), rows, rtol=0, atol=1e-13
             )
@@ -408,13 +424,40 @@ class TestTotalErrorClosedForm:
 
 
 class TestD2TotalProbability:
-    def test_window_longer_than_one_block_matches_reference(self):
+    def test_long_window_matches_reference(self):
         cfg = symmetric_config(3, 0.99, n_prime=3 + 600)
         state = random_normalized_state(np.random.default_rng(5), 3)
         phi = theta_for_outcome(3, 0) + math.pi
         assert d2_total_probability(cfg, state, include_early=True) == pytest.approx(
             reference.d2_mass(3, 0.99, 0.99, phi, list(state.amps), 1, 603), abs=1e-13
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        slot=st.one_of(st.none(), st.integers(0, 11)),
+        r1_sq=st.floats(0.0, 0.999),
+        r2_sq=st.floats(0.0, 0.999),
+        theta=st.floats(-math.pi, math.pi),
+        extra=st.integers(0, 60),
+    )
+    @example(seed=0, d=3, slot=None, r1_sq=0.0, r2_sq=0.0, theta=0.0, extra=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_mass(self, seed, d, slot, r1_sq, r2_sq, theta, extra):
+        # Random superpositions, or the basis state |slot>: the entry bins
+        # 1..d-1 see only the slots already inside the loop.
+        if slot is None:
+            state = random_normalized_state(np.random.default_rng(seed), d)
+        else:
+            state = basis_state(d, slot % d + 1)
+        n_prime = d + extra
+        cfg = CavityConfig(d, r1_sq, r2_sq, theta, n_prime)
+        amps = list(state.amps)
+        for include_early, first in ((True, 1), (False, d)):
+            expected = reference.d2_mass(d, r1_sq, r2_sq, cfg.phi, amps, first, n_prime)
+            value = d2_total_probability(cfg, state, include_early=include_early)
+            assert value == pytest.approx(expected, abs=1e-13)
+            assert value <= 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -498,13 +541,20 @@ class TestProjectionFidelity:
         assert values[-1] < 1.0
 
 
+def port_mass(dist, port, below=math.inf):
+    """Summed entries of one port, over the bins before ``below``."""
+    return math.fsum(
+        p for (prt, b), p in dist.entries.items() if prt is port and b < below
+    )
+
+
 class TestFullOutcomeDistribution:
     def test_delta_branching_arithmetic(self):
         cfg = symmetric_config(4, 0.5, n_prime=150)
         dist = full_outcome_distribution(cfg, basis_state(4, 2), 160)
-        assert dist.port_total(Port.D1) == pytest.approx(0.5, abs=1e-12)
-        assert dist.port_total(Port.D2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert dist.port_total(Port.BACK) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert port_mass(dist, Port.D1) == pytest.approx(0.5, abs=1e-12)
+        assert port_mass(dist, Port.D2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert port_mass(dist, Port.BACK) == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_transparent_splitters_single_entry(self):
@@ -518,7 +568,7 @@ class TestFullOutcomeDistribution:
         state = random_normalized_state(rng, 5)
         cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.5, theta=1.1, n_prime=20)
         dist = full_outcome_distribution(cfg, state, 20)
-        assert dist.port_total(Port.D2) == pytest.approx(
+        assert port_mass(dist, Port.D2) == pytest.approx(
             d2_total_probability(cfg, state, include_early=True), abs=1e-13
         )
 
@@ -527,8 +577,9 @@ class TestFullOutcomeDistribution:
         state = random_normalized_state(rng, 5)
         cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.5, theta=1.1, n_prime=20)
         dist = full_outcome_distribution(cfg, state, 20)
-        expected = dist.port_total(Port.D2) - d2_total_probability(cfg, state)
-        assert dist.inconclusive_d2_mass() == pytest.approx(expected, abs=1e-13)
+        expected = port_mass(dist, Port.D2) - d2_total_probability(cfg, state)
+        early = port_mass(dist, Port.D2, below=5)
+        assert early == pytest.approx(expected, abs=1e-13)
 
     def test_residual_shrinks_with_cap(self):
         cfg = symmetric_config(4, 0.81, n_prime=8)

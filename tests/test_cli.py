@@ -76,6 +76,8 @@ class TestConfigResolution:
             (dict(output_format="xml"), "format"),
             (dict(n_prime=4, d=8), "n_prime"),
             (dict(k=9, d=8), "k"),
+            (dict(master_seed=-1), "seed"),
+            (dict(master_seed=2**128), "seed"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -236,6 +238,17 @@ class TestErrorSweep:
             assert 0.0 <= row.p_e_analytic <= 1e-10
             assert 0.0 <= row.p_e_closed_form <= 1e-10
 
+    def test_detection_probability_never_exceeds_one(self, capsys):
+        # Without recirculation the d entry masses are (1/sqrt d)^2 each,
+        # and their rounded sum can land one ulp above 1 (d = 3).
+        for d in range(2, 65):
+            argv = ["--d", str(d), "--r-grid", "0,1e-300", "--format", "json"]
+            assert run_cli("error-sweep", *argv) == 0
+            rows = parse_sweep(capsys.readouterr().out, "json")
+            assert [row.r_sq for row in rows] == [0.0, 1e-300]
+            for row in rows:
+                assert 0.0 <= row.p_d2 <= 1.0
+
     def test_closed_form_disagreement_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "total_error_closed_form", lambda r, d: 0.5)
         assert run_cli("error-sweep", "--d", "4", "--r-grid", "0.3") == 2
@@ -285,6 +298,25 @@ class TestDiscriminate:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["dark_clicks"] == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
+    def test_seed_outside_philox_key_range_is_usage_error(self, seed, capsys):
+        code = run_cli(
+            "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "100",
+            "--seed", str(seed),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "seed must lie in [0, 2**128)" in captured.err
+        assert captured.out == ""
+
+    def test_largest_seed_runs(self, capsys):
+        code = run_cli(
+            "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "100",
+            "--seed", str(2**128 - 1),
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["master_seed"] == 2**128 - 1
 
     def test_zero_trials_is_usage_error(self, capsys):
         code = run_cli(

@@ -344,6 +344,13 @@ class TestParallelChunks:
         )
         assert np.array_equal(block, rows[first:])
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
+    def test_seed_outside_key_range_is_rejected(self, seed):
+        # The seed is the Philox key, not reduced onto it: 2**128 + 1 must
+        # not run the stream of seed 1.
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            run_discrimination(2, 0.5, 0.5, 4, 0, DarkCountModel(0.0), 100, seed)
+
     @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
     @pytest.mark.parametrize(
         "chunk_size,n_trials", [(1, 1_500), (7_777, 40_000), (None, 70_000)]

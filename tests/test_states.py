@@ -12,7 +12,6 @@ from timebin_cavity import (
     fidelity,
     inner_product,
     mub_state,
-    overlap_probability,
     verify_mub,
 )
 
@@ -37,7 +36,7 @@ def _nonzero(amps):
 
 class TestTimeBinState:
     def test_dim_tracks_amplitude_count(self):
-        state = TimeBinState.from_amplitudes([1.0, 0.0, 0.0])
+        state = TimeBinState([1.0, 0.0, 0.0], normalized=True)
         assert state.dim == 3
 
     def test_normalized_flag_is_enforced(self):
@@ -48,32 +47,15 @@ class TestTimeBinState:
         state = TimeBinState([0.5, 0.25], normalized=False)
         assert state.norm_sq() == pytest.approx(0.3125)
 
-    def test_from_amplitudes_detects_normalization(self):
-        assert TimeBinState.from_amplitudes([1.0, 0.0]).normalized
-        assert not TimeBinState.from_amplitudes([0.5, 0.25]).normalized
-
     def test_amplitudes_are_read_only(self):
         state = basis_state(3, 1)
         with pytest.raises(ValueError):
             state.amps[0] = 5.0
 
-    def test_amplitude_accessor_is_one_based(self):
-        state = TimeBinState.from_amplitudes([0.6, 0.8])
-        assert state.amplitude(1) == 0.6
-        assert state.amplitude(2) == 0.8
-        with pytest.raises(ValueError):
-            state.amplitude(0)
-        with pytest.raises(ValueError):
-            state.amplitude(3)
-
-    def test_normalize(self):
-        state = TimeBinState([3.0, 4.0], normalized=False).normalize()
-        assert state.normalized
-        assert state.amplitude(1) == pytest.approx(0.6)
-
-    def test_normalize_rejects_zero_state(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            TimeBinState([0.0, 0.0], normalized=False).normalize()
+    def test_bin_n_is_amps_index_n_minus_one(self):
+        state = TimeBinState([0.6, 0.8], normalized=True)
+        assert state.amps[1 - 1] == 0.6
+        assert state.amps[2 - 1] == 0.8
 
     def test_empty_amplitudes_rejected(self):
         with pytest.raises(ValueError):
@@ -83,18 +65,18 @@ class TestTimeBinState:
 class TestMubState:
     def test_single_bin_identity(self):
         state = mub_state(1, 0)
-        assert state.amplitude(1) == pytest.approx(1.0)
+        assert state.amps[1 - 1] == pytest.approx(1.0)
         assert state.normalized
 
     def test_two_bin_signs(self):
         state = mub_state(2, 1)
         root_half = 1.0 / math.sqrt(2.0)
-        assert state.amplitude(2) == pytest.approx(root_half)
-        assert state.amplitude(1) == pytest.approx(-root_half)
+        assert state.amps[2 - 1] == pytest.approx(root_half)
+        assert state.amps[1 - 1] == pytest.approx(-root_half)
 
     def test_fourth_root_of_unity(self):
         # n = 1 term of the d = 4, k = 1 state lands on bin 3 with phase i
-        assert abs(mub_state(4, 1).amplitude(3) - 0.5j) < 1e-15
+        assert abs(mub_state(4, 1).amps[3 - 1] - 0.5j) < 1e-15
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -142,22 +124,23 @@ class TestOverlapProbability:
     def test_unbiased_against_every_bin(self, d):
         for m in range(1, d + 1):
             for k in range(d):
-                value = overlap_probability(basis_state(d, m), mub_state(d, k))
+                value = abs(inner_product(basis_state(d, m), mub_state(d, k))) ** 2
                 assert value == pytest.approx(1.0 / d, abs=1e-14)
 
     def test_self_overlap(self):
-        assert overlap_probability(mub_state(5, 2), mub_state(5, 2)) == pytest.approx(1.0)
+        value = abs(inner_product(mub_state(5, 2), mub_state(5, 2))) ** 2
+        assert value == pytest.approx(1.0)
 
     def test_orthogonal_bins(self):
-        assert overlap_probability(basis_state(4, 1), basis_state(4, 2)) == 0.0
+        assert abs(inner_product(basis_state(4, 1), basis_state(4, 2))) ** 2 == 0.0
 
     @given(amps=complex_amplitudes)
     @settings(max_examples=50)
     def test_symmetric_under_swap(self, amps):
         a = TimeBinState(amps, normalized=False)
         b = TimeBinState([z * 1j for z in reversed(amps)], normalized=False)
-        assert overlap_probability(a, b) == pytest.approx(
-            overlap_probability(b, a), abs=1e-13
+        assert abs(inner_product(a, b)) ** 2 == pytest.approx(
+            abs(inner_product(b, a)) ** 2, abs=1e-13
         )
 
 
