@@ -250,7 +250,10 @@ def error_ratio(probs: Sequence[float], k: int, window_dark: float = 0.0) -> flo
     At w = 0 this is the clean discrimination error.
     """
     total = math.fsum(probs)
-    numerator = (total - probs[k]) + (len(probs) - 1) * window_dark
+    # summed apart, not as total - P(k|k): near r = 1 that difference
+    # cancels every digit of the small mismatched mass
+    mismatched = math.fsum([*probs[:k], *probs[k + 1 :]])
+    numerator = mismatched + (len(probs) - 1) * window_dark
     denominator = total + len(probs) * window_dark
     if denominator == 0.0:
         raise ValueError("zero acceptance and zero dark rate; ratio undefined")
@@ -402,8 +405,14 @@ def outcome_table(
     masses = np.empty((len(thetas), 2 * bin_cap + 1))
     d2 = masses[:, bin_cap:-1]  # column b - 1 is D2 bin b
     circulating = np.zeros(len(thetas), dtype=np.complex128)
+    # Upstream column of each entry bin: D1 columns follow the n_back BACK
+    # columns, and each kind keeps bin order.
+    reflects = reflected[:d]
+    entry_cols = np.where(
+        reflects, n_back + np.cumsum(reflects) - 1, np.cumsum(~reflects) - 1
+    )
     entry_bins = zip(
-        np.argsort(upstream)[:d].tolist(),  # upstream column of each entry bin
+        entry_cols.tolist(),
         (1j * r1 * state.amps).tolist(),
         (t1 * state.amps).tolist(),
     )

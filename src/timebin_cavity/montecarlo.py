@@ -20,15 +20,22 @@ and the next, and a bisection over only that range finds the column
 need no bisection at all.
 
 Randomness comes from a counter-based Philox stream keyed by the master
-seed, with each trial consuming a fixed block of variates. Because Philox
-is counter-based, any chunk of trials gets its own generator positioned at
-its first trial (:func:`_generator`), and chunks are sampled by one worker
-per usable CPU (at most one per chunk and :data:`_MAX_WORKERS`): the
-calling thread and a pool of helper threads. Each chunk's counts are
-folded into one accumulator as it finishes; integer sums do not depend on
-the order, so results are a pure function of (config, n_trials,
-master_seed), independent of the worker count, the chunking and the order
-chunks finish in.
+seed, with each trial consuming a block of variates whose size is fixed
+for the run: six doubles with dark counts, and only the two the photon
+reads (setting and outcome) without. Because Philox is counter-based, any
+chunk of trials gets its own generator positioned at its first trial
+(:func:`_generator`), and chunks are sampled by one worker per usable CPU
+(at most one per chunk and :data:`_MAX_WORKERS`): the calling thread and a
+pool of helper threads.
+
+Frames are counted by table column, one histogram of 2 bin_cap + 1
+entries per chunk; a frame a dark click wins leaves its photon column for
+a (detector, bin) dark tally, kept only when dark counts are on. Each
+chunk's counts are folded into one accumulator as it finishes; integer
+sums do not depend on the order, so results are a pure function of
+(config, n_trials, master_seed), independent of the worker count, the
+chunking and the order chunks finish in. The (port, bin) counts are formed
+once, after the last chunk.
 """
 
 from __future__ import annotations
@@ -53,13 +60,16 @@ from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
 _D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
-# Per-trial variate block: setting, outcome, dark bin, dark detector,
-# dual-dark pick, photon/dark tie break.
+# Per-trial variate block with dark counts: setting, outcome, dark bin, dark
+# detector, dual-dark pick, photon/dark tie break.
 _DRAWS_PER_TRIAL = 6
+# Without dark counts a trial's block is its first two variates alone.
+_DRAWS_NO_DARK = 2
 # Frames per chunk; results do not depend on it. Every per-chunk temporary,
-# the 1.5 MiB variate block included, scales with it, and each worker holds
-# one chunk's temporaries: two workers keep as many frames in flight as one
-# worker with chunks twice the size.
+# the variate block included (1.5 MiB with dark counts, 0.5 MiB without),
+# scales with it, and each worker holds one chunk's temporaries: two
+# workers keep as many frames in flight as one worker with chunks twice the
+# size.
 _DEFAULT_CHUNK = 32_768
 # Most sampler threads a run starts, however many CPUs it may use.
 _MAX_WORKERS = 8
@@ -129,7 +139,7 @@ class EmpiricalStats:
 class _OutcomeTable:
     """Stacked outcome CDF rows over one column layout, with guide rows."""
 
-    ports: np.ndarray  # (K,) cavity.TABLE_PORTS index of each column, intp
+    ports: np.ndarray  # (K,) cavity.TABLE_PORTS index of each column
     bins: np.ndarray  # (K,) time bin of each column
     cdf: np.ndarray  # (rows, K)
     guide: np.ndarray  # (rows, _GUIDE + 1) int32
@@ -142,7 +152,7 @@ def _outcome_table(
     cdf = np.cumsum(table.masses, axis=1, out=table.masses)
     cdf[:, -1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
     return _OutcomeTable(
-        ports=table.ports.astype(np.intp),  # int8 overflows ports * (cap + 1)
+        ports=table.ports,
         bins=table.bins,
         cdf=cdf,
         guide=_guide_table(cdf),
@@ -163,17 +173,18 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _generator(seed: int, first_trial: int = 0) -> np.random.Generator:
+def _generator(seed: int, first_trial: int, draws: int) -> np.random.Generator:
     """The Philox stream keyed by ``seed``, positioned at trial ``first_trial``.
 
-    Philox makes four doubles per counter value, and numpy steps the
-    counter before each block, so a stream started at counter c continues
-    the one started at 0 from block c on. Trial t starts at double 6 t:
-    block 6 t // 4, after discarding 6 t % 4 doubles. The seed is the
-    Philox key itself, so it must lie in [0, 2**128); numpy raises
-    ValueError otherwise rather than reducing it onto another seed's stream.
+    Every trial takes ``draws`` doubles. Philox makes four doubles per
+    counter value, and numpy steps the counter before each block, so a
+    stream started at counter c continues the one started at 0 from block
+    c on. Trial t starts at double draws t: block draws t // 4, after
+    discarding draws t % 4 doubles. The seed is the Philox key itself, so
+    it must lie in [0, 2**128); numpy raises ValueError otherwise rather
+    than reducing it onto another seed's stream.
     """
-    block, skip = divmod(_DRAWS_PER_TRIAL * first_trial, 4)
+    block, skip = divmod(draws * first_trial, 4)
     bits = np.random.Philox(key=seed, counter=block)
     rng = np.random.Generator(bits)
     if skip:
@@ -191,8 +202,9 @@ def _usable_cpus() -> int:
 def _workers(n_chunks: int, chunk: int, count_bytes: int) -> int:
     """Sampler threads: one per usable CPU, per chunk, at most _MAX_WORKERS.
 
-    Every thread holds one chunk's count vector until it is folded in, so
-    a run whose count vector outweighs a chunk's variate block keeps one.
+    Every thread holds one chunk's column histogram, as large as the
+    ``count_bytes`` accumulator, until it is folded in, so a run whose
+    accumulator outweighs a chunk's six-double variate block keeps one.
     """
     if count_bytes > chunk * _DRAWS_PER_TRIAL * 8:
         return 1
@@ -227,29 +239,31 @@ def _lookup(cdf: np.ndarray, guide: np.ndarray, rows: np.ndarray, u: np.ndarray)
 
 def _sample_photon(
     table: _OutcomeTable, settings: Optional[np.ndarray], u_outcome: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """The table column of each frame's photon exit."""
     if settings is None:
         settings = np.zeros(u_outcome.shape, dtype=np.int64)
-    cols = _lookup(table.cdf, table.guide, settings, u_outcome)
-    return table.ports[cols], table.bins[cols]
+    return _lookup(table.cdf, table.guide, settings, u_outcome)
 
 
 def _merge_dark(
-    ports: np.ndarray,
-    bins: np.ndarray,
+    cols: np.ndarray,
+    table: _OutcomeTable,
     u: np.ndarray,
     p_dc: float,
     bin_cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply per-bin Bernoulli dark clicks; the earliest click wins a frame.
 
-    Updates ``ports`` and ``bins`` in place and returns them with the
-    dark-win flags. Detector and tie are resolved only on the frames with
-    a dark click inside the cap.
+    Returns the photon columns ``cols`` as given (the benchmark's traced
+    run counts the merged frames by them), the dark cell
+    ``detector * (bin_cap + 1) + bin`` of each frame a dark click won, in
+    frame order, and the per-frame dark-win flags. Detector and tie are
+    resolved only on the frames with a dark click inside the cap.
     """
-    dark_wins = np.zeros(ports.shape, dtype=bool)
+    dark_wins = np.zeros(cols.shape, dtype=bool)
     if p_dc == 0.0:
-        return ports, bins, dark_wins
+        return cols, np.empty(0, dtype=np.int64), dark_wins
     # Log survival per bin, two detectors; log1p/expm1 keep it nonzero and
     # accurate down to the smallest p_dc, where (1 - p_dc)**2 rounds to 1.
     # Clipping at bin_cap keeps the cast in range: bin_cap + 1 means none.
@@ -270,17 +284,15 @@ def _merge_dark(
             np.where(u_both < 0.5, _D1, _D2),
         ),
     )
-    photon_bins = bins[hit]
+    photon = cols[hit]
+    photon_bins = table.bins[photon]
     wins = (
-        (ports[hit] > _D2)  # the photon clicked no detector
+        (table.ports[photon] > _D2)  # the photon clicked no detector
         | (first_dark < photon_bins)
         | ((first_dark == photon_bins) & (u_tie < 0.5))
     )
-    won = hit[wins]
-    ports[won] = dark_detector[wins]
-    bins[won] = first_dark[wins]
-    dark_wins[won] = True
-    return ports, bins, dark_wins
+    dark_wins[hit[wins]] = True
+    return cols, dark_detector[wins] * (bin_cap + 1) + first_dark[wins], dark_wins
 
 
 def _sample(
@@ -315,20 +327,25 @@ def _sample(
     table = _outcome_table(cfg, state, thetas, cap)
 
     chunk = chunk_size or _DEFAULT_CHUNK
+    draws = _DRAWS_PER_TRIAL if dark.p_dc > 0.0 else _DRAWS_NO_DARK
     width = cap + 1
-    count_vec = np.zeros(len(TABLE_PORTS) * width, dtype=np.int64)
-    setting_frames = np.zeros(d, dtype=np.int64)
-    setting_accepted = np.zeros(d, dtype=np.int64)
-    dark_total = accepted_total = 0
+    n_cols = table.cdf.shape[1]
+    # Accepted: a D2 click inside [d, n_prime], by photon column and by
+    # dark cell (detector * width + bin).
+    accepts = (table.ports == _D2) & (table.bins >= d) & (table.bins <= cfg.n_prime)
+    dark_accepted = slice(_D2 * width + d, _D2 * width + cfg.n_prime + 1)
+    col_counts = np.zeros(n_cols, dtype=np.int64)
+    dark_counts = np.zeros(2 * width if dark.p_dc > 0.0 else 0, dtype=np.int64)
+    # entry 2 m + a: frames of setting m, accepted (a = 1) or not
+    setting_counts = np.zeros(2 * d, dtype=np.int64)
     starts = iter(range(0, n_trials, chunk))
     lock = threading.Lock()
 
     def drain() -> None:
         """Sample chunks until none is left, folding each one in as it ends."""
-        nonlocal starts, count_vec, setting_frames, setting_accepted
-        nonlocal dark_total, accepted_total
+        nonlocal starts, col_counts, setting_counts
         # one variate block per worker, refilled for every chunk it takes
-        block = np.empty((min(chunk, n_trials), _DRAWS_PER_TRIAL))
+        block = np.empty((min(chunk, n_trials), draws))
         try:
             while True:
                 with lock:
@@ -336,31 +353,33 @@ def _sample(
                 if start is None:
                     return
                 size = min(chunk, n_trials - start)
-                u = _generator(master_seed, start).random(out=block[:size])
+                u = _generator(master_seed, start, draws).random(out=block[:size])
                 settings = None
                 if prepared_k is not None:
                     settings = np.minimum((u[:, 0] * d).astype(np.int64), d - 1)
-                ports, bins = _sample_photon(table, settings, u[:, 1])
-                ports, bins, dark_wins = _merge_dark(ports, bins, u, dark.p_dc, cap)
+                cols = _sample_photon(table, settings, u[:, 1])
+                cols, cells, dark_wins = _merge_dark(cols, table, u, dark.p_dc, cap)
 
-                counts = np.bincount(ports * width + bins, minlength=count_vec.size)
-                accepted = (ports == _D2) & (bins >= d) & (bins <= cfg.n_prime)
+                col_hist = np.bincount(cols, minlength=n_cols)
+                if cells.size:
+                    np.subtract.at(col_hist, cols[dark_wins], 1)
                 if settings is not None:
-                    frames = np.bincount(settings, minlength=d)
-                    hits = np.bincount(settings[accepted], minlength=d)
+                    accepted = accepts[cols]
+                    accepted[dark_wins] = (cells >= dark_accepted.start) & (
+                        cells < dark_accepted.stop
+                    )
+                    by_setting = np.bincount(2 * settings + accepted, minlength=2 * d)
                 with lock:
-                    count_vec += counts
-                    dark_total += int(dark_wins.sum())
-                    accepted_total += int(accepted.sum())
+                    col_counts += col_hist
+                    np.add.at(dark_counts, cells, 1)
                     if settings is not None:
-                        setting_frames += frames
-                        setting_accepted += hits
-                del counts  # at the size cap it is as large as the accumulator
+                        setting_counts += by_setting
+                del col_hist  # at the size cap it is as large as the accumulator
         except BaseException:  # an error or an interrupt: no worker goes on
             starts = iter(())
             raise
 
-    helpers = _workers(-(-n_trials // chunk), chunk, count_vec.nbytes) - 1
+    helpers = _workers(-(-n_trials // chunk), chunk, col_counts.nbytes) - 1
     if not helpers:
         drain()
     else:
@@ -373,6 +392,15 @@ def _sample(
             for job in jobs:
                 job.result()
 
+    counts: Dict[Tuple[Port, int], int] = {
+        (TABLE_PORTS[table.ports[c]], int(table.bins[c])): int(col_counts[c])
+        for c in np.flatnonzero(col_counts)
+    }
+    for cell in np.flatnonzero(dark_counts):
+        key = (TABLE_PORTS[cell // width], int(cell % width))
+        counts[key] = counts.get(key, 0) + int(dark_counts[cell])
+    frames, hits = setting_counts.reshape(d, 2).sum(axis=1), setting_counts[1::2]
+    accepted_total = col_counts[accepts].sum() + dark_counts[dark_accepted].sum()
     return EmpiricalStats(
         n_trials=n_trials,
         master_seed=master_seed,
@@ -380,18 +408,11 @@ def _sample(
         n_prime=cfg.n_prime,
         bin_cap=cap,
         prepared_k=prepared_k,
-        counts={
-            (TABLE_PORTS[flat // width], int(flat % width)): int(count_vec[flat])
-            for flat in np.flatnonzero(count_vec)
-        },
-        dark_clicks=dark_total,
-        accepted_total=accepted_total,
-        setting_frames={
-            int(m): int(c) for m, c in enumerate(setting_frames) if c
-        },
-        setting_accepted={
-            int(m): int(c) for m, c in enumerate(setting_accepted) if c
-        },
+        counts=counts,
+        dark_clicks=int(dark_counts.sum()),
+        accepted_total=int(accepted_total),
+        setting_frames={int(m): int(c) for m, c in enumerate(frames) if c},
+        setting_accepted={int(m): int(c) for m, c in enumerate(hits) if c},
     )
 
 

@@ -28,7 +28,7 @@ from timebin_cavity import (
     total_error,
     total_error_closed_form,
 )
-from timebin_cavity.cavity import TABLE_PORTS, outcome_table
+from timebin_cavity.cavity import TABLE_PORTS, error_ratio, outcome_table
 
 
 def symmetric_config(d, r_sq, k=0, n_prime=None):
@@ -404,6 +404,16 @@ class TestTotalErrorClosedForm:
         exact = reference.closed_form_error(r, d)
         assert total_error_closed_form(r, d) == pytest.approx(float(exact), rel=1e-14)
 
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    @pytest.mark.parametrize("r_sq", [0.9, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9])
+    def test_kernel_ratio_keeps_digits_near_unity(self, d, r_sq):
+        # the mismatched mass is tiny here; total - P(k|k) would cancel it
+        k = d // 2
+        cfg = symmetric_config(d, r_sq, n_prime=4 * d)
+        expected = total_error_closed_form(cfg.r, d)
+        got = error_ratio(setting_acceptances(cfg, k), k)
+        assert abs(got - expected) <= 1e-6 * expected  # approx adds abs=1e-12
+
     @given(
         d=st.integers(1, 64),
         r=st.floats(0.0, 1.0, exclude_max=True),
@@ -627,6 +637,13 @@ def column_keys(table):
 
 class TestOutcomeTable:
     @given(case=table_cases())
+    @example(  # entry bins 2 and 4 are BACK columns between D1 ones
+        case=(
+            5, 0.6, 0.7,
+            TimeBinState(np.array([1, 0, 1j, 0, -1]) / math.sqrt(3), normalized=True),
+            9, [0.3, -1.2],
+        )
+    )  # fmt: skip
     @settings(max_examples=80, deadline=None)
     def test_rows_match_per_bin_oracle(self, case):
         d, r1_sq, r2_sq, state, bin_cap, thetas = case

@@ -68,11 +68,14 @@ class TestRunTrials:
         b = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
         assert a == b
 
-    def test_independent_of_chunking(self):
-        # both entry points: a one-row and a d-row table
+    @pytest.mark.parametrize("p_dc", [0.001, 0.0])
+    def test_independent_of_chunking(self, p_dc):
+        # both entry points: a one-row and a d-row table; without dark
+        # counts a trial is two doubles, and the 7777-trial chunks start
+        # half-way through a Philox block
         cfg = symmetric_config(3, 0.6, 9)
         state = mub_state(3, 2)
-        dark = DarkCountModel(0.001)
+        dark = DarkCountModel(p_dc)
         for run in (
             lambda **kw: run_trials(cfg, state, dark, 30_000, 99, **kw),
             lambda **kw: run_discrimination(3, 0.6, 0.6, 9, 2, dark, 30_000, 99, **kw),
@@ -206,6 +209,27 @@ class TestRunDiscrimination:
         b = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, 25_000, 777)
         assert a == b
 
+    def test_frozen_counts_without_dark_counts(self):
+        # trial t reads doubles 2 t and 2 t + 1 of the Philox stream
+        stats = run_discrimination(
+            16, 0.8, 0.8, 64, 3, NO_DARK, 60_000, 2024, chunk_size=7777
+        )
+        assert stats.accepted_total == 1144
+        assert stats.dark_clicks == 0
+        assert [stats.setting_accepted.get(m, 0) for m in range(16)] == [
+            28, 44, 141, 617, 173, 57, 20, 9, 10, 7, 9, 3, 3, 5, 8, 10
+        ]  # fmt: skip
+        assert [stats.setting_frames[m] for m in range(16)] == [
+            3748, 3719, 3799, 3805, 3830, 3815, 3803, 3643,
+            3784, 3697, 3738, 3707, 3808, 3783, 3795, 3526,
+        ]  # fmt: skip
+        for port, frames in ((Port.D1, 52360), (Port.D2, 6728), (Port.BACK, 912)):
+            assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
+        items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "0eab3271f753f25be8454b6158dfefd9718d4ae8737b4bc9b3720b3c64313915"
+        )
+
     def test_settings_cover_all_outcomes(self):
         stats = run_discrimination(4, 0.5, 0.5, 8, 0, NO_DARK, 40_000, 13)
         assert sorted(stats.setting_frames) == [0, 1, 2, 3]
@@ -330,18 +354,19 @@ class TestStackedLookup:
 class TestParallelChunks:
     """Chunks run on worker threads; no result may depend on how many."""
 
+    @pytest.mark.parametrize(
+        "draws", [montecarlo._DRAWS_NO_DARK, montecarlo._DRAWS_PER_TRIAL]
+    )
     @given(
         seed=st.integers(0, 2**128 - 1),
         first=st.integers(0, 400),
         n=st.integers(1, 50),
     )
     @settings(max_examples=200, deadline=None)
-    def test_generator_continues_the_one_stream(self, seed, first, n):
+    def test_generator_continues_the_one_stream(self, draws, seed, first, n):
         stream = np.random.Generator(np.random.Philox(key=seed))
-        rows = stream.random((first + n, montecarlo._DRAWS_PER_TRIAL))
-        block = montecarlo._generator(seed, first).random(
-            (n, montecarlo._DRAWS_PER_TRIAL)
-        )
+        rows = stream.random((first + n, draws))
+        block = montecarlo._generator(seed, first, draws).random((n, draws))
         assert np.array_equal(block, rows[first:])
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
@@ -404,7 +429,7 @@ class TestParallelChunks:
         assert montecarlo._workers(31, 32_768, 1_000) == 1
 
     def test_memory_does_not_grow_with_chunks(self, monkeypatch):
-        # At bin_cap 2**16 one chunk's count vector is 2 MiB; a list of
+        # At bin_cap 2**16 one chunk's column histogram is 1 MiB; a list of
         # per-chunk partials would hold 10x more of them at 40 chunks.
         d, cap, chunk = 2, 2**16, 4_096
         table = montecarlo._outcome_table(
@@ -426,11 +451,11 @@ class TestParallelChunks:
             finally:
                 tracemalloc.stop()
 
-        # one worker here: the count vector outweighs a chunk's variates
-        assert montecarlo._workers(40, chunk, 4 * (cap + 1) * 8) == 1
+        # one worker here: the column accumulator outweighs a chunk's variates
+        assert montecarlo._workers(40, chunk, (2 * cap + 1) * 8) == 1
         one_worker = peak(4)
         assert peak(40) <= 1.2 * one_worker
-        # two workers hold at most two count vectors and chunks in flight
+        # two workers hold at most two histograms and chunks in flight
         monkeypatch.setattr(montecarlo, "_workers", lambda *_: 2)
         assert peak(40) <= 2 * one_worker
 
