@@ -33,6 +33,7 @@ from .cavity import (
 from .imperfections import (
     DarkCountModel,
     MismatchModel,
+    TradeoffPoint,
     accepted_probability,
     cutoff_tradeoff_scan,
     effective_round_trip,
@@ -140,15 +141,8 @@ class SweepRow:
     accepted_probability: float
 
 
-@dataclass
-class TradeoffRow:
-    n_prime: int
-    observed_error: float
-    accepted_probability: float
-
-
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
-TRADEOFF_COLUMNS = tuple(f.name for f in dataclasses.fields(TradeoffRow))
+TRADEOFF_COLUMNS = TradeoffPoint._fields
 
 
 def _fmt(value) -> str:
@@ -222,7 +216,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     return rows
 
 
-def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
+def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
     if not config.n_prime_values:
         raise UsageError(
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
@@ -237,7 +231,7 @@ def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffRow]:
             point.accepted_probability,
             f"accepted probability at n_prime={point.n_prime}",
         )
-    return [TradeoffRow(*point) for point in points]
+    return points
 
 
 def _z_score(observed: float, expected: float, n: int) -> float:

@@ -28,14 +28,14 @@ chunk of trials gets its own generator positioned at its first trial
 (at most one per chunk and :data:`_MAX_WORKERS`): the calling thread and a
 pool of helper threads.
 
-Frames are counted by table column, one histogram of 2 bin_cap + 1
-entries per chunk; a frame a dark click wins leaves its photon column for
-a (detector, bin) dark tally, kept only when dark counts are on. Each
-chunk's counts are folded into one accumulator as it finishes; integer
-sums do not depend on the order, so results are a pure function of
-(config, n_trials, master_seed), independent of the worker count, the
-chunking and the order chunks finish in. The (port, bin) counts are formed
-once, after the last chunk.
+Every frame is counted by one column index, one histogram per chunk: the
+table's 2 bin_cap + 1 columns, where a dark D2 click takes its bin's D2
+column, then, only when dark counts are on, bin_cap columns for the
+frames a dark D1 click won. Each chunk's counts are folded into one
+accumulator as it finishes; integer sums do not depend on the order, so
+results are a pure function of (config, n_trials, master_seed),
+independent of the worker count, the chunking and the order chunks finish
+in. The (port, bin) counts are formed once, after the last chunk.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .cavity import (
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-_D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
+_D2 = TABLE_PORTS.index(Port.D2)
 # Per-trial variate block with dark counts: setting, outcome, dark bin, dark
 # detector, dual-dark pick, photon/dark tie break.
 _DRAWS_PER_TRIAL = 6
@@ -203,7 +203,8 @@ def _workers(n_chunks: int, chunk: int, count_bytes: int) -> int:
     """Sampler threads: one per usable CPU, per chunk, at most _MAX_WORKERS.
 
     Every thread holds one chunk's column histogram, as large as the
-    ``count_bytes`` accumulator, until it is folded in, so a run whose
+    ``count_bytes`` accumulator (3 bin_cap + 1 int64 entries with dark
+    counts, 2 bin_cap + 1 without), until it is folded in, so a run whose
     accumulator outweighs a chunk's six-double variate block keeps one.
     """
     if count_bytes > chunk * _DRAWS_PER_TRIAL * 8:
@@ -238,11 +239,9 @@ def _lookup(cdf: np.ndarray, guide: np.ndarray, rows: np.ndarray, u: np.ndarray)
 
 
 def _sample_photon(
-    table: _OutcomeTable, settings: Optional[np.ndarray], u_outcome: np.ndarray
+    table: _OutcomeTable, settings: np.ndarray, u_outcome: np.ndarray
 ) -> np.ndarray:
     """The table column of each frame's photon exit."""
-    if settings is None:
-        settings = np.zeros(u_outcome.shape, dtype=np.int64)
     return _lookup(table.cdf, table.guide, settings, u_outcome)
 
 
@@ -255,10 +254,12 @@ def _merge_dark(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply per-bin Bernoulli dark clicks; the earliest click wins a frame.
 
-    Returns the photon columns ``cols`` as given (the benchmark's traced
-    run counts the merged frames by them), the dark cell
-    ``detector * (bin_cap + 1) + bin`` of each frame a dark click won, in
-    frame order, and the per-frame dark-win flags. Detector and tie are
+    Writes the dark click's column into ``cols`` for every frame it wins
+    and returns ``cols``, the won frames' indices and the per-frame
+    dark-win flags. A dark D2 click at bin b takes the table's (D2, b)
+    column, bin_cap + b - 1; a dark D1 click takes column 2 bin_cap + b,
+    one of the bin_cap columns after the table's K = 2 bin_cap + 1, since
+    most bins have a BACK column and no D1 one. Detector and tie are
     resolved only on the frames with a dark click inside the cap.
     """
     dark_wins = np.zeros(cols.shape, dtype=bool)
@@ -272,27 +273,25 @@ def _merge_dark(
     first_dark = np.floor(first_dark).astype(np.int64) + 1
     hit = np.flatnonzero(first_dark <= bin_cap)
     first_dark = first_dark[hit]
-    u_det, u_both, u_tie = u[hit, 3], u[hit, 4], u[hit, 5]
-    any_dark = -math.expm1(log_no_dark)
-    p_one_detector = p_dc * (1.0 - p_dc) / any_dark
-    dark_detector = np.where(
-        u_det < p_one_detector,
-        _D1,
-        np.where(
-            u_det < 2.0 * p_one_detector,
-            _D2,
-            np.where(u_both < 0.5, _D1, _D2),
-        ),
-    )
     photon = cols[hit]
     photon_bins = table.bins[photon]
     wins = (
         (table.ports[photon] > _D2)  # the photon clicked no detector
         | (first_dark < photon_bins)
-        | ((first_dark == photon_bins) & (u_tie < 0.5))
+        | ((first_dark == photon_bins) & (u[hit, 5] < 0.5))
     )
-    dark_wins[hit[wins]] = True
-    return cols, dark_detector[wins] * (bin_cap + 1) + first_dark[wins], dark_wins
+    won, first_dark = hit[wins], first_dark[wins]
+    # One detector fires (each with p_one_detector) or both do, and then
+    # the dual-dark pick chooses.
+    any_dark = -math.expm1(log_no_dark)
+    p_one_detector = p_dc * (1.0 - p_dc) / any_dark
+    u_det = u[won, 3]
+    dark_d1 = (u_det < p_one_detector) | (
+        (u_det >= 2.0 * p_one_detector) & (u[won, 4] < 0.5)
+    )
+    cols[won] = first_dark + np.where(dark_d1, 2 * bin_cap, bin_cap - 1)
+    dark_wins[won] = True
+    return cols, won, dark_wins
 
 
 def _sample(
@@ -328,22 +327,23 @@ def _sample(
 
     chunk = chunk_size or _DEFAULT_CHUNK
     draws = _DRAWS_PER_TRIAL if dark.p_dc > 0.0 else _DRAWS_NO_DARK
-    width = cap + 1
-    n_cols = table.cdf.shape[1]
-    # Accepted: a D2 click inside [d, n_prime], by photon column and by
-    # dark cell (detector * width + bin).
-    accepts = (table.ports == _D2) & (table.bins >= d) & (table.bins <= cfg.n_prime)
-    dark_accepted = slice(_D2 * width + d, _D2 * width + cfg.n_prime + 1)
+    rows, n_table = len(thetas), table.ports.size
+    # With dark counts the table's columns are followed by cap dark D1
+    # columns. Accepted: a D2 click inside [d, n_prime], the table's columns
+    # cap + d - 1 .. cap + n_prime - 1.
+    n_cols = n_table + (cap if dark.p_dc > 0.0 else 0)
+    accepts = np.zeros(n_cols, dtype=bool)
+    accepts[cap + d - 1 : cap + cfg.n_prime] = True
     col_counts = np.zeros(n_cols, dtype=np.int64)
-    dark_counts = np.zeros(2 * width if dark.p_dc > 0.0 else 0, dtype=np.int64)
     # entry 2 m + a: frames of setting m, accepted (a = 1) or not
-    setting_counts = np.zeros(2 * d, dtype=np.int64)
+    setting_counts = np.zeros(2 * rows, dtype=np.int64)
+    dark_clicks = 0
     starts = iter(range(0, n_trials, chunk))
     lock = threading.Lock()
 
     def drain() -> None:
         """Sample chunks until none is left, folding each one in as it ends."""
-        nonlocal starts, col_counts, setting_counts
+        nonlocal starts, col_counts, setting_counts, dark_clicks
         # one variate block per worker, refilled for every chunk it takes
         block = np.empty((min(chunk, n_trials), draws))
         try:
@@ -354,26 +354,17 @@ def _sample(
                     return
                 size = min(chunk, n_trials - start)
                 u = _generator(master_seed, start, draws).random(out=block[:size])
-                settings = None
-                if prepared_k is not None:
-                    settings = np.minimum((u[:, 0] * d).astype(np.int64), d - 1)
+                # a one-row table (run_trials) gives every frame setting 0
+                settings = np.minimum((u[:, 0] * rows).astype(np.int64), rows - 1)
                 cols = _sample_photon(table, settings, u[:, 1])
-                cols, cells, dark_wins = _merge_dark(cols, table, u, dark.p_dc, cap)
-
+                cols, won, _ = _merge_dark(cols, table, u, dark.p_dc, cap)
                 col_hist = np.bincount(cols, minlength=n_cols)
-                if cells.size:
-                    np.subtract.at(col_hist, cols[dark_wins], 1)
-                if settings is not None:
-                    accepted = accepts[cols]
-                    accepted[dark_wins] = (cells >= dark_accepted.start) & (
-                        cells < dark_accepted.stop
-                    )
-                    by_setting = np.bincount(2 * settings + accepted, minlength=2 * d)
+                accepted = accepts[cols]
+                by_setting = np.bincount(2 * settings + accepted, minlength=2 * rows)
                 with lock:
                     col_counts += col_hist
-                    np.add.at(dark_counts, cells, 1)
-                    if settings is not None:
-                        setting_counts += by_setting
+                    setting_counts += by_setting
+                    dark_clicks += won.size
                 del col_hist  # at the size cap it is as large as the accumulator
         except BaseException:  # an error or an interrupt: no worker goes on
             starts = iter(())
@@ -392,15 +383,19 @@ def _sample(
             for job in jobs:
                 job.result()
 
-    counts: Dict[Tuple[Port, int], int] = {
-        (TABLE_PORTS[table.ports[c]], int(table.bins[c])): int(col_counts[c])
-        for c in np.flatnonzero(col_counts)
-    }
-    for cell in np.flatnonzero(dark_counts):
-        key = (TABLE_PORTS[cell // width], int(cell % width))
-        counts[key] = counts.get(key, 0) + int(dark_counts[cell])
-    frames, hits = setting_counts.reshape(d, 2).sum(axis=1), setting_counts[1::2]
-    accepted_total = col_counts[accepts].sum() + dark_counts[dark_accepted].sum()
+    counts: Dict[Tuple[Port, int], int] = {}
+    for c in np.flatnonzero(col_counts).tolist():
+        if c < n_table:
+            key = (TABLE_PORTS[table.ports[c]], int(table.bins[c]))
+        else:  # a dark D1 column; bin b's table column may also be D1
+            key = (Port.D1, c - n_table + 1)
+        counts[key] = counts.get(key, 0) + int(col_counts[c])
+    setting_frames: Dict[int, int] = {}
+    setting_accepted: Dict[int, int] = {}
+    if prepared_k is not None:
+        frames, hits = setting_counts.reshape(rows, 2).sum(axis=1), setting_counts[1::2]
+        setting_frames = {m: int(c) for m, c in enumerate(frames) if c}
+        setting_accepted = {m: int(c) for m, c in enumerate(hits) if c}
     return EmpiricalStats(
         n_trials=n_trials,
         master_seed=master_seed,
@@ -409,10 +404,10 @@ def _sample(
         bin_cap=cap,
         prepared_k=prepared_k,
         counts=counts,
-        dark_clicks=int(dark_counts.sum()),
-        accepted_total=int(accepted_total),
-        setting_frames={int(m): int(c) for m, c in enumerate(frames) if c},
-        setting_accepted={int(m): int(c) for m, c in enumerate(hits) if c},
+        dark_clicks=dark_clicks,
+        accepted_total=int(col_counts[accepts].sum()),
+        setting_frames=setting_frames,
+        setting_accepted=setting_accepted,
     )
 
 

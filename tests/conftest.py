@@ -3,8 +3,8 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from timebin_cavity import TimeBinState
-from timebin_cavity.cli import SWEEP_COLUMNS, TRADEOFF_COLUMNS, SweepRow, TradeoffRow
+from timebin_cavity import TimeBinState, TradeoffPoint
+from timebin_cavity.cli import SWEEP_COLUMNS, TRADEOFF_COLUMNS, SweepRow
 
 
 def random_normalized_state(rng, d):
@@ -68,7 +68,7 @@ def parse_sweep(text, fmt):
 
 
 def parse_tradeoff(text, fmt):
-    """Rows of ``tradeoff`` output in csv or json, as TradeoffRow."""
+    """Rows of ``tradeoff`` output in csv or json, as TradeoffPoint."""
     return _parse_rows(
-        text, fmt, TradeoffRow, TRADEOFF_COLUMNS, int_columns=("n_prime",)
+        text, fmt, TradeoffPoint, TRADEOFF_COLUMNS, int_columns=("n_prime",)
     )

@@ -402,7 +402,10 @@ class TestTotalErrorClosedForm:
     )
     def test_matches_exact_rational_value(self, d, r):
         exact = reference.closed_form_error(r, d)
-        assert total_error_closed_form(r, d) == pytest.approx(float(exact), rel=1e-14)
+        # abs=0: approx's default abs=1e-12 would pass any P_E below 1e-12
+        assert total_error_closed_form(r, d) == pytest.approx(
+            float(exact), rel=1e-14, abs=0
+        )
 
     @pytest.mark.parametrize("d", [2, 16, 64])
     @pytest.mark.parametrize("r_sq", [0.9, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9])
@@ -705,12 +708,14 @@ class TestOutcomeTable:
         back = [column[("BACK", b + 1)] for b in tail[:-1]]
         decay = (cfg.r1_sq * cfg.r2_sq) ** (tail - 3)
         for row in table.masses:
-            assert row[d2] == pytest.approx(row[d2[0]] * decay, rel=1e-12)
+            # abs=0: the tail masses are near 1e-7, inside approx's default
+            # abs=1e-12 at only about 1e-5 relative
+            assert row[d2] == pytest.approx(row[d2[0]] * decay, rel=1e-12, abs=0)
             assert row[back] == pytest.approx(
-                row[d2[:-1]] * cfg.t1**2 * cfg.r2_sq / cfg.t2**2, rel=1e-12
+                row[d2[:-1]] * cfg.t1**2 * cfg.r2_sq / cfg.t2**2, rel=1e-12, abs=0
             )
             assert row[-1] == pytest.approx(
-                row[d2[-1]] * cfg.r2_sq / cfg.t2**2, rel=1e-12
+                row[d2[-1]] * cfg.r2_sq / cfg.t2**2, rel=1e-12, abs=0
             )
 
     def test_cap_too_small(self):

@@ -350,6 +350,28 @@ class TestStackedLookup:
             "c2e3a028f7fd93821eab9c4c197a5dd7b738066d91ba1a37f33fc35d9246c7db"
         )
 
+    def test_frozen_counts_of_dark_d1_clicks(self):
+        # recorded from the sampler that kept dark clicks in a separate
+        # (detector, bin) tally. Basis input 1 has its D1 column at bin 1
+        # and BACK columns at bins 2..16, so dark D1 wins land on both kinds
+        cfg = symmetric_config(4, 0.6, 16)
+        stats = run_trials(
+            cfg, basis_state(4, 1), DarkCountModel(0.02), 20_000, 2024,
+            chunk_size=777,
+        )  # fmt: skip
+        assert stats.accepted_total == 761
+        assert stats.dark_clicks == 1906
+        assert stats.setting_frames == {} and stats.setting_accepted == {}
+        for port, frames in ((Port.D1, 12701), (Port.D2, 5756), (Port.BACK, 1543)):
+            assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
+        assert [stats.counts.get((Port.D1, b), 0) for b in range(1, 17)] == [
+            12000, 78, 55, 58, 69, 42, 50, 39, 55, 35, 48, 35, 40, 30, 31, 36
+        ]  # fmt: skip
+        items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "64a776010fd8c2aa719e75b4e571a8e78a251606de9b2d3b314323c1ffe63065"
+        )
+
 
 class TestParallelChunks:
     """Chunks run on worker threads; no result may depend on how many."""
@@ -380,14 +402,18 @@ class TestParallelChunks:
     @pytest.mark.parametrize(
         "chunk_size,n_trials", [(1, 1_500), (7_777, 40_000), (None, 70_000)]
     )
-    @pytest.mark.parametrize("entry", ["run_trials", "run_discrimination"])
+    @pytest.mark.parametrize(
+        "entry", ["run_trials", "run_trials_basis", "run_discrimination"]
+    )
     def test_counts_independent_of_worker_count(
         self, monkeypatch, entry, chunk_size, n_trials, p_dc
     ):
         dark = DarkCountModel(p_dc)
-        if entry == "run_trials":
-            cfg = symmetric_config(3, 0.6, 9)
-            state = mub_state(3, 2)
+        if entry.startswith("run_trials"):
+            if entry == "run_trials":
+                cfg, state = symmetric_config(3, 0.6, 9), mub_state(3, 2)
+            else:  # dark D1 wins on BACK-column bins and on the D1 bin
+                cfg, state = symmetric_config(4, 0.6, 16), basis_state(4, 1)
             run = lambda: run_trials(cfg, state, dark, n_trials, 99, None, chunk_size)
         else:
             run = lambda: run_discrimination(
