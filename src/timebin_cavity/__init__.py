@@ -27,11 +27,9 @@ from .cavity import (
 )
 from .imperfections import (
     DarkCountModel,
-    MismatchModel,
     TradeoffPoint,
     accepted_event_probability,
     cutoff_tradeoff_scan,
-    effective_round_trip,
     observed_error_with_dark_counts,
 )
 from .montecarlo import (
@@ -54,7 +52,6 @@ __all__ = [
     "CavityConfig",
     "DarkCountModel",
     "EmpiricalStats",
-    "MismatchModel",
     "OutcomeDistribution",
     "Port",
     "TimeBinState",
@@ -66,7 +63,6 @@ __all__ = [
     "d1_bin_probability",
     "d2_bin_probability",
     "d2_total_probability",
-    "effective_round_trip",
     "fidelity",
     "full_outcome_distribution",
     "gamma_state",

@@ -112,9 +112,6 @@ class OutcomeDistribution:
     entries: Dict[Tuple[Port, int], float]
     residual: float
 
-    def probability(self, port: Port, time_bin: int) -> float:
-        return self.entries.get((port, time_bin), 0.0)
-
     def total_mass(self) -> float:
         return math.fsum(self.entries.values()) + self.residual
 
@@ -241,23 +238,18 @@ def p_m_given_k(cfg: CavityConfig, k: int) -> float:
     return d2_total_probability(cfg, mub_state(cfg.dim, k))
 
 
-def error_ratio(probs: Sequence[float], k: int, window_dark: float = 0.0) -> float:
-    """Mismatched share of accepted clicks when each setting's window also
-    fires on dark mass w (first order, :mod:`imperfections`):
-
-        [ sum_{m != k} P(m|k) + (d-1) w ] / [ sum_m P(m|k) + d w ].
-
-    At w = 0 this is the clean discrimination error.
+def error_ratio(probs: Sequence[float], k: int) -> float:
+    """Mismatched share of accepted clicks, sum_{m != k} / sum_m of the
+    per-setting accepted-click probabilities: the discrimination error.
+    Dark counts, if any, are already in ``probs``
+    (:func:`imperfections.dark_acceptances`).
     """
     total = math.fsum(probs)
+    if total == 0.0:
+        raise ValueError("zero acceptance in every setting; ratio undefined")
     # summed apart, not as total - P(k|k): near r = 1 that difference
     # cancels every digit of the small mismatched mass
-    mismatched = math.fsum([*probs[:k], *probs[k + 1 :]])
-    numerator = mismatched + (len(probs) - 1) * window_dark
-    denominator = total + len(probs) * window_dark
-    if denominator == 0.0:
-        raise ValueError("zero acceptance and zero dark rate; ratio undefined")
-    return numerator / denominator
+    return math.fsum([*probs[:k], *probs[k + 1 :]]) / total
 
 
 def total_error(cfg: CavityConfig, k: int = 0) -> float:

@@ -32,12 +32,10 @@ from .cavity import (
 )
 from .imperfections import (
     DarkCountModel,
-    MismatchModel,
     TradeoffPoint,
     accepted_probability,
     cutoff_tradeoff_scan,
-    effective_round_trip,
-    window_dark_mass,
+    dark_acceptances,
 )
 from .montecarlo import MAX_WINDOW_CELLS, check_window_size, run_discrimination
 from .states import mub_state, verify_mub
@@ -125,8 +123,14 @@ class ExperimentConfig:
 
     def cavity_config(self, r_sq: float, n_prime: int) -> CavityConfig:
         """Cavity for grid value r_sq: both reflectivities r_sq * eta, and the
-        explicit theta, else the phase dialled to outcome k."""
-        r_eff = effective_round_trip(r_sq, MismatchModel(self.eta))
+        explicit theta, else the phase dialled to outcome k.
+
+        eta is the per-circulation mode overlap of incoming and circulating
+        light (1 perfect alignment, 0 no interference left). The amplitude
+        that does not overlap never interferes again and is treated as loss,
+        so the ideal-model formulas apply at the factor r_sq * eta.
+        """
+        r_eff = r_sq * self.eta
         theta = theta_for_outcome(self.d, self.k) if self.theta is None else self.theta
         return CavityConfig(self.d, r_eff, r_eff, theta, n_prime)
 
@@ -187,7 +191,6 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     :func:`total_error_closed_form`.
     """
     k = config.k
-    window_dark = window_dark_mass(config.d, config.n_prime, config.p_dc)
     prepared = mub_state(config.d, k)
     rows = []
     for r_sq in config.r_grid:
@@ -200,7 +203,10 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
                 f"brute-force error {p_e!r} and closed form {p_e_closed!r} "
                 f"disagree at r_sq={r_sq}"
             )
-        accepted = accepted_probability(probs, window_dark)
+        (dark_probs,) = dark_acceptances(
+            [probs], config.d, [config.n_prime], config.p_dc
+        ).tolist()
+        accepted = accepted_probability(dark_probs)
         _check_dark_model(accepted, f"accepted probability at r_sq={r_sq!r}")
         actual = dataclasses.replace(cfg, r1_sq=r_sq, r2_sq=r_sq)
         rows.append(
@@ -209,7 +215,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
                 p_e_analytic=p_e,
                 p_e_closed_form=p_e_closed,
                 p_d2=d2_total_probability(actual, prepared, include_early=True),
-                p_e_observed=error_ratio(probs, k, window_dark),
+                p_e_observed=error_ratio(dark_probs, k),
                 accepted_probability=accepted,
             )
         )
@@ -244,11 +250,10 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     """Empirical vs analytic statistics as a JSON-ready dict; one kernel pass."""
     dark = DarkCountModel(config.p_dc)
     cfg = config.cavity_config(config.r_grid[0], config.n_prime)
-    window_dark = window_dark_mass(config.d, config.n_prime, config.p_dc)
-    acceptance = setting_acceptances(cfg, config.k)
-    _check_dark_model(
-        max(acceptance) + window_dark, "largest P(m|k) + W p_dc over settings"
-    )
+    (p_analytic,) = dark_acceptances(
+        [setting_acceptances(cfg, config.k)], config.d, [config.n_prime], config.p_dc
+    ).tolist()
+    _check_dark_model(max(p_analytic), "largest P(m|k) + W p_dc over settings")
     stats = run_discrimination(
         d=config.d,
         r1_sq=cfg.r1_sq,
@@ -262,7 +267,6 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     settings = []
     for m in range(config.d):
         frames = stats.setting_frames.get(m, 0)
-        p_analytic = acceptance[m] + window_dark
         p_hat = stats.p_hat(m)
         settings.append(
             {
@@ -270,11 +274,11 @@ def discrimination_report(config: ExperimentConfig) -> dict:
                 "frames": frames,
                 "accepted": stats.setting_accepted.get(m, 0),
                 "p_hat": p_hat,
-                "p_analytic": p_analytic,
-                "z": _z_score(p_hat, p_analytic, frames),
+                "p_analytic": p_analytic[m],
+                "z": _z_score(p_hat, p_analytic[m], frames),
             }
         )
-    p_e_expected = error_ratio(acceptance, config.k, window_dark)
+    p_e_expected = error_ratio(p_analytic, config.k)
     p_e_hat = p_e_z = None
     if stats.accepted_total:
         p_e_hat = stats.p_e_hat()

@@ -1,14 +1,13 @@
-"""Path-mismatch and dark-count effects layered on the ideal cavity model.
+"""Dark-count effects layered on the ideal cavity model.
 
-Two experimental error mechanisms are modelled:
-
-* a length mismatch between the loop and the bin spacing washes out the
-  intended interference; for small mismatch this acts as an effective
-  round-trip factor below the actual one, with the lost amplitude treated
-  as incoherent loss;
-* detector dark counts inside the accepted window masquerade as basis
-  measurements, which couples the error rate to the window cutoff and
-  creates a count-rate / error-rate trade-off.
+Detector dark counts inside the accepted window masquerade as basis
+measurements, which couples the error rate to the window cutoff and
+creates a count-rate / error-rate trade-off. The first-order model is one
+function, :func:`dark_acceptances`, from per-setting acceptance rows to
+per-setting accepted-click rows; every error and count figure here is
+:func:`cavity.error_ratio` or :func:`accepted_probability` of such a row.
+(Path mismatch is no model of its own: it scales the reflectivities, see
+the CLI's ``ExperimentConfig.cavity_config``.)
 """
 
 from __future__ import annotations
@@ -17,27 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence
 
-from .cavity import (
-    CavityConfig,
-    cutoff_acceptances,
-    error_ratio,
-    setting_acceptances,
-)
+import numpy as np
 
-
-@dataclass(frozen=True)
-class MismatchModel:
-    """Per-circulation mode overlap between incoming and circulating light.
-
-    ``eta`` = 1 is perfect alignment; ``eta`` = 0 destroys the interference
-    entirely, leaving uniform outcomes.
-    """
-
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"mode overlap must lie in [0, 1], got {self.eta}")
+from .cavity import CavityConfig, cutoff_acceptances, error_ratio
 
 
 @dataclass(frozen=True)
@@ -53,58 +34,47 @@ class DarkCountModel:
             )
 
 
-def effective_round_trip(r: float, mismatch: MismatchModel) -> float:
-    """Reduced round-trip amplitude factor r' = r * eta.
+def dark_acceptances(
+    acceptances, d: int, cutoffs: Sequence[int], p_dc: float
+) -> np.ndarray:
+    """Each setting's accepted-click probability with dark counts.
 
-    The non-overlapping amplitude fraction never interferes again and is
-    treated as loss, so the ideal-model error formulas apply at r'.
+    ``acceptances`` holds one row of P(m|k) per window cutoff, as
+    :func:`cavity.cutoff_acceptances` returns them; row j gains the dark
+    mass W p_dc of its W = cutoffs[j] - d + 1 accepted bins. Model: one
+    photon per frame, and each accepted bin can fire D2 spuriously with
+    probability p_dc; signal-dark coincidences are neglected, so this is
+    first order and reduces to P(m|k) at p_dc = 0.
+
+    Domain: P(m|k) + W p_dc is a probability only while it stays at most
+    1 for every m; the model is meant for W p_dc << 1, where the neglected
+    coincidences are second order. Outside that domain the rows are still
+    returned but describe no experiment; the CLI rejects such inputs.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"round-trip factor must lie in [0, 1), got {r}")
-    return r * mismatch.eta
+    widths = np.asarray(cutoffs, dtype=float) - d + 1
+    return np.asarray(acceptances, dtype=float) + (widths * p_dc)[:, None]
 
 
-def window_dark_mass(d: int, n_prime: int, p_dc: float) -> float:
-    """First-order dark mass W p_dc over the W = n_prime - d + 1 accepted bins."""
-    return (n_prime - d + 1) * p_dc
-
-
-def accepted_probability(probs: Sequence[float], window_dark: float) -> float:
-    """Per-frame accepted-event probability sum_m P(m|k) / d + W p_dc."""
-    return math.fsum(probs) / len(probs) + window_dark
+def accepted_probability(row: Sequence[float]) -> float:
+    """Per-frame accepted-event probability sum_m row[m] / d, settings
+    drawn uniformly."""
+    return math.fsum(row) / len(row)
 
 
 def observed_error_with_dark_counts(
     cfg: CavityConfig, dark: DarkCountModel, k: int = 0
 ) -> float:
-    """Discrimination error when windowed dark clicks dilute the signal.
-
-    Model: one photon per frame, settings drawn uniformly, and each of the
-    W = n_prime - d + 1 accepted bins can fire D2 spuriously with
-    probability p_dc. To first order (signal-dark coincidences neglected)
-    this is :func:`cavity.error_ratio` with dark mass w = W p_dc per
-    setting, which reduces to the clean error ratio at p_dc = 0.
-
-    Domain: each setting's accepted-click probability in this model is
-    P(m|k) + W p_dc, which is a probability only while it stays at most 1
-    for every m; the model is meant for W p_dc << 1, where the neglected
-    coincidences are second order. Outside that domain the ratio is still
-    returned but describes no experiment; the CLI rejects such inputs.
-    """
-    window_dark = window_dark_mass(cfg.dim, cfg.n_prime, dark.p_dc)
-    return error_ratio(setting_acceptances(cfg, k), k, window_dark)
+    """Discrimination error when windowed dark clicks dilute the signal
+    (first order, :func:`dark_acceptances`)."""
+    return cutoff_tradeoff_scan(cfg, dark, [cfg.n_prime], k)[0].observed_error
 
 
 def accepted_event_probability(
     cfg: CavityConfig, dark: DarkCountModel, k: int = 0
 ) -> float:
-    """Per-frame probability that anything lands in the accepted window.
-
-    Averaged over uniform settings: sum_m P(m|k) / d signal clicks plus the
-    W p_dc dark contribution. The count-rate side of the trade-off.
-    """
-    window_dark = window_dark_mass(cfg.dim, cfg.n_prime, dark.p_dc)
-    return accepted_probability(setting_acceptances(cfg, k), window_dark)
+    """Per-frame probability that anything lands in the accepted window:
+    the count-rate side of the trade-off."""
+    return cutoff_tradeoff_scan(cfg, dark, [cfg.n_prime], k)[0].accepted_probability
 
 
 class TradeoffPoint(NamedTuple):
@@ -123,15 +93,15 @@ def cutoff_tradeoff_scan(
 
     Shrinking the window discards the late bins where dark counts dominate,
     lowering the observed error at the cost of accepted events. One
-    kernel call gives every cutoff's per-setting acceptances: the bin-d
-    probabilities times each window's geometric sum.
+    kernel call gives every cutoff's per-setting acceptances, the bin-d
+    probabilities times each window's geometric sum;
+    :func:`dark_acceptances` adds each window's dark mass to its row.
     """
     cutoffs = [int(n_prime) for n_prime in n_prime_values]
-    acceptances = cutoff_acceptances(cfg, k, cutoffs)
-    points = []
-    for n_prime, row in zip(cutoffs, acceptances):
-        probs = row.tolist()
-        w = window_dark_mass(cfg.dim, n_prime, dark.p_dc)
-        error = error_ratio(probs, k, w)
-        points.append(TradeoffPoint(n_prime, error, accepted_probability(probs, w)))
-    return points
+    rows = dark_acceptances(
+        cutoff_acceptances(cfg, k, cutoffs), cfg.dim, cutoffs, dark.p_dc
+    )
+    return [
+        TradeoffPoint(n_prime, error_ratio(row, k), accepted_probability(row))
+        for n_prime, row in zip(cutoffs, rows.tolist())
+    ]

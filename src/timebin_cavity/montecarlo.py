@@ -268,8 +268,11 @@ def _merge_dark(
     # Log survival per bin, two detectors; log1p/expm1 keep it nonzero and
     # accurate down to the smallest p_dc, where (1 - p_dc)**2 rounds to 1.
     # Clipping at bin_cap keeps the cast in range: bin_cap + 1 means none.
+    # A subnormal log_no_dark overflows the quotient to inf, which the
+    # clip also maps to none.
     log_no_dark = 2.0 * math.log1p(-p_dc)
-    first_dark = np.minimum(np.log1p(-u[:, 2]) / log_no_dark, bin_cap)
+    with np.errstate(over="ignore"):
+        first_dark = np.minimum(np.log1p(-u[:, 2]) / log_no_dark, bin_cap)
     first_dark = np.floor(first_dark).astype(np.int64) + 1
     hit = np.flatnonzero(first_dark <= bin_cap)
     first_dark = first_dark[hit]

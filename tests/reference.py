@@ -82,6 +82,13 @@ def observed_error(d, r_sq, n_prime, p_dc, k=0):
     return ((sum(probs) - probs[k]) + (d - 1) * dark) / (sum(probs) + d * dark)
 
 
+def accepted_probability(d, r_sq, n_prime, p_dc, k=0):
+    """Per-frame accepted-event probability: the mean over settings of the
+    windowed acceptance plus the first-order dark mass of the window."""
+    probs = [window_probability(d, r_sq, r_sq, n_prime, m, k) for m in range(d)]
+    return sum(probs) / d + (n_prime - d + 1) * p_dc
+
+
 def outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap):
     """Exit masses of one input, evolved bin by bin through both splitters.
 

@@ -10,16 +10,14 @@ from conftest import window_cases
 from timebin_cavity import (
     CavityConfig,
     DarkCountModel,
-    MismatchModel,
     accepted_event_probability,
     cutoff_tradeoff_scan,
-    effective_round_trip,
     observed_error_with_dark_counts,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
 )
-from timebin_cavity.cli import ExperimentConfig
+from timebin_cavity.cli import ExperimentConfig, UsageError
 
 
 def symmetric_config(d, r_sq, n_prime):
@@ -31,8 +29,8 @@ def symmetric_config(d, r_sq, n_prime):
 class TestModels:
     @pytest.mark.parametrize("eta", [-0.1, 1.0001])
     def test_mismatch_bounds(self, eta):
-        with pytest.raises(ValueError, match="overlap"):
-            MismatchModel(eta)
+        with pytest.raises(UsageError, match="eta"):
+            ExperimentConfig(d=8, eta=eta).resolved()
 
     @pytest.mark.parametrize("p_dc", [-1e-9, 1.0])
     def test_dark_count_bounds(self, p_dc):
@@ -40,23 +38,28 @@ class TestModels:
             DarkCountModel(p_dc)
 
 
+def effective_round_trip(d, r, eta):
+    """The factor both mirrors get for grid value r at mode overlap eta."""
+    return ExperimentConfig(d=d, eta=eta).resolved().cavity_config(r, 4 * d).r1_sq
+
+
 class TestEffectiveRoundTrip:
     def test_perfect_overlap_is_identity(self):
-        assert effective_round_trip(0.9, MismatchModel(1.0)) == 0.9
+        assert effective_round_trip(8, 0.9, 1.0) == 0.9
 
     def test_total_mismatch_kills_interference(self):
-        r_eff = effective_round_trip(0.9, MismatchModel(0.0))
+        r_eff = effective_round_trip(8, 0.9, 0.0)
         assert r_eff == 0.0
         assert total_error_closed_form(r_eff, 8) == pytest.approx(7.0 / 8.0)
 
     def test_small_mismatch_increases_error(self):
-        r_eff = effective_round_trip(0.9, MismatchModel(0.99))
+        r_eff = effective_round_trip(16, 0.9, 0.99)
         assert r_eff == pytest.approx(0.891)
         assert total_error_closed_form(r_eff, 16) > total_error_closed_form(0.9, 16)
 
     def test_domain_check(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            effective_round_trip(1.0, MismatchModel(0.9))
+        with pytest.raises(UsageError, match=r"\[0, 1\)"):
+            ExperimentConfig(d=8, r_grid=[1.0], eta=0.9).resolved()
 
 
 class TestMismatchWiring:
@@ -71,7 +74,7 @@ class TestMismatchWiring:
     @pytest.mark.parametrize("eta", [1.0, 0.99, 0.0])
     def test_both_mirrors_see_reduced_factor(self, eta):
         cfg = ExperimentConfig(d=16, eta=eta).cavity_config(0.9, 64)
-        assert cfg.r1_sq == cfg.r2_sq == effective_round_trip(0.9, MismatchModel(eta))
+        assert cfg.r1_sq == cfg.r2_sq
         assert cfg.r1_sq == pytest.approx(0.9 * eta, abs=1e-15)
 
 class TestObservedErrorWithDarkCounts:
@@ -172,6 +175,27 @@ class TestCutoffTradeoffScan:
             ) <= 1e-13
             assert abs(
                 point.accepted_probability - accepted_event_probability(sub, dark, k)
+            ) <= 1e-13
+
+    @given(
+        case=window_cases(),
+        p_dc=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_bin_reference(self, case, p_dc, data):
+        # independent of the kernel and of the package's dark arithmetic
+        d, r, n_prime, k = case
+        cfg = symmetric_config(d, r, n_prime=n_prime)
+        cutoffs = data.draw(st.lists(st.integers(d, n_prime), min_size=1, max_size=3))
+        for point in cutoff_tradeoff_scan(cfg, DarkCountModel(p_dc), cutoffs, k):
+            n = point.n_prime
+            assert abs(
+                point.observed_error - reference.observed_error(d, r, n, p_dc, k)
+            ) <= 1e-13
+            assert abs(
+                point.accepted_probability
+                - reference.accepted_probability(d, r, n, p_dc, k)
             ) <= 1e-13
 
     @given(case=window_cases(), p_dc=st.sampled_from([0.0, 1e-6, 1e-4]))

@@ -197,6 +197,18 @@ class TestDarkCounts:
             clean = run_trials(cfg, state, NO_DARK, n, 17)
             assert stats.counts == clean.counts
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p_dc", [1e-310, 5e-324])
+    def test_subnormal_dark_rate_does_not_overflow(self, p_dc):
+        # the per-bin log survival is subnormal: the first-dark quotient
+        # overflows to inf, which means no dark click inside the cap, as
+        # at a tiny normal p_dc with the same variates per trial
+        stats = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(p_dc), 1000, 1)
+        tiny = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(1e-300), 1000, 1)
+        assert stats.dark_clicks == tiny.dark_clicks == 0
+        assert stats.counts == tiny.counts
+        assert stats.setting_accepted == tiny.setting_accepted
+
     def test_zero_dark_rate_never_flags_dark(self):
         cfg = symmetric_config(2, 0.5, 6)
         stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 10_000, 3)
