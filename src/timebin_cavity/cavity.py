@@ -178,12 +178,6 @@ def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
     return float(cfg.r1_sq * abs(state.amps[n - 1]) ** 2)
 
 
-def _round_trips(cfg: CavityConfig, trips, phi) -> np.ndarray:
-    """(r e^{-i phi})^trips, elementwise over ``trips`` and ``phi`` broadcast
-    together: a slot's D2 amplitude factor after that many round trips."""
-    return cfg.r**trips * np.exp(-1j * np.multiply(phi, trips))
-
-
 def _window_sums(cfg: CavityConfig, widths) -> np.ndarray:
     """sum_{j=0}^{W-1} r^(2j) for each window width W, one per entry.
 
@@ -206,11 +200,11 @@ def cutoff_acceptances(
 
     From bin d on every input slot is inside the loop, so the D2 amplitude
     at bin N is t1 t2 (r e^{-i phi})^(N-d) A(phi), with
-    A(phi) = sum_n r^n e^{-i n phi} psi_(d-n). One d x d product of
-    r^n e^{-i n phi_m}, phi_m = 2 pi m / d, with the reversed input gives
-    A for every setting, and row j is the bin-d probability (t1 t2)^2 |A|^2
-    times the window sum over the bins d..cutoffs[j] (:func:`_window_sums`).
-    The cost is O(d^2) however wide the window is. ``cfg.n_prime`` and the
+    A(phi) = sum_n r^n e^{-i n phi} psi_(d-n). At phi_m = 2 pi m / d that
+    is the length-d DFT of r^n psi_(d-n), so one FFT gives A for every
+    setting, and row j is the bin-d probability (t1 t2)^2 |A|^2 times the
+    window sum over the bins d..cutoffs[j] (:func:`_window_sums`). The cost
+    is O(d log d) however wide the window is. ``cfg.n_prime`` and the
     config's own ``theta`` are not used.
     """
     d = cfg.dim
@@ -220,8 +214,7 @@ def cutoff_acceptances(
                 f"cutoff {cutoff} precedes the measurement window "
                 f"(first accepted bin is {d})"
             )
-    phases = TWO_PI * np.arange(d) / d
-    amp = _round_trips(cfg, np.arange(d), phases[:, None]) @ mub_state(d, k).amps[::-1]
+    amp = np.fft.fft(cfg.r ** np.arange(d, dtype=float) * mub_state(d, k).amps[::-1])
     first_bin = (1.0 - cfg.r1_sq) * (1.0 - cfg.r2_sq) * (amp.real**2 + amp.imag**2)
     widths = np.asarray(cutoffs, dtype=float) - d + 1
     return np.multiply.outer(_window_sums(cfg, widths), first_bin)
@@ -297,15 +290,16 @@ def d2_total_probability(
     window [d, n_prime] only: the bin-d probability times the window sum,
     as in :func:`cutoff_acceptances`. With ``include_early=True`` the
     inconclusive bins 1..d-1 are counted as well, giving the full mass the
-    detector sees up to bin n_prime. The D2 amplitudes of the entry bins
-    1..d are one lower-triangular d x d product: at bin b, slot j has made
-    b - j round trips, and slots that enter after bin b contribute nothing.
+    detector sees up to bin n_prime. At bin b, slot j has made b - j round
+    trips and slots that enter after bin b contribute nothing, so the D2
+    amplitudes of the entry bins 1..d are the causal convolution of the
+    input with (r e^{-i phi})^n: one length-2d FFT product.
     """
     _check_input(cfg, state)
     d = cfg.dim
-    trips = np.subtract.outer(np.arange(d), np.arange(d))
-    loop = np.tril(_round_trips(cfg, np.maximum(trips, 0), cfg.phi))
-    amp = loop @ state.amps
+    trips = np.arange(d, dtype=float)
+    steps = cfg.r**trips * np.exp(-1j * cfg.phi * trips)
+    amp = np.fft.ifft(np.fft.fft(steps, 2 * d) * np.fft.fft(state.amps, 2 * d))[:d]
     probs = (1.0 - cfg.r1_sq) * (1.0 - cfg.r2_sq) * (amp.real**2 + amp.imag**2)
     total = float(probs[-1] * _window_sums(cfg, cfg.n_prime - d + 1))
     if include_early:

@@ -23,9 +23,9 @@ from typing import List, Optional, Sequence
 
 from .cavity import (
     CavityConfig,
+    cutoff_acceptances,
     d2_total_probability,
     error_ratio,
-    setting_acceptances,
     theta_for_outcome,
     total_error,  # noqa: F401  (bound for the benchmark's traced run)
     total_error_closed_form,
@@ -34,8 +34,9 @@ from .imperfections import (
     DarkCountModel,
     TradeoffPoint,
     accepted_probability,
-    cutoff_tradeoff_scan,
+    cutoff_tradeoff_scan,  # noqa: F401  (bound for the benchmark's traced run)
     dark_acceptances,
+    tradeoff_points,
 )
 from .montecarlo import MAX_WINDOW_CELLS, check_window_size, run_discrimination
 from .states import mub_state, verify_mub
@@ -43,10 +44,15 @@ from .states import mub_state, verify_mub
 MUB_TOLERANCE = 1e-12
 CLOSED_FORM_TOLERANCE = 1e-10
 # Size caps, checked before anything is allocated. mub-verify stacks a d x d
-# complex matrix. The window commands share the sampler's cap on
-# d * (n_prime + d) cells, MAX_WINDOW_CELLS. An a:b:step r-grid spec names at
-# most MAX_GRID_POINTS values.
+# complex matrix. The analytic kernel holds O(d) numbers per grid value
+# whatever the window, so d alone is capped, at MAX_ANALYTIC_DIM (above 1448,
+# the largest d any window under the cell cap allowed), and every cutoff at
+# MAX_CUTOFF, below which bin counts are exact as floats. discriminate's
+# sampler also keeps its cap on d * (n_prime + d) cells, MAX_WINDOW_CELLS. An
+# a:b:step r-grid spec names at most MAX_GRID_POINTS values.
 MAX_MUB_DIM = 1024
+MAX_ANALYTIC_DIM = 2048
+MAX_CUTOFF = 2**53
 MAX_GRID_POINTS = 10**5
 
 
@@ -82,6 +88,8 @@ class ExperimentConfig:
         cfg = dataclasses.replace(self)
         if cfg.d < 2:
             raise UsageError(f"d must be >= 2 for basis experiments, got {cfg.d}")
+        if cfg.d > MAX_ANALYTIC_DIM:
+            raise UsageError(f"d = {cfg.d} exceeds the size cap {MAX_ANALYTIC_DIM}")
         if not cfg.r_grid:
             raise UsageError("r_grid must contain at least one value")
         for value in cfg.r_grid:
@@ -93,12 +101,11 @@ class ExperimentConfig:
             raise UsageError(f"theta must be finite, got {cfg.theta}")
         if cfg.n_prime is None:
             cfg.n_prime = 4 * cfg.d
-        if cfg.n_prime < cfg.d:
-            raise UsageError(f"n_prime must be >= d, got {cfg.n_prime}")
-        if cfg.n_prime_values is not None:
-            for value in cfg.n_prime_values:
-                if value < cfg.d:
-                    raise UsageError(f"cutoff {value} must be >= d ({cfg.d})")
+        if not cfg.d <= cfg.n_prime <= MAX_CUTOFF:
+            raise UsageError(f"n_prime must lie in [d, 2**53], got {cfg.n_prime}")
+        for value in cfg.n_prime_values or []:
+            if not cfg.d <= value <= MAX_CUTOFF:
+                raise UsageError(f"cutoff {value} must lie in [d, 2**53], d = {cfg.d}")
         if not 0.0 <= cfg.eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {cfg.eta}")
         if not 0.0 <= cfg.p_dc < 1.0:
@@ -167,14 +174,22 @@ def emit_json(rows: Sequence, columns: Sequence[str]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _check_dark_model(probability: float, what: str) -> None:
-    """Reject inputs where the first-order dark-count model exceeds 1."""
-    if probability > 1.0:
-        raise UsageError(
-            f"{what} = {probability!r} exceeds 1: the first-order dark-count "
-            "model holds only while W p_dc, W = n_prime - d + 1 accepted bins, "
-            "stays well below 1; lower p_dc or n_prime"
-        )
+def _accepted_rows(config: ExperimentConfig, r_sq: float, cutoffs: Sequence[int]):
+    """The cavity at grid value r_sq, and its P(m|k) and P(m|k) + W p_dc,
+    one row per cutoff, from one kernel pass. Rejects the input if any
+    setting's P(m|k) + W p_dc exceeds 1."""
+    cfg = config.cavity_config(r_sq, max(cutoffs))
+    probs = cutoff_acceptances(cfg, config.k, cutoffs)
+    rows = dark_acceptances(probs, config.d, cutoffs, config.p_dc)
+    for n_prime, row in zip(cutoffs, rows.tolist()):
+        if max(row) > 1.0:
+            raise UsageError(
+                f"largest P(m|k) + W p_dc over settings at r_sq={r_sq!r}, "
+                f"n_prime={n_prime} = {max(row)!r} exceeds 1: the first-order "
+                "dark-count model holds only while W p_dc, W = n_prime - d + 1 "
+                "accepted bins, stays well below 1; lower p_dc or n_prime"
+            )
+    return cfg, probs, rows
 
 
 def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
@@ -186,28 +201,22 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
 
     The exit-2 check stays independent of the kernel: the kernel's window
     sum is one factor common to every setting and cancels in the error
-    ratio, so the check compares the numerical d-term amplitude sums
-    |A(2 pi m / d)|^2 with the analytic sum over j in
-    :func:`total_error_closed_form`.
+    ratio, so it compares the kernel's per-setting |A(2 pi m / d)|^2 with
+    the analytic sum over j in :func:`total_error_closed_form`.
     """
     k = config.k
     prepared = mub_state(config.d, k)
     rows = []
     for r_sq in config.r_grid:
-        cfg = config.cavity_config(r_sq, config.n_prime)
-        probs = setting_acceptances(cfg, k)
-        p_e = error_ratio(probs, k)
+        cfg, (probs,), (dark_probs,) = _accepted_rows(config, r_sq, [config.n_prime])
+        p_e = error_ratio(probs.tolist(), k)
         p_e_closed = total_error_closed_form(cfg.r1_sq, config.d)
         if abs(p_e - p_e_closed) > CLOSED_FORM_TOLERANCE:
             raise NumericalInvariantViolation(
                 f"brute-force error {p_e!r} and closed form {p_e_closed!r} "
                 f"disagree at r_sq={r_sq}"
             )
-        (dark_probs,) = dark_acceptances(
-            [probs], config.d, [config.n_prime], config.p_dc
-        ).tolist()
-        accepted = accepted_probability(dark_probs)
-        _check_dark_model(accepted, f"accepted probability at r_sq={r_sq!r}")
+        dark_probs = dark_probs.tolist()
         actual = dataclasses.replace(cfg, r1_sq=r_sq, r2_sq=r_sq)
         rows.append(
             SweepRow(
@@ -216,28 +225,22 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
                 p_e_closed_form=p_e_closed,
                 p_d2=d2_total_probability(actual, prepared, include_early=True),
                 p_e_observed=error_ratio(dark_probs, k),
-                accepted_probability=accepted,
+                accepted_probability=accepted_probability(dark_probs),
             )
         )
     return rows
 
 
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
-    if not config.n_prime_values:
+    """:func:`imperfections.cutoff_tradeoff_scan` at the first grid value."""
+    cutoffs = config.n_prime_values
+    if not cutoffs:
         raise UsageError(
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
             "or set n_prime_values in the config file"
         )
-    cfg = config.cavity_config(config.r_grid[0], max(config.n_prime_values))
-    points = cutoff_tradeoff_scan(
-        cfg, DarkCountModel(config.p_dc), config.n_prime_values, config.k
-    )
-    for point in points:
-        _check_dark_model(
-            point.accepted_probability,
-            f"accepted probability at n_prime={point.n_prime}",
-        )
-    return points
+    _, _, rows = _accepted_rows(config, config.r_grid[0], cutoffs)
+    return tradeoff_points(rows, cutoffs, config.k)
 
 
 def _z_score(observed: float, expected: float, n: int) -> float:
@@ -248,19 +251,15 @@ def _z_score(observed: float, expected: float, n: int) -> float:
 
 def discrimination_report(config: ExperimentConfig) -> dict:
     """Empirical vs analytic statistics as a JSON-ready dict; one kernel pass."""
-    dark = DarkCountModel(config.p_dc)
-    cfg = config.cavity_config(config.r_grid[0], config.n_prime)
-    (p_analytic,) = dark_acceptances(
-        [setting_acceptances(cfg, config.k)], config.d, [config.n_prime], config.p_dc
-    ).tolist()
-    _check_dark_model(max(p_analytic), "largest P(m|k) + W p_dc over settings")
+    cfg, _, (p_analytic,) = _accepted_rows(config, config.r_grid[0], [config.n_prime])
+    p_analytic = p_analytic.tolist()
     stats = run_discrimination(
         d=config.d,
         r1_sq=cfg.r1_sq,
         r2_sq=cfg.r2_sq,
         n_prime=config.n_prime,
         prepared_k=config.k,
-        dark=dark,
+        dark=DarkCountModel(config.p_dc),
         n_trials=config.n_trials,
         master_seed=config.master_seed,
     )
@@ -339,7 +338,6 @@ def cmd_mub_verify(args) -> int:
 
 def cmd_error_sweep(args) -> int:
     config = _load_config(args).resolved()
-    config.check_window(config.n_prime)
     rows = compute_sweep(config)
     _emit_rows(rows, SWEEP_COLUMNS, config)
     return 0
@@ -359,8 +357,6 @@ def cmd_discriminate(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     config = _load_config(args).resolved()
-    if config.n_prime_values:  # tradeoff never builds the n_prime window
-        config.check_window(max(config.n_prime_values))
     rows = compute_tradeoff(config)
     _emit_rows(rows, TRADEOFF_COLUMNS, config)
     return 0

@@ -101,6 +101,14 @@ def cutoff_tradeoff_scan(
     rows = dark_acceptances(
         cutoff_acceptances(cfg, k, cutoffs), cfg.dim, cutoffs, dark.p_dc
     )
+    return tradeoff_points(rows, cutoffs, k)
+
+
+def tradeoff_points(
+    rows: np.ndarray, cutoffs: Sequence[int], k: int
+) -> List[TradeoffPoint]:
+    """One point per cutoff from its row of accepted-click probabilities
+    (:func:`dark_acceptances`)."""
     return [
         TradeoffPoint(n_prime, error_ratio(row, k), accepted_probability(row))
         for n_prime, row in zip(cutoffs, rows.tolist())

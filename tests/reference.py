@@ -132,6 +132,43 @@ def masked_lookup(cdf_rows, settings, u):
     return cols
 
 
+def _cos_sin(x):
+    """cos x and sin x by their Taylor series in the current decimal context."""
+    cos, sin = decimal.Decimal(0), decimal.Decimal(0)
+    term, n = decimal.Decimal(1), 0
+    while True:
+        new_cos = cos + term if n % 4 == 0 else cos - term if n % 4 == 2 else cos
+        new_sin = sin + term if n % 4 == 1 else sin - term if n % 4 == 3 else sin
+        if n > 1 and new_cos == cos and new_sin == sin:
+            return cos, sin
+        cos, sin = new_cos, new_sin
+        n += 1
+        term = term * x / n
+
+
+def d2_mass_decimal(d, r1_sq, r2_sq, phi, xi, lo, hi, digits=50):
+    """:func:`d2_mass` in ``digits``-digit decimal arithmetic from the exact
+    binary values of the float inputs, bin by bin through the recurrence
+    amp_b = r e^{-i phi} amp_{b-1} + t1 t2 xi_b (the input term for b <= d)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        t1t2 = ((1 - D(r1_sq)) * (1 - D(r2_sq))).sqrt()
+        r = (D(r1_sq) * D(r2_sq)).sqrt()
+        cos, sin = _cos_sin(D(phi))
+        step_re, step_im = r * cos, -r * sin
+        re, im, total = D(0), D(0), D(0)
+        for b in range(1, hi + 1):
+            re, im = step_re * re - step_im * im, step_re * im + step_im * re
+            if b <= d:
+                x = complex(xi[b - 1])
+                re += t1t2 * D(x.real)
+                im += t1t2 * D(x.imag)
+            if b >= lo:
+                total += re * re + im * im
+        return float(total)
+
+
 def window_sum(r1_sq, r2_sq, width, digits=50):
     """sum_{j=0}^{width-1} (r1_sq r2_sq)^j in ``digits``-digit decimal
     arithmetic, from the exact binary values of the float inputs."""

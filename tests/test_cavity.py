@@ -201,18 +201,24 @@ def per_bin_acceptances(cfg, k):
     return np.diff(sums, axis=0, prepend=0.0)
 
 
+near_unity_r_sq = st.one_of(
+    st.floats(0.0, 0.999),
+    st.floats(1e-9, 1e-3).map(lambda gap: 1.0 - gap),
+)
+
+
 @st.composite
 def long_window_cases(draw):
     """(d <= 4, r_sq up to 1 - 1e-9, two cutoffs up to d + 3000, k)."""
     d = draw(st.integers(1, 4))
-    r_sq = draw(
-        st.one_of(
-            st.floats(0.0, 0.999),
-            st.floats(1e-9, 1e-3).map(lambda gap: 1.0 - gap),
-        )
-    )
+    r_sq = draw(near_unity_r_sq)
     cutoffs = draw(st.lists(st.integers(d, d + 3000), min_size=2, max_size=2))
     return d, r_sq, cutoffs, draw(st.integers(0, d - 1))
+
+
+# pocketfft takes other code paths at prime and odd composite lengths than
+# at the powers of two and small d the other cases draw.
+FFT_PATH_DIMS = [61, 97, 127, 243]
 
 
 class TestWindowedAcceptanceKernel:
@@ -251,6 +257,26 @@ class TestWindowedAcceptanceKernel:
                 for m in range(d)
             ]
             assert np.max(np.abs(row - oracle)) <= 1e-13 * math.fsum(oracle)
+
+    @given(
+        d=st.sampled_from(FFT_PATH_DIMS),
+        r_sq=near_unity_r_sq,
+        extra=st.integers(0, 2),
+        data=st.data(),
+    )
+    @example(d=243, r_sq=0.0, extra=0, data=None)
+    @example(d=127, r_sq=1.0 - 1e-9, extra=2, data=None)
+    @settings(max_examples=8, deadline=None)
+    def test_fft_lengths_match_reference(self, d, r_sq, extra, data):
+        # the long-window tolerance: near r = 1 every P(m|k) is small
+        k = data.draw(st.integers(0, d - 1)) if data else d // 3
+        cutoff = d + extra
+        (row,) = cutoff_acceptances(symmetric_config(d, r_sq), k, [cutoff])
+        oracle = [
+            reference.window_probability(d, r_sq, r_sq, cutoff, m, k)
+            for m in range(d)
+        ]
+        assert np.max(np.abs(row - oracle)) <= 1e-13 * math.fsum(oracle)
 
     @pytest.mark.parametrize("r_sq", [0.999999, 1.0 - 1e-9])
     def test_window_sum_matches_decimal_oracle(self, r_sq):
@@ -471,6 +497,48 @@ class TestD2TotalProbability:
             value = d2_total_probability(cfg, state, include_early=include_early)
             assert value == pytest.approx(expected, abs=1e-13)
             assert value <= 1.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from(FFT_PATH_DIMS),
+        basis=st.booleans(),
+        r1_sq=near_unity_r_sq,
+        r2_sq=near_unity_r_sq,
+        theta=st.floats(-math.pi, math.pi),
+        extra=st.integers(0, 3),
+    )
+    @example(seed=1, d=243, basis=False, r1_sq=0.0, r2_sq=0.0, theta=0.0, extra=0)
+    @example(
+        seed=2, d=61, basis=True, r1_sq=1 - 1e-9, r2_sq=1 - 1e-9, theta=1.0, extra=3
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_fft_lengths_match_reference_mass(
+        self, seed, d, basis, r1_sq, r2_sq, theta, extra
+    ):
+        # The entry bins are a length-2d FFT convolution. Near r = 1 every
+        # bin's mass carries (1 - r1^2)(1 - r2^2), so the gap to the 50-digit
+        # oracle is also held to that scale over the d entry bins, not only
+        # in absolute terms. Rounding r = sqrt(r1^2 r2^2) to a double already
+        # moves r^n by up to n ulps, so no double-precision kernel, the
+        # plain-float reference included, is closer than about d ulps of a
+        # mass that reaches d (1 - r1^2)(1 - r2^2).
+        rng = np.random.default_rng(seed)
+        if basis:
+            state = basis_state(d, int(rng.integers(1, d + 1)))
+        else:
+            state = random_normalized_state(rng, d)
+        cfg = CavityConfig(d, r1_sq, r2_sq, theta, d + extra)
+        amps = list(state.amps)
+        for include_early, first in ((True, 1), (False, d)):
+            expected = reference.d2_mass(
+                d, r1_sq, r2_sq, cfg.phi, amps, first, d + extra
+            )
+            value = d2_total_probability(cfg, state, include_early=include_early)
+            assert value == pytest.approx(expected, abs=1e-13)
+            exact = reference.d2_mass_decimal(
+                d, r1_sq, r2_sq, cfg.phi, amps, first, d + extra
+            )
+            assert abs(value - exact) <= 1e-13 * d * (1 - r1_sq) * (1 - r2_sq)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -5,7 +5,15 @@ import math
 import pytest
 
 from conftest import parse_sweep, parse_tradeoff
-from timebin_cavity import CavityConfig, DarkCountModel, cavity, cli
+from timebin_cavity import (
+    CavityConfig,
+    DarkCountModel,
+    cavity,
+    cli,
+    mub_state,
+    theta_for_outcome,
+    total_error_closed_form,
+)
 from timebin_cavity.imperfections import (
     accepted_event_probability,
     observed_error_with_dark_counts,
@@ -68,7 +76,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            (dict(d=1), "d must be"),
+            (dict(d=1), "d must be >= 2 for basis experiments"),
+            (dict(d=2049), "d = 2049 exceeds the size cap 2048"),
             (dict(r_grid=[1.0]), "r_grid"),
             (dict(eta=1.5), "eta"),
             (dict(p_dc=1.0), "p_dc"),
@@ -115,7 +124,8 @@ class TestRoundTrip:
 
 
 class TestOneKernelPass:
-    """Every analytic column of a sweep row or a report comes from one pass."""
+    """Every analytic column of a sweep row, a tradeoff or a report comes
+    from one kernel pass."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -126,7 +136,8 @@ class TestOneKernelPass:
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(cavity, "cutoff_acceptances", counted)
+        for module in (cavity, cli):
+            monkeypatch.setattr(module, "cutoff_acceptances", counted)
         return calls
 
     def test_once_per_sweep_row(self, kernel_calls):
@@ -136,6 +147,11 @@ class TestOneKernelPass:
         rows = compute_sweep(config)
         assert len(kernel_calls) == len(rows) == 3
 
+    def test_once_per_tradeoff(self, kernel_calls):
+        config = ExperimentConfig(d=4, p_dc=1e-4, n_prime_values=[4, 8, 16]).resolved()
+        assert len(cli.compute_tradeoff(config)) == 3
+        assert len(kernel_calls) == 1
+
     def test_once_per_report(self, kernel_calls):
         config = ExperimentConfig(
             d=4, r_grid=[0.6], eta=0.97, p_dc=1e-4, n_trials=1000
@@ -143,18 +159,33 @@ class TestOneKernelPass:
         cli.discrimination_report(config)
         assert len(kernel_calls) == 1
 
-    def test_columns_equal_the_library_functions(self):
+    @pytest.mark.parametrize("d", [2, 3, 16, 61])
+    def test_columns_equal_the_library_functions(self, d):
+        k, n_prime = d // 2, 3 * d
         config = ExperimentConfig(
-            d=4, r_grid=[0.3, 0.9], k=2, eta=0.97, p_dc=1e-4, n_prime=12
+            d=d,
+            r_grid=[0.0, 0.3, 0.9, 0.99, 0.999999, 1.0 - 1e-9, 0.5],
+            k=k,
+            eta=0.97,
+            p_dc=1e-4,
+            n_prime=n_prime,
         ).resolved()
         dark = DarkCountModel(config.p_dc)
+        prepared = mub_state(d, k)
         for row in compute_sweep(config):
             r_eff = row.r_sq * config.eta
-            cfg = CavityConfig(4, r_eff, r_eff, 0.0, 12)
-            assert row.p_e_analytic == cli.total_error(cfg, 2)
-            assert row.p_e_observed == observed_error_with_dark_counts(cfg, dark, 2)
+            cfg = CavityConfig(d, r_eff, r_eff, 0.0, n_prime)
+            actual = CavityConfig(
+                d, row.r_sq, row.r_sq, theta_for_outcome(d, k), n_prime
+            )
+            assert row.p_e_analytic == cli.total_error(cfg, k)
+            assert row.p_e_closed_form == total_error_closed_form(r_eff, d)
+            assert row.p_d2 == cli.d2_total_probability(
+                actual, prepared, include_early=True
+            )
+            assert row.p_e_observed == observed_error_with_dark_counts(cfg, dark, k)
             assert row.accepted_probability == accepted_event_probability(
-                cfg, dark, 2
+                cfg, dark, k
             )
 
 
@@ -428,10 +459,16 @@ class TestSizeCaps:
         [
             ("error-sweep", ["--d", "256"], "compute_sweep", []),
             ("discriminate", ["--d", "256"], "discrimination_report", {}),
-            # the default n' = 4d would exceed the cap; only cutoffs count
+            # the analytic commands cap d, not the window
+            (
+                "error-sweep",
+                ["--d", str(cli.MAX_ANALYTIC_DIM), "--n-prime", str(cli.MAX_CUTOFF)],
+                "compute_sweep",
+                [],
+            ),
             (
                 "tradeoff",
-                ["--d", "1000", "--n-prime", "1000,1010"],
+                ["--d", str(cli.MAX_ANALYTIC_DIM), "--n-prime", f"2048,{2**53}"],
                 "compute_tradeoff",
                 [],
             ),
@@ -443,21 +480,68 @@ class TestSizeCaps:
         monkeypatch.setattr(cli, target, lambda config: stub)
         assert run_cli(command, *flags) == 0
 
+    def test_analytic_cap_admits_every_window_the_cell_cap_did(self):
+        # d = 1448 was the largest d with 2 d^2 cells under MAX_WINDOW_CELLS
+        assert 2 * 1448**2 <= cli.MAX_WINDOW_CELLS < 2 * 1449**2
+        assert cli.MAX_ANALYTIC_DIM >= 1448
+
     @pytest.mark.parametrize(
-        "command,flags,target",
+        "command,window",
         [
-            ("error-sweep", ["--d", "4", "--n-prime", str(10**10)], "compute_sweep"),
-            ("tradeoff", ["--d", "4", "--n-prime", f"4,{10**10}"], "compute_tradeoff"),
-            ("discriminate", ["--d", "100000"], "discrimination_report"),
+            ("error-sweep", ["--n-prime", "2097151"]),
+            ("tradeoff", ["--n-prime", "2,1000,2097151,1000000000000"]),
         ],
     )
-    def test_window_commands_reject_huge_sizes(
-        self, monkeypatch, capsys, command, flags, target
+    def test_window_is_no_longer_capped(self, capsys, command, window):
+        # d * (n' + d) used to exceed the cell cap here
+        flags = ["--d", "2", "--r-grid", "0.999999", *window, "--format", "json"]
+        assert run_cli(command, *flags) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row in rows:
+            for name, value in row.items():
+                if name not in ("r_sq", "n_prime"):
+                    assert 0.0 <= value <= 1.0, (name, value)
+
+    def test_largest_window_of_the_cell_cap_runs(self, capsys):
+        assert run_cli("error-sweep", "--d", "1448", "--n-prime", "1448") == 0
+        assert len(parse_sweep(capsys.readouterr().out, "csv")) == 10
+
+    @pytest.mark.parametrize(
+        "command,flags,target,match",
+        [
+            (
+                "error-sweep",
+                ["--d", str(cli.MAX_ANALYTIC_DIM + 1)],
+                "compute_sweep",
+                "size cap",
+            ),
+            (
+                "tradeoff",
+                ["--d", str(cli.MAX_ANALYTIC_DIM + 1), "--n-prime", "4000,5000"],
+                "compute_tradeoff",
+                "size cap",
+            ),
+            *(
+                ("error-sweep", ["--d", "4", "--n-prime", n], "compute_sweep", "2**53")
+                for n in (str(2**53 + 1), str(10**400))
+            ),
+            (
+                "tradeoff",
+                ["--d", "4", "--n-prime", f"4,{10**400}"],
+                "compute_tradeoff",
+                "2**53",
+            ),
+            ("discriminate", ["--d", "100000"], "discrimination_report", "size cap"),
+        ],
+    )
+    def test_commands_reject_huge_sizes(
+        self, monkeypatch, capsys, command, flags, target, match
     ):
         monkeypatch.setattr(cli, target, _must_not_run)
+        monkeypatch.setattr(cli, "mub_state", _must_not_run)
         assert run_cli(command, *flags) == 1
-        assert "size cap" in capsys.readouterr().err
-
+        captured = capsys.readouterr()
+        assert match in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "spec,match",
@@ -500,6 +584,24 @@ class TestDarkModelDomain:
         assert "exceeds 1" in captured.err and "dark-count model" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("discriminate", ["--n-prime", "2", "--trials", "100", "--seed", "1"]),
+            ("error-sweep", ["--n-prime", "2"]),
+            ("tradeoff", ["--n-prime", "2,2"]),
+        ],
+    )
+    def test_largest_setting_is_checked(self, capsys, command, flags):
+        # Here P(0|0) + W p_dc = 1.04005 although the mean over the two
+        # settings, the accepted probability, is 0.959.
+        argv = [command, "--d", "2", "--r-grid", "0.1", "--p-dc", "0.55", *flags]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert "largest P(m|k) + W p_dc over settings" in captured.err
+        assert "= 1.04005" in captured.err and "exceeds 1" in captured.err
+        assert captured.out == ""
 
     def test_inputs_inside_the_domain_still_run(self, capsys):
         argv = ["--d", "2", "--p-dc", "0.01", "--r-grid", "0.5"]
