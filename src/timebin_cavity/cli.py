@@ -38,7 +38,12 @@ from .imperfections import (
     dark_acceptances,
     tradeoff_points,
 )
-from .montecarlo import MAX_WINDOW_CELLS, check_window_size, run_discrimination
+from .montecarlo import (
+    MAX_TRIALS,
+    MAX_WINDOW_CELLS,
+    check_window_size,
+    run_discrimination,
+)
 from .states import mub_state, verify_mub
 
 MUB_TOLERANCE = 1e-12
@@ -48,8 +53,9 @@ CLOSED_FORM_TOLERANCE = 1e-10
 # whatever the window, so d alone is capped, at MAX_ANALYTIC_DIM (above 1448,
 # the largest d any window under the cell cap allowed), and every cutoff at
 # MAX_CUTOFF, below which bin counts are exact as floats. discriminate's
-# sampler also keeps its cap on d * (n_prime + d) cells, MAX_WINDOW_CELLS. An
-# a:b:step r-grid spec names at most MAX_GRID_POINTS values.
+# sampler also keeps its cap on d * (n_prime + d) cells, MAX_WINDOW_CELLS, and
+# on trials, MAX_TRIALS. An a:b:step r-grid spec names at most MAX_GRID_POINTS
+# values.
 MAX_MUB_DIM = 1024
 MAX_ANALYTIC_DIM = 2048
 MAX_CUTOFF = 2**53
@@ -110,8 +116,8 @@ class ExperimentConfig:
             raise UsageError(f"eta must lie in [0, 1], got {cfg.eta}")
         if not 0.0 <= cfg.p_dc < 1.0:
             raise UsageError(f"p_dc must lie in [0, 1), got {cfg.p_dc}")
-        if cfg.n_trials < 1:
-            raise UsageError(f"trials must be >= 1, got {cfg.n_trials}")
+        if not 1 <= cfg.n_trials <= MAX_TRIALS:
+            raise UsageError(f"trials must lie in [1, 2**63 - 1], got {cfg.n_trials}")
         if not 0 <= cfg.master_seed < 2**128:
             raise UsageError(
                 "seed must lie in [0, 2**128), the Philox key range, "

@@ -17,6 +17,14 @@ def within_binomial_error(observed_freq, p, n, sigmas=5.0):
     return abs(observed_freq - p) <= sigmas * sigma
 
 
+def within_two_sample_error(count_a, n_a, count_b, n_b, sigmas=5.0):
+    """Two binomial counts agree: their frequencies differ by at most
+    ``sigmas`` standard errors of the difference under the pooled rate."""
+    p = (count_a + count_b) / (n_a + n_b)
+    sigma = np.sqrt(max(p * (1.0 - p), 1e-300) * (1.0 / n_a + 1.0 / n_b))
+    return abs(count_a / n_a - count_b / n_b) <= sigmas * sigma
+
+
 def retry_once(check, seeds):
     """Run a seeded statistical check with the one-rerun flakiness budget.
 

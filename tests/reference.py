@@ -3,13 +3,15 @@
 Everything here is written with plain-Python cmath loops, straight from the
 model definitions, and deliberately imports nothing from the package under
 test. Expected values frozen into tests were produced by these functions.
-The sampler's lookup oracle is the per-setting numpy ``searchsorted`` loop
-that the stacked guide-table lookup replaced.
+The sampler's oracle, :func:`sample_frames`, simulates every frame one by
+one in law (vectorized over frames with numpy), the algorithm the
+count-based sampler replaced.
 """
 
 import cmath
 import decimal
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -120,16 +122,74 @@ def outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap):
     return entries, (r2 * abs(circulating)) ** 2
 
 
-def masked_lookup(cdf_rows, settings, u):
-    """Column searchsorted(cdf_rows[m], u, side="right") of each frame, one
-    masked pass over the frames per setting m."""
-    cols = np.empty(len(u), dtype=np.int64)
-    for m, cdf in enumerate(cdf_rows):
+PORTS = ("D1", "D2", "BACK", "NONE")
+
+
+@dataclass
+class SampledFrames:
+    """Tallies of :func:`sample_frames`; accepted: D2 inside [d, n_prime]."""
+
+    counts: dict  # (port name, bin) -> frames; ("NONE", 0) for no click
+    dark_clicks: int
+    setting_accepted: list
+
+
+def sample_frames(d, r1_sq, r2_sq, thetas, amps, bin_cap, n_prime, p_dc, n, seed):
+    """Per-frame oracle of the Monte Carlo sampler, over n frames.
+
+    Each frame draws its setting uniformly over ``thetas``, then its photon
+    exit by inverse CDF over that setting's :func:`outcome_masses` (one
+    masked ``searchsorted`` per setting), then its first dark bin, a
+    geometric variate whose per-bin success is a click on either detector,
+    (1 - (1 - p_dc)**2). In that bin one detector fires alone, or both do
+    and a fair pick chooses. The earliest click inside ``bin_cap`` wins the
+    frame, a photon/dark tie by a fair coin; a photon that reaches no
+    detector always loses to a dark click.
+    """
+    rng = np.random.default_rng(seed)
+    settings = rng.integers(0, len(thetas), size=n)
+    ports = np.empty(n, dtype=np.int64)
+    bins = np.empty(n, dtype=np.int64)
+    for m, theta in enumerate(thetas):
+        entries, residual = outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap)
+        keys = sorted(entries) + [("NONE", 0)]
+        cdf = np.cumsum([entries[key] for key in keys[:-1]] + [residual])
         mask = settings == m
-        cols[mask] = np.minimum(
-            np.searchsorted(cdf, u[mask], side="right"), cdf.size - 1
+        u = rng.random(int(mask.sum()))
+        cols = np.minimum(np.searchsorted(cdf, u, side="right"), len(keys) - 1)
+        ports[mask] = np.array([PORTS.index(port) for port, _ in keys])[cols]
+        bins[mask] = np.array([time_bin for _, time_bin in keys])[cols]
+
+    dark_wins = np.zeros(n, dtype=bool)
+    if p_dc > 0.0:
+        any_dark = 1.0 - (1.0 - p_dc) ** 2
+        first_dark = rng.geometric(any_dark, size=n)
+        alone = p_dc * (1.0 - p_dc) / any_dark
+        fired = rng.choice(3, size=n, p=[alone, alone, 1.0 - 2.0 * alone])
+        dark_port = np.where(fired == 2, rng.integers(0, 2, size=n), fired)
+        photon_clicks = ports <= PORTS.index("D2")
+        coin = rng.random(n) < 0.5
+        dark_wins = (first_dark <= bin_cap) & (
+            ~photon_clicks
+            | (first_dark < bins)
+            | ((first_dark == bins) & coin)
         )
-    return cols
+        ports[dark_wins] = dark_port[dark_wins]
+        bins[dark_wins] = first_dark[dark_wins]
+
+    codes, tallies = np.unique(ports * (bin_cap + 1) + bins, return_counts=True)
+    counts = {
+        (PORTS[code // (bin_cap + 1)], code % (bin_cap + 1)): tally
+        for code, tally in zip(codes.tolist(), tallies.tolist())
+    }
+    accepted = (ports == PORTS.index("D2")) & (bins >= d) & (bins <= n_prime)
+    return SampledFrames(
+        counts=counts,
+        dark_clicks=int(dark_wins.sum()),
+        setting_accepted=np.bincount(
+            settings[accepted], minlength=len(thetas)
+        ).tolist(),
+    )
 
 
 def _cos_sin(x):

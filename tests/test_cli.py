@@ -87,6 +87,7 @@ class TestConfigResolution:
             (dict(k=9, d=8), "k"),
             (dict(master_seed=-1), "seed"),
             (dict(master_seed=2**128), "seed"),
+            (dict(n_trials=2**63), "trials"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -355,6 +356,28 @@ class TestDiscriminate:
         )
         assert code == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [2**63, 10**30])
+    def test_trials_beyond_int64_is_usage_error(self, trials, monkeypatch, capsys):
+        # numpy counts frames in int64; such a run used to go on without end
+        monkeypatch.setattr(cli, "discrimination_report", _must_not_run)
+        monkeypatch.setattr(cli, "mub_state", _must_not_run)
+        code = run_cli(
+            "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", str(trials)
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "trials must lie in [1, 2**63 - 1]" in captured.err
+        assert captured.out == ""
+
+    def test_largest_trials_run_at_once(self, capsys):
+        code = run_cli(
+            "discriminate", "--d", "64", "--r-grid", "0.9", "--seed", "1",
+            "--trials", str(2**63 - 1),
+        )  # fmt: skip
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sum(s["frames"] for s in report["settings"]) == 2**63 - 1
 
     def test_csv_flag_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "discrimination_report", _must_not_run)

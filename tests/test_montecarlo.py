@@ -1,16 +1,19 @@
 import hashlib
 import math
-import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import reference
-from conftest import random_normalized_state, retry_once, within_binomial_error
+from conftest import (
+    random_normalized_state,
+    retry_once,
+    within_binomial_error,
+    within_two_sample_error,
+)
 from timebin_cavity import montecarlo
 from timebin_cavity import (
     CavityConfig,
@@ -67,22 +70,6 @@ class TestRunTrials:
         a = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
         b = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
         assert a == b
-
-    @pytest.mark.parametrize("p_dc", [0.001, 0.0])
-    def test_independent_of_chunking(self, p_dc):
-        # both entry points: a one-row and a d-row table; without dark
-        # counts a trial is two doubles, and the 7777-trial chunks start
-        # half-way through a Philox block
-        cfg = symmetric_config(3, 0.6, 9)
-        state = mub_state(3, 2)
-        dark = DarkCountModel(p_dc)
-        for run in (
-            lambda **kw: run_trials(cfg, state, dark, 30_000, 99, **kw),
-            lambda **kw: run_discrimination(3, 0.6, 0.6, 9, 2, dark, 30_000, 99, **kw),
-        ):
-            full = run()
-            for chunk in (1_000, 7_777, 30_000):
-                assert run(chunk_size=chunk) == full
 
     def test_requires_at_least_one_trial(self):
         cfg = symmetric_config(2, 0.5, 4)
@@ -222,24 +209,23 @@ class TestRunDiscrimination:
         assert a == b
 
     def test_frozen_counts_without_dark_counts(self):
-        # trial t reads doubles 2 t and 2 t + 1 of the Philox stream
-        stats = run_discrimination(
-            16, 0.8, 0.8, 64, 3, NO_DARK, 60_000, 2024, chunk_size=7777
-        )
-        assert stats.accepted_total == 1144
+        # setting counts, then one multinomial per setting; the pin also
+        # depends on numpy's binomial and multinomial algorithms
+        stats = run_discrimination(16, 0.8, 0.8, 64, 3, NO_DARK, 60_000, 2024)
+        assert stats.accepted_total == 1156
         assert stats.dark_clicks == 0
         assert [stats.setting_accepted.get(m, 0) for m in range(16)] == [
-            28, 44, 141, 617, 173, 57, 20, 9, 10, 7, 9, 3, 3, 5, 8, 10
+            24, 50, 138, 629, 149, 56, 26, 10, 7, 12, 9, 7, 8, 4, 15, 12
         ]  # fmt: skip
         assert [stats.setting_frames[m] for m in range(16)] == [
-            3748, 3719, 3799, 3805, 3830, 3815, 3803, 3643,
-            3784, 3697, 3738, 3707, 3808, 3783, 3795, 3526,
+            3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
+            3808, 3832, 3721, 3706, 3699, 3719, 3837, 3724,
         ]  # fmt: skip
-        for port, frames in ((Port.D1, 52360), (Port.D2, 6728), (Port.BACK, 912)):
+        for port, frames in ((Port.D1, 52482), (Port.D2, 6610), (Port.BACK, 908)):
             assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
         items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
-            "0eab3271f753f25be8454b6158dfefd9718d4ae8737b4bc9b3720b3c64313915"
+            "564e415a83cdc8ea68fe47a6373a5abf80db1aeb7c3ad54caa67fd5e01070ce5"
         )
 
     def test_settings_cover_all_outcomes(self):
@@ -277,6 +263,13 @@ class TestRunDiscrimination:
 
         assert retry_once(check, seeds=(51, 52))
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
+    def test_seed_outside_key_range_is_rejected(self, seed):
+        # The seed is the Philox key, not reduced onto it: 2**128 + 1 must
+        # not run the stream of seed 1.
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            run_discrimination(2, 0.5, 0.5, 4, 0, DarkCountModel(0.0), 100, seed)
+
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
             run_discrimination(4, 0.5, 0.5, 8, 4, NO_DARK, 100, 1)
@@ -296,179 +289,124 @@ class TestFixedRunAgainstAnalyticD2:
         assert retry_once(check, seeds=(61, 62))
 
 
-@st.composite
-def cdf_tables(draw):
-    """Stacked CDF rows as the sampler builds them, plus variates to look up.
-
-    Rows are non-decreasing with the last entry pinned to 1; repeated
-    values are zero-mass entries, guide points j / 1024 appear as CDF
-    values, and the entry before the pin may exceed 1 by one rounding, as
-    a cumulative sum can. Variates include every CDF value below 1, 0,
-    nextafter(1, 0) and every guide point.
-    """
-    rows = draw(st.integers(1, 4))
-    width = draw(st.integers(1, 40))
-    value = st.one_of(
-        st.floats(0.0, 1.0, exclude_max=True),
-        st.integers(0, 1023).map(lambda j: j / 1024),
-        st.floats(1023 / 1024, 1.0, exclude_max=True),  # inside the last guide cell
-        st.just(0.0),
-        st.just(np.nextafter(1.0, 2.0)),
-    )
-    cdf = np.empty((rows, width))
-    for row in cdf:
-        row[:-1] = sorted(draw(st.lists(value, min_size=width - 1, max_size=width - 1)))
-        row[-1] = 1.0
-    on_points = cdf[cdf < 1.0]
-    extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-    u = np.concatenate(
-        [on_points, [0.0, np.nextafter(1.0, 0.0)], np.arange(1024) / 1024, extra]
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return cdf, rng.integers(0, rows, size=u.size), u
-
-
-class TestStackedLookup:
-    @given(case=cdf_tables())
-    @settings(max_examples=150, deadline=None)
-    def test_guide_lookup_equals_per_setting_searchsorted(self, case):
-        cdf, settings_, u = case
-        guide = montecarlo._guide_table(cdf)
-        points = np.arange(montecarlo._GUIDE) / montecarlo._GUIDE
-        for row, guide_row in zip(cdf, guide):
-            expected = np.searchsorted(row, points, side="right")
-            assert guide_row[:-1].tolist() == expected.tolist()
-        got = montecarlo._lookup(cdf, guide, settings_, u)
-        assert got.tolist() == reference.masked_lookup(cdf, settings_, u).tolist()
-
+class TestFrozenCounts:
     def test_frozen_counts(self):
-        # recorded from the per-setting masked searchsorted sampler
+        # setting, hit and photon counts, then the hit frames one by one;
+        # the pin also depends on numpy's binomial and multinomial algorithms
         stats = run_discrimination(
-            16, 0.8, 0.8, 64, 3, DarkCountModel(1e-3), 60_000, 2024, chunk_size=7777
+            16, 0.8, 0.8, 64, 3, DarkCountModel(1e-3), 60_000, 2024
         )
-        assert stats.accepted_total == 1172
-        assert stats.dark_clicks == 1094
+        assert stats.accepted_total == 1184
+        assert stats.dark_clicks == 1028
         assert [stats.setting_accepted.get(m, 0) for m in range(16)] == [
-            26, 45, 153, 642, 162, 56, 22, 9, 10, 6, 3, 4, 5, 9, 7, 13
+            22, 56, 144, 621, 162, 49, 30, 15, 7, 8, 12, 8, 12, 10, 10, 18
         ]  # fmt: skip
         assert [stats.setting_frames[m] for m in range(16)] == [
-            3744, 3698, 3779, 3804, 3675, 3761, 3784, 3745,
-            3749, 3724, 3809, 3691, 3766, 3798, 3834, 3639,
+            3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
+            3808, 3832, 3721, 3706, 3699, 3719, 3837, 3724,
         ]  # fmt: skip
-        for port, frames in ((Port.D1, 52048), (Port.D2, 7195), (Port.BACK, 757)):
+        for port, frames in ((Port.D1, 52135), (Port.D2, 7041), (Port.BACK, 824)):
             assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
         items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
-            "c2e3a028f7fd93821eab9c4c197a5dd7b738066d91ba1a37f33fc35d9246c7db"
+            "9a36b163499e86069b38012a917eb3b5b2b2269160a218176253dc0dbfa76b85"
         )
 
     def test_frozen_counts_of_dark_d1_clicks(self):
-        # recorded from the sampler that kept dark clicks in a separate
-        # (detector, bin) tally. Basis input 1 has its D1 column at bin 1
-        # and BACK columns at bins 2..16, so dark D1 wins land on both kinds
+        # Basis input 1 has its D1 column at bin 1 and BACK columns at bins
+        # 2..16, so dark D1 wins land on both kinds. The pin also depends on
+        # numpy's binomial and multinomial algorithms.
         cfg = symmetric_config(4, 0.6, 16)
-        stats = run_trials(
-            cfg, basis_state(4, 1), DarkCountModel(0.02), 20_000, 2024,
-            chunk_size=777,
-        )  # fmt: skip
-        assert stats.accepted_total == 761
-        assert stats.dark_clicks == 1906
+        stats = run_trials(cfg, basis_state(4, 1), DarkCountModel(0.02), 20_000, 2024)
+        assert stats.accepted_total == 763
+        assert stats.dark_clicks == 1862
         assert stats.setting_frames == {} and stats.setting_accepted == {}
-        for port, frames in ((Port.D1, 12701), (Port.D2, 5756), (Port.BACK, 1543)):
+        for port, frames in ((Port.D1, 12768), (Port.D2, 5663), (Port.BACK, 1569)):
             assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
         assert [stats.counts.get((Port.D1, b), 0) for b in range(1, 17)] == [
-            12000, 78, 55, 58, 69, 42, 50, 39, 55, 35, 48, 35, 40, 30, 31, 36
+            12084, 78, 70, 64, 65, 46, 32, 41, 37, 33, 43, 36, 32, 35, 43, 29
         ]  # fmt: skip
         items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
-            "64a776010fd8c2aa719e75b4e571a8e78a251606de9b2d3b314323c1ffe63065"
+            "5329b52e5f042763c006664bd18c36a804c7a01a6911bbbd09bcb2d9a05e3fba"
         )
 
 
-class TestParallelChunks:
-    """Chunks run on worker threads; no result may depend on how many."""
+class TestAgainstPerFrameOracle:
+    """The count-based sampler against frames simulated one by one."""
 
-    @pytest.mark.parametrize(
-        "draws", [montecarlo._DRAWS_NO_DARK, montecarlo._DRAWS_PER_TRIAL]
-    )
-    @given(
-        seed=st.integers(0, 2**128 - 1),
-        first=st.integers(0, 400),
-        n=st.integers(1, 50),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_generator_continues_the_one_stream(self, draws, seed, first, n):
-        stream = np.random.Generator(np.random.Philox(key=seed))
-        rows = stream.random((first + n, draws))
-        block = montecarlo._generator(seed, first, draws).random((n, draws))
-        assert np.array_equal(block, rows[first:])
-
-    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
-    def test_seed_outside_key_range_is_rejected(self, seed):
-        # The seed is the Philox key, not reduced onto it: 2**128 + 1 must
-        # not run the stream of seed 1.
-        with pytest.raises(ValueError, match="2\\*\\*128"):
-            run_discrimination(2, 0.5, 0.5, 4, 0, DarkCountModel(0.0), 100, seed)
-
-    @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
-    @pytest.mark.parametrize(
-        "chunk_size,n_trials", [(1, 1_500), (7_777, 40_000), (None, 70_000)]
-    )
-    @pytest.mark.parametrize(
-        "entry", ["run_trials", "run_trials_basis", "run_discrimination"]
-    )
-    def test_counts_independent_of_worker_count(
-        self, monkeypatch, entry, chunk_size, n_trials, p_dc
-    ):
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("entry", ["run_trials", "run_discrimination"])
+    def test_same_law_as_per_frame_sampler(self, entry, d, p_dc):
+        r_sq, n_prime, k, n = 0.6, 4 * d, d // 2, 100_000
         dark = DarkCountModel(p_dc)
-        if entry.startswith("run_trials"):
-            if entry == "run_trials":
-                cfg, state = symmetric_config(3, 0.6, 9), mub_state(3, 2)
-            else:  # dark D1 wins on BACK-column bins and on the D1 bin
-                cfg, state = symmetric_config(4, 0.6, 16), basis_state(4, 1)
-            run = lambda: run_trials(cfg, state, dark, n_trials, 99, None, chunk_size)
+        if entry == "run_trials":
+            cfg = symmetric_config(d, r_sq, n_prime)
+            state = random_normalized_state(np.random.default_rng(d), d)
+            thetas = [cfg.theta]
+            run = lambda seed: run_trials(cfg, state, dark, n, seed)
         else:
-            run = lambda: run_discrimination(
-                3, 0.6, 0.6, 9, 2, dark, n_trials, 99, chunk_size=chunk_size
+            state = mub_state(d, k)
+            thetas = [theta_for_outcome(d, m) for m in range(d)]
+            run = lambda seed: run_discrimination(
+                d, r_sq, r_sq, n_prime, k, dark, n, seed
             )
-        results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_workers", lambda *_: workers)
-            results.append(run())
-        assert results[1] == results[0] and results[2] == results[0]
-        assert sum(results[0].counts.values()) == n_trials
+        amps = list(state.amps)
 
-    def test_no_lost_update_under_frequent_thread_switches(self, monkeypatch):
-        # more workers than cores, small chunks and a 1 us switch interval:
-        # a fold outside the lock would drop counts
-        def run(workers):
-            monkeypatch.setattr(montecarlo, "_workers", lambda *_: workers)
-            return run_discrimination(
-                3, 0.6, 0.6, 9, 2, DarkCountModel(0.01), 20_000, 7, chunk_size=64
+        def check(seed):
+            got = run(seed)
+            want = reference.sample_frames(
+                d, r_sq, r_sq, thetas, amps, n_prime, n_prime, p_dc, n, seed
             )
+            pairs = [(got.dark_clicks, want.dark_clicks)]
+            for port in Port:
+                pairs.append(
+                    (
+                        sum(c for (p, _), c in got.counts.items() if p is port),
+                        sum(c for (p, _), c in want.counts.items() if p == port.value),
+                    )
+                )
+            if entry == "run_trials":
+                pairs.append((got.accepted_total, sum(want.setting_accepted)))
+            else:
+                pairs += [
+                    (got.setting_accepted.get(m, 0), want.setting_accepted[m])
+                    for m in range(d)
+                ]
+            return all(within_two_sample_error(a, n, b, n) for a, b in pairs)
 
-        expected = run(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = run(6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
+        assert retry_once(check, seeds=(8, 9))
 
-    def test_worker_count(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
-        assert montecarlo._workers(31, 32_768, 1_000) == montecarlo._MAX_WORKERS
-        assert montecarlo._workers(3, 32_768, 1_000) == 3
-        block = 32_768 * montecarlo._DRAWS_PER_TRIAL * 8
-        assert montecarlo._workers(31, 32_768, block) == montecarlo._MAX_WORKERS
-        assert montecarlo._workers(31, 32_768, block + 8) == 1
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        assert montecarlo._workers(31, 32_768, 1_000) == 1
 
-    def test_memory_does_not_grow_with_chunks(self, monkeypatch):
-        # At bin_cap 2**16 one chunk's column histogram is 1 MiB; a list of
-        # per-chunk partials would hold 10x more of them at 40 chunks.
+class TestCost:
+    """A run costs O(table + hit frames), whatever n_trials is."""
+
+    @pytest.mark.parametrize("n_trials", [2**63, 10**30])
+    def test_trials_beyond_int64_are_rejected(self, monkeypatch, n_trials):
+        # numpy counts in int64; such a run used to go on without end
+        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        cfg = symmetric_config(2, 0.5, 4)
+        with pytest.raises(ValueError, match="n_trials"):
+            run_trials(cfg, mub_state(2, 0), NO_DARK, n_trials, 1)
+        with pytest.raises(ValueError, match="n_trials"):
+            run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, n_trials, 1)
+
+    @pytest.mark.parametrize("n_trials", [10**15, montecarlo.MAX_TRIALS])
+    def test_cost_does_not_grow_with_trials(self, n_trials):
+        # without dark counts no frame is simulated on its own: the run is
+        # d + 1 multinomials, whatever n_trials is
+        start = time.perf_counter()
+        stats = run_discrimination(16, 0.8, 0.8, 64, 3, NO_DARK, n_trials, 7)
+        assert time.perf_counter() - start < 5.0
+        assert sum(stats.setting_frames.values()) == n_trials
+        assert sum(stats.counts.values()) == n_trials
+        assert 0 < stats.accepted_total < n_trials
+
+    def test_memory_does_not_grow_with_hit_chunks(self, monkeypatch):
+        # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
+        # have a dark click inside the cap and are simulated one by one, in
+        # chunks of 4096, each tallied into the one column accumulator.
         d, cap, chunk = 2, 2**16, 4_096
         table = montecarlo._outcome_table(
             symmetric_config(d, 0.9, 8),
@@ -477,25 +415,20 @@ class TestParallelChunks:
             cap,
         )
         monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
+        monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", chunk)
 
         def peak(chunks):
             tracemalloc.start()
             try:
                 run_discrimination(
                     d, 0.9, 0.9, 8, 0, DarkCountModel(1e-3), chunks * chunk, 3,
-                    bin_cap=cap, chunk_size=chunk,
+                    bin_cap=cap,
                 )  # fmt: skip
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # one worker here: the column accumulator outweighs a chunk's variates
-        assert montecarlo._workers(40, chunk, (2 * cap + 1) * 8) == 1
-        one_worker = peak(4)
-        assert peak(40) <= 1.2 * one_worker
-        # two workers hold at most two histograms and chunks in flight
-        monkeypatch.setattr(montecarlo, "_workers", lambda *_: 2)
-        assert peak(40) <= 2 * one_worker
+        assert peak(40) <= 1.2 * peak(4)
 
 
 def _must_not_allocate(*args, **kwargs):
