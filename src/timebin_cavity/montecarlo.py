@@ -15,24 +15,25 @@ z-scores compare two independent computations.
 
 Frames are iid, and the dark process does not depend on the photon, so a
 run samples counts, not frames. Given the setting counts n_m (one
-multinomial over the rows), the frames with a dark click inside bin_cap
-number h_m ~ Binomial(n_m, p_hit) per setting. Every other frame clicks as
-its photon does, so its column counts are one multinomial over its
-setting's row of exit masses. Only the hit frames are simulated one by one,
-in chunks of at most :data:`_DEFAULT_CHUNK`: photon column by inverse CDF of
-the row, first dark bin from a uniform scaled into [0, p_hit), then
-detector, dual-dark pick and tie (:func:`_merge_dark`). A call costs
-O(rows K + hit frames), whatever ``n_trials`` is.
+multinomial over the rows), h_m ~ Binomial(n_m, p_hit) frames per setting
+have a dark click inside bin_cap. The rest click as their photon does: one
+multinomial over every row's column ranges, split where the CDF steps up in
+a fixed-phase run and at the window's edges in a discrimination run, whose
+report reads only accepted counts. Only the hit frames are simulated one
+by one, in chunks of at most :data:`_DEFAULT_CHUNK`: photon column by
+inverse CDF of the row, first dark bin from a uniform scaled into
+[0, p_hit), then detector, dual-dark pick and tie (:func:`_merge_dark`).
+A call costs O(rows K + hit frames), whatever ``n_trials`` is.
 
 Randomness comes from one Philox stream keyed by the master seed
 (:func:`_generator`), read in a fixed order: setting counts, hit counts,
-each row's photon counts, then five doubles per hit frame. Results are a
-pure function of (config, n_trials, master_seed).
+the photon-only range counts, then five doubles per hit frame. Results are
+a pure function of (config, n_trials, master_seed).
 
-Every frame is counted by one column index: the table's 2 bin_cap + 1
-columns, where a dark D2 click takes its bin's D2 column, then, only when
-dark counts are on, bin_cap columns for the frames a dark D1 click won.
-The (port, bin) counts are formed once, from the nonzero columns.
+A fixed-phase run counts every frame by one column index: the table's
+2 bin_cap + 1 columns (a dark D2 click takes its bin's D2 column), then,
+with dark counts, bin_cap columns for frames a dark D1 click won. Its
+(port, bin) counts are formed once, from the nonzero columns.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ def check_window_size(d: int, last_bin: int) -> None:
 
 @dataclass
 class EmpiricalStats:
-    """Aggregated frame counts plus the derived empirical estimators."""
+    """Aggregated frame counts plus the derived empirical estimators.
+
+    Both kinds of run fill ``dark_clicks`` and ``accepted_total``; a
+    fixed-phase run fills ``counts``, a discrimination run the setting dicts.
+    """
 
     n_trials: int
     master_seed: int
@@ -95,9 +100,6 @@ class EmpiricalStats:
     accepted_total: int = 0
     setting_frames: Dict[int, int] = field(default_factory=dict)
     setting_accepted: Dict[int, int] = field(default_factory=dict)
-
-    def frequency(self, port: Port, time_bin: int) -> float:
-        return self.counts.get((port, time_bin), 0) / self.n_trials
 
     def d2_window_frequency(self) -> float:
         """Fraction of frames with a D2 click inside the accepted window."""
@@ -249,31 +251,28 @@ def _sample(
     rng = _generator(master_seed)
 
     rows, n_table = len(thetas), table.ports.size
-    # With dark counts the table's columns are followed by cap dark D1
-    # columns. Accepted: a D2 click inside [d, n_prime], the table's columns
-    # cap + d - 1 .. cap + n_prime - 1.
+    # The table's columns, then with dark counts cap dark D1 columns.
+    # Accepted: D2 inside [d, n_prime], columns cap + d - 1 .. cap + n_prime - 1.
     n_cols = n_table + (cap if dark.p_dc > 0.0 else 0)
     accepts = np.zeros(n_cols, dtype=bool)
     accepts[cap + d - 1 : cap + cfg.n_prime] = True
     col_counts = np.zeros(n_cols, dtype=np.int64)
-    setting_accepted = np.zeros(rows, dtype=np.int64)
 
     frames = rng.multinomial(n_trials, np.full(rows, 1.0 / rows))
     hits = rng.binomial(frames, _p_hit(dark.p_dc, cap))  # no draws at p_dc = 0
-    # Frames without a dark click inside the cap: one multinomial per row
-    # over the columns where its CDF steps up. No other column can be drawn
-    # (its mass is 0, or below the CDF's rounding), and the CDF is flat
-    # between two such columns.
-    steps = np.empty(n_table, dtype=bool)
-    for m, (row, n) in enumerate(zip(table.cdf, (frames - hits).tolist())):
-        steps[0] = row[0] > 0.0
-        np.greater(row[1:], row[:-1], out=steps[1:])
-        live = np.flatnonzero(steps)
-        masses = row[live]
-        masses[1:] = np.diff(masses)
-        row_counts = rng.multinomial(n, masses)
-        np.add.at(col_counts, live, row_counts)
-        setting_accepted[m] += row_counts[accepts[live]].sum()
+    # Frames without a dark click inside the cap: one multinomial over the
+    # column ranges that end at each edge. A fixed-phase run's edges are the
+    # columns where its CDF steps up (the CDF is flat between two); a
+    # discrimination run's split off the window. Clamped at 0: the pinned
+    # last entry can sit just below its neighbour.
+    if prepared_k is None:
+        edges = np.flatnonzero(np.diff(table.cdf[0], prepend=0.0) > 0.0)
+    else:
+        edges = np.array([cap + d - 2, cap + cfg.n_prime - 1, n_table - 1])
+    masses = np.diff(table.cdf[:, edges], axis=1, prepend=0.0)
+    photon_counts = rng.multinomial(frames - hits, np.maximum(masses, 0.0))
+    col_counts[edges] = photon_counts.sum(axis=0)
+    setting_accepted = photon_counts[:, accepts[edges]].sum(axis=1)
 
     # Frames with one, simulated in chunks, ordered by setting.
     hit_ends = np.cumsum(hits)
@@ -290,15 +289,16 @@ def _sample(
         dark_clicks += won.size
 
     counts: Dict[Tuple[Port, int], int] = {}
-    for c in np.flatnonzero(col_counts).tolist():
-        if c < n_table:
-            key = (TABLE_PORTS[table.ports[c]], int(table.bins[c]))
-        else:  # a dark D1 column; bin b's table column may also be D1
-            key = (Port.D1, c - n_table + 1)
-        counts[key] = counts.get(key, 0) + int(col_counts[c])
     setting_frames: Dict[int, int] = {}
     accepted: Dict[int, int] = {}
-    if prepared_k is not None:
+    if prepared_k is None:
+        for c in np.flatnonzero(col_counts).tolist():
+            if c < n_table:
+                key = (TABLE_PORTS[table.ports[c]], int(table.bins[c]))
+            else:  # a dark D1 column; bin b's table column may also be D1
+                key = (Port.D1, c - n_table + 1)
+            counts[key] = counts.get(key, 0) + int(col_counts[c])
+    else:
         setting_frames = {m: int(c) for m, c in enumerate(frames) if c}
         accepted = {m: int(c) for m, c in enumerate(setting_accepted) if c}
     return EmpiricalStats(
@@ -310,7 +310,7 @@ def _sample(
         prepared_k=prepared_k,
         counts=counts,
         dark_clicks=dark_clicks,
-        accepted_total=int(col_counts[accepts].sum()),
+        accepted_total=int(setting_accepted.sum()),
         setting_frames=setting_frames,
         setting_accepted=accepted,
     )
