@@ -10,7 +10,6 @@ numbers.
 
 from .cavity import (
     CavityConfig,
-    OutcomeDistribution,
     Port,
     cutoff_acceptances,
     d1_bin_probability,
@@ -52,7 +51,6 @@ __all__ = [
     "CavityConfig",
     "DarkCountModel",
     "EmpiricalStats",
-    "OutcomeDistribution",
     "Port",
     "TimeBinState",
     "TradeoffPoint",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -98,28 +98,6 @@ class CavityConfig:
         return replace(self, theta=theta_for_outcome(self.dim, m))
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities over (exit port, time bin) plus still-circulating mass.
-
-    For a normalized input the entry masses and the residual sum to one
-    exactly (the underlying map is an isometry). D2 entries at bins below
-    ``dim`` are inconclusive clicks: the photon left before every input
-    slot had entered the loop.
-    """
-
-    dim: int
-    entries: Dict[Tuple[Port, int], float]
-    residual: float
-
-    def total_mass(self) -> float:
-        return math.fsum(self.entries.values()) + self.residual
-
-    def sorted_entries(self):
-        """Entries in a deterministic (port, bin) order."""
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-
-
 def theta_for_outcome(d: int, m: int) -> float:
     """Phase-shifter setting whose round-trip phase 2 pi m / d targets outcome m.
 
@@ -170,7 +148,7 @@ def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
 
     First-reflection model: |R1|^2 |<n|state>|^2 for n in 1..d. Backward
     leakage on later circulations exits toward the source instead and is
-    accounted as the BACK port of :func:`full_outcome_distribution`.
+    accounted as the BACK port of :func:`outcome_table`.
     """
     _check_input(cfg, state)
     if not 1 <= n <= cfg.dim:
@@ -332,10 +310,15 @@ class OutcomeTable:
     """Exit masses of one input state at several loop phases, one row each.
 
     Column c is the exit (TABLE_PORTS[ports[c]], bins[c]); every row shares
-    the layout, which follows :meth:`OutcomeDistribution.sorted_entries`
-    with zero-mass slots kept: one upstream column per bin (BACK bins, then
-    D1 bins), D2 bins 1..bin_cap, then the residual (NONE, bin 0). Which
-    bins reach D1 depends on the input alone, not on the phase.
+    the layout, in (port name, bin) order with zero-mass slots kept: one
+    upstream column per bin (BACK bins, then D1 bins), D2 bins 1..bin_cap,
+    then the still-circulating residual (NONE, bin 0). D2 columns below
+    bin d are inconclusive clicks: the photon left before every input slot
+    had entered the loop. Ports are labelled by provenance: the first
+    reflection of slot n is (D1, n), backward leakage through the first
+    splitter (BACK, bin). When both reach a bin (superposition inputs, bins
+    2..d) they leave on the same line, and their coherent mass is the D1
+    column. Which bins reach D1 depends on the input alone, not on the phase.
     """
 
     ports: np.ndarray
@@ -347,6 +330,11 @@ def outcome_table(
     cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
 ) -> OutcomeTable:
     """Exit masses over D1, D2 and the backward port for every phase in thetas.
+
+    Every reflection contributes a phase of pi/2, so the map from input to
+    exit amplitudes is an isometry: for a normalized input each row sums
+    to one. The loop phase takes the sign that makes the D2 masses equal
+    the literal projection-state probabilities.
 
     Built in two parts for all phases at once, straight into one
     preallocated (len(thetas), 2 bin_cap + 1) array. Over the entry bins
@@ -415,35 +403,9 @@ def outcome_table(
     return OutcomeTable(ports=ports, bins=bins, masses=masses)
 
 
+# Not called in the package; bound for the benchmark's traced run.
 def full_outcome_distribution(
     cfg: CavityConfig, state: TimeBinState, bin_cap: int
-) -> OutcomeDistribution:
-    """Exit probabilities over D1, D2 and the backward port up to bin_cap.
-
-    Evolves the input through the two splitters with the symmetric phase
-    convention (every reflection contributes pi/2), so the map from input
-    amplitudes to exit amplitudes is an isometry and the reported masses
-    plus the still-circulating residual sum to one exactly. The amplitude
-    is stepped over the d entry bins only; after them nothing enters, and
-    every later mass is a power of r^2 times one number (the two parts of
-    :func:`outcome_table`). Its D2 masses are computed apart from the
-    acceptance kernel, so the two cross-check each other.
-    The loop phase is applied with the sign that makes the per-bin D2
-    masses equal the literal projection-state probabilities.
-
-    Ports are labelled by provenance: the immediate first reflection of
-    slot n appears as (D1, n); backward leakage through the first splitter
-    appears as (BACK, bin). When both reach the same bin (superposition
-    inputs, bins 2..d) they exit on the same physical line, and their
-    coherent combined mass is reported under D1 as an arrival-window click.
-    This is the one-phase view of :func:`outcome_table` at ``cfg.theta``;
-    zero-mass exits are left out.
-    """
-    table = outcome_table(cfg, state, [cfg.theta], bin_cap)
-    *masses, residual = table.masses[0].tolist()
-    entries = {
-        (TABLE_PORTS[port], b): mass
-        for port, b, mass in zip(table.ports.tolist(), table.bins.tolist(), masses)
-        if mass > 0.0
-    }
-    return OutcomeDistribution(dim=cfg.dim, entries=entries, residual=residual)
+) -> OutcomeTable:
+    """The one-row :func:`outcome_table` at the config's own phase."""
+    return outcome_table(cfg, state, [cfg.theta], bin_cap)

@@ -30,10 +30,11 @@ Randomness comes from one Philox stream keyed by the master seed
 the photon-only range counts, then five doubles per hit frame. Results are
 a pure function of (config, n_trials, master_seed).
 
-A fixed-phase run counts every frame by one column index: the table's
-2 bin_cap + 1 columns (a dark D2 click takes its bin's D2 column), then,
-with dark counts, bin_cap columns for frames a dark D1 click won. Its
-(port, bin) counts are formed once, from the nonzero columns.
+A fixed-phase run returns its counts in the table's own layout: an int64
+histogram over the table's 2 bin_cap + 1 columns (a dark D2 click takes
+its bin's D2 column), then, with dark counts, bin_cap columns (D1, 1..
+bin_cap) for frames a dark D1 click won. A discrimination run keeps only
+its per-setting counts and allocates nothing per column.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ from .cavity import (
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-_D2 = TABLE_PORTS.index(Port.D2)
+_D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
 # Per-hit-frame variate block: outcome, dark bin, dark detector, dual-dark
 # pick, photon/dark tie break.
 _DRAWS_PER_HIT = 5
 # Most hit frames simulated at once; each takes 5 doubles and a few int64
-# temporaries, about 0.1 KiB, so a chunk holds about 4 MiB.
-_DEFAULT_CHUNK = 32_768
+# temporaries, about 0.1 KiB, so a chunk holds under 1 MiB. The stream is
+# read in the same order whatever the chunk size.
+_DEFAULT_CHUNK = 8_192
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
@@ -81,12 +83,16 @@ def check_window_size(d: int, last_bin: int) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class EmpiricalStats:
     """Aggregated frame counts plus the derived empirical estimators.
 
-    Both kinds of run fill ``dark_clicks`` and ``accepted_total``; a
-    fixed-phase run fills ``counts``, a discrimination run the setting dicts.
+    Both kinds of run fill ``dark_clicks`` and ``accepted_total``. A
+    fixed-phase run fills ``counts``, the frames per column, labelled like
+    :class:`cavity.OutcomeTable` by ``ports`` (cavity.TABLE_PORTS codes) and
+    ``bins``; a discrimination run leaves those None and fills the setting
+    dicts. Array fields have no single truth value, so == is identity;
+    compare two runs field by field.
     """
 
     n_trials: int
@@ -95,7 +101,9 @@ class EmpiricalStats:
     n_prime: int
     bin_cap: int
     prepared_k: Optional[int]
-    counts: Dict[Tuple[Port, int], int] = field(default_factory=dict)
+    ports: Optional[np.ndarray] = None
+    bins: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
     dark_clicks: int = 0
     accepted_total: int = 0
     setting_frames: Dict[int, int] = field(default_factory=dict)
@@ -251,13 +259,7 @@ def _sample(
     rng = _generator(master_seed)
 
     rows, n_table = len(thetas), table.ports.size
-    # The table's columns, then with dark counts cap dark D1 columns.
-    # Accepted: D2 inside [d, n_prime], columns cap + d - 1 .. cap + n_prime - 1.
-    n_cols = n_table + (cap if dark.p_dc > 0.0 else 0)
-    accepts = np.zeros(n_cols, dtype=bool)
-    accepts[cap + d - 1 : cap + cfg.n_prime] = True
-    col_counts = np.zeros(n_cols, dtype=np.int64)
-
+    lo, hi = cap + d - 1, cap + cfg.n_prime  # accepted: D2 bins d..n_prime
     frames = rng.multinomial(n_trials, np.full(rows, 1.0 / rows))
     hits = rng.binomial(frames, _p_hit(dark.p_dc, cap))  # no draws at p_dc = 0
     # Frames without a dark click inside the cap: one multinomial over the
@@ -268,52 +270,43 @@ def _sample(
     if prepared_k is None:
         edges = np.flatnonzero(np.diff(table.cdf[0], prepend=0.0) > 0.0)
     else:
-        edges = np.array([cap + d - 2, cap + cfg.n_prime - 1, n_table - 1])
+        edges = np.array([lo - 1, hi - 1, n_table - 1])
     masses = np.diff(table.cdf[:, edges], axis=1, prepend=0.0)
     photon_counts = rng.multinomial(frames - hits, np.maximum(masses, 0.0))
-    col_counts[edges] = photon_counts.sum(axis=0)
-    setting_accepted = photon_counts[:, accepts[edges]].sum(axis=1)
+    setting_accepted = photon_counts[:, (lo <= edges) & (edges < hi)].sum(axis=1)
+    stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, prepared_k)
+    if prepared_k is None:
+        # The table's columns, then with dark counts cap dark D1 columns.
+        n_dark = cap if dark.p_dc > 0.0 else 0
+        stats.ports = np.append(table.ports, np.full(n_dark, _D1, np.int8))
+        stats.bins = np.append(table.bins, np.arange(1, n_dark + 1))
+        stats.counts = np.zeros(n_table + n_dark, dtype=np.int64)
+        stats.counts[edges] = photon_counts[0]
 
-    # Frames with one, simulated in chunks, ordered by setting.
+    # Frames with one, simulated in chunks, ordered by setting. A dark D1
+    # column lies above the window, so [lo, hi) is every accepted column.
     hit_ends = np.cumsum(hits)
     n_hits = int(hit_ends[-1])
-    dark_clicks = 0
     for start in range(0, n_hits, _DEFAULT_CHUNK):
         stop = min(start + _DEFAULT_CHUNK, n_hits)
         settings = np.searchsorted(hit_ends, np.arange(start, stop), side="right")
         u = rng.random((stop - start, _DRAWS_PER_HIT))
         cols = _sample_photon(table, settings, u[:, 0])
         cols, won, _ = _merge_dark(cols, table, u, dark.p_dc, cap)
-        np.add.at(col_counts, cols, 1)
-        np.add.at(setting_accepted, settings[accepts[cols]], 1)
-        dark_clicks += won.size
+        if stats.counts is not None:
+            np.add.at(stats.counts, cols, 1)
+        setting_accepted += np.bincount(
+            settings[(lo <= cols) & (cols < hi)], minlength=rows
+        )
+        stats.dark_clicks += won.size
 
-    counts: Dict[Tuple[Port, int], int] = {}
-    setting_frames: Dict[int, int] = {}
-    accepted: Dict[int, int] = {}
-    if prepared_k is None:
-        for c in np.flatnonzero(col_counts).tolist():
-            if c < n_table:
-                key = (TABLE_PORTS[table.ports[c]], int(table.bins[c]))
-            else:  # a dark D1 column; bin b's table column may also be D1
-                key = (Port.D1, c - n_table + 1)
-            counts[key] = counts.get(key, 0) + int(col_counts[c])
-    else:
-        setting_frames = {m: int(c) for m, c in enumerate(frames) if c}
-        accepted = {m: int(c) for m, c in enumerate(setting_accepted) if c}
-    return EmpiricalStats(
-        n_trials=n_trials,
-        master_seed=master_seed,
-        dim=d,
-        n_prime=cfg.n_prime,
-        bin_cap=cap,
-        prepared_k=prepared_k,
-        counts=counts,
-        dark_clicks=dark_clicks,
-        accepted_total=int(setting_accepted.sum()),
-        setting_frames=setting_frames,
-        setting_accepted=accepted,
-    )
+    stats.accepted_total = int(setting_accepted.sum())
+    if prepared_k is not None:
+        stats.setting_frames = {m: int(c) for m, c in enumerate(frames) if c}
+        stats.setting_accepted = {
+            m: int(c) for m, c in enumerate(setting_accepted) if c
+        }
+    return stats
 
 
 def run_trials(
@@ -329,8 +322,8 @@ def run_trials(
     The photon branch is drawn from the exact outcome distribution, then
     merged with per-bin dark clicks on both detectors: the earliest click
     is the one counted, with a fair tie break. One frame is
-    ``run_trials(..., n_trials=1, master_seed=seed)``: its single
-    ``counts`` key is the click, (Port.NONE, 0) for none, and
+    ``run_trials(..., n_trials=1, master_seed=seed)``: the one nonzero
+    column of ``counts`` is the click, (NONE, 0) for none, and
     ``dark_clicks`` says whether a dark count won it.
     """
     return _sample(cfg, state, dark, n_trials, master_seed, bin_cap)

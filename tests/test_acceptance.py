@@ -130,7 +130,8 @@ def test_criterion_05_conservation():
         inputs = [basis_state(d, int(rng.integers(1, d + 1))) for _ in range(10)]
         inputs += [random_normalized_state(rng, d) for _ in range(10)]
         for state in inputs:
-            mass = full_outcome_distribution(cfg, state, 4 * d).total_mass()
+            row = full_outcome_distribution(cfg, state, 4 * d).masses[0]
+            mass = math.fsum(row.tolist())
             worst = max(worst, abs(mass - 1.0))
     _report(
         5,

@@ -622,11 +622,20 @@ class TestProjectionFidelity:
         assert values[-1] < 1.0
 
 
-def port_mass(dist, port, below=math.inf):
-    """Summed entries of one port, over the bins before ``below``."""
-    return math.fsum(
-        p for (prt, b), p in dist.entries.items() if prt is port and b < below
-    )
+def port_mass(table, port, below=math.inf):
+    """Summed row-0 mass of one port, over the bins before ``below``."""
+    keep = (table.ports == TABLE_PORTS.index(port)) & (table.bins < below)
+    return math.fsum(table.masses[0, keep].tolist())
+
+
+def nonzero_exits(table):
+    """Row 0's nonzero exits by (port, bin), the residual left out."""
+    columns = zip(table.ports[:-1].tolist(), table.bins[:-1].tolist())
+    return {
+        (TABLE_PORTS[p], b): m
+        for (p, b), m in zip(columns, table.masses[0, :-1].tolist())
+        if m > 0.0
+    }
 
 
 class TestFullOutcomeDistribution:
@@ -636,13 +645,13 @@ class TestFullOutcomeDistribution:
         assert port_mass(dist, Port.D1) == pytest.approx(0.5, abs=1e-12)
         assert port_mass(dist, Port.D2) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert port_mass(dist, Port.BACK) == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(dist.masses[0].tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_transparent_splitters_single_entry(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.4, n_prime=6)
         dist = full_outcome_distribution(cfg, basis_state(4, 2), 8)
-        assert dist.entries == {(Port.D2, 2): pytest.approx(1.0)}
-        assert dist.residual == 0.0
+        assert nonzero_exits(dist) == {(Port.D2, 2): pytest.approx(1.0)}
+        assert dist.masses[0, -1] == 0.0
 
     def test_d2_port_total_matches_summed_bins(self):
         rng = np.random.default_rng(6)
@@ -665,8 +674,8 @@ class TestFullOutcomeDistribution:
     def test_residual_shrinks_with_cap(self):
         cfg = symmetric_config(4, 0.81, n_prime=8)
         state = mub_state(4, 0)
-        small = full_outcome_distribution(cfg, state, 8).residual
-        large = full_outcome_distribution(cfg, state, 40).residual
+        small = full_outcome_distribution(cfg, state, 8).masses[0, -1]
+        large = full_outcome_distribution(cfg, state, 40).masses[0, -1]
         assert large < small
         assert large < 1e-6
 
@@ -722,7 +731,7 @@ class TestOutcomeTable:
         table = outcome_table(cfg, state, thetas, bin_cap)
         keys = column_keys(table)
         assert keys[-1] == ("NONE", 0)
-        assert keys[:-1] == sorted(keys[:-1])  # OutcomeDistribution.sorted_entries
+        assert keys[:-1] == sorted(keys[:-1])  # (port name, bin) order
         assert len(set(keys)) == len(keys) == 2 * bin_cap + 1
         for row, theta in zip(table.masses, thetas):
             entries, residual = reference.outcome_masses(
@@ -796,11 +805,7 @@ class TestOutcomeTable:
         state = random_normalized_state(rng, 5)
         cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.3, theta=1.1, n_prime=20)
         table = outcome_table(cfg, state, [1.1], 20)
-        dist = full_outcome_distribution(cfg, state, 20)
-        nonzero = {
-            (TABLE_PORTS[p], b): m
-            for p, b, m in zip(table.ports, table.bins, table.masses[0])
-            if m > 0.0 and TABLE_PORTS[p] is not Port.NONE
-        }
-        assert dist.entries == nonzero
-        assert dist.residual == table.masses[0, -1]
+        view = full_outcome_distribution(cfg, state, 20)
+        assert view.masses.shape == (1, 41)
+        for name in ("ports", "bins", "masses"):
+            assert np.array_equal(getattr(view, name), getattr(table, name))

@@ -1,8 +1,16 @@
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_sweep, parse_tradeoff
 from timebin_cavity import (
@@ -733,3 +741,162 @@ def test_sweep_row_field_order_matches_contract():
         "p_e_observed",
         "accepted_probability",
     )
+
+
+# -- the CLI contract, over random commands, flags and config-file values ----
+
+# Every output field that is a probability (or, like r_sq and p_dc, an
+# input echoed from [0, 1)).
+PROBABILITY_FIELDS = {
+    "r_sq", "r_effective", "p_dc", "d2_window_frequency", "p_e_analytic",
+    "p_e_empirical", "p_e_closed_form", "p_d2", "p_e_observed",
+    "accepted_probability", "observed_error", "p_hat", "p_analytic",
+}  # fmt: skip
+
+# Small sizes only: d <= 16, windows near d, at most 2000 trials. Each
+# field has valid values and values the CLI must reject with exit 1.
+R_SQ = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True)
+)
+BAD_R_SQ = st.sampled_from([math.nan, 1.0, -0.1, math.inf])
+
+
+def cli_values(d):
+    """Per config field, (valid values, rejected values) at dimension d."""
+    window = st.integers(d, d + 24)
+    return {
+        "d": (st.just(d), st.integers(-1, 1)),
+        "r_grid": (
+            st.lists(R_SQ, min_size=1, max_size=3),
+            st.lists(st.one_of(R_SQ, BAD_R_SQ), max_size=3).filter(
+                lambda grid: not grid or not all(0.0 <= r < 1.0 for r in grid)
+            ),
+        ),
+        "n_prime": (window, st.integers(0, d - 1)),
+        "n_prime_values": (
+            st.lists(window, min_size=1, max_size=3),
+            st.lists(st.integers(0, d - 1), max_size=2),
+        ),
+        "k": (st.integers(0, d - 1), st.sampled_from([-1, d, 16])),
+        "theta": (
+            st.one_of(st.none(), st.floats(-10.0, 10.0)),
+            st.sampled_from([math.nan, math.inf]),
+        ),
+        "eta": (st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.1, math.nan])),
+        "p_dc": (
+            st.one_of(st.sampled_from([0.0, 5e-324, 1e-6]), st.floats(0.0, 0.9)),
+            st.sampled_from([-0.1, 1.0, math.nan]),
+        ),
+        "n_trials": (st.integers(1, 2000), st.integers(-1, 0)),
+        "master_seed": (st.integers(0, 2**128 - 1), st.sampled_from([-1, 2**128])),
+        "output_format": (st.sampled_from(["csv", "json"]), st.just("xml")),
+    }
+
+
+# Config field -> the flag that overrides it, for the fields that have one.
+CLI_FLAGS = {
+    "d": "--d", "r_grid": "--r-grid", "n_prime": "--n-prime", "eta": "--eta",
+    "p_dc": "--p-dc", "n_trials": "--trials", "master_seed": "--seed",
+    "output_format": "--format",
+}  # fmt: skip
+
+
+def flag_text(value):
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return str(value)
+
+
+@st.composite
+def invocations(draw):
+    """(command, flag values, config-file values, write to --out).
+
+    At most one field takes a rejected value: each field in about one run
+    of 16, and none in a quarter of the runs. The drawn d and a tradeoff's
+    cutoffs are always set.
+    """
+    command = draw(st.sampled_from(["error-sweep", "discriminate", "tradeoff"]))
+    values = cli_values(draw(st.integers(2, 16)))
+    broken = draw(st.sampled_from([None] * 4 + sorted(values)))
+    needed = {"d", broken} | ({"n_prime_values"} if command == "tradeoff" else set())
+    flags, data = {}, {}
+    for name, (good, bad) in values.items():
+        where = draw(st.sampled_from(["unset", "file", "flag"]))
+        if where == "flag" and name not in CLI_FLAGS or (
+            where == "unset" and name in needed
+        ):
+            where = "file"
+        if where != "unset":
+            value = draw(bad if name == broken else good)
+            (data if where == "file" else flags)[name] = value
+    if "n_prime_values" in data and draw(st.booleans()):
+        flags["n_prime"] = data.pop("n_prime_values")  # a comma list
+    return command, flags, data, draw(st.booleans())
+
+
+def probability_values(command, text):
+    """Every probability field of one output, parsed back."""
+    if command == "discriminate" or text.startswith("["):
+        out = json.loads(text)
+        records = out if isinstance(out, list) else [out, *out["settings"]]
+    else:
+        records = [
+            {k: float(v) for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO(text))
+        ]
+    assert records
+    return [
+        (key, value)
+        for record in records
+        for key, value in record.items()
+        if key in PROBABILITY_FIELDS
+    ]
+
+
+def run_captured(argv, out_path):
+    """(exit code, stdout, stderr, --out bytes or None) of one in-process run."""
+    if out_path is not None and out_path.exists():
+        out_path.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+    written = None
+    if out_path is not None and out_path.exists():
+        written = out_path.read_bytes()
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@given(case=invocations())
+@settings(max_examples=300, deadline=None)
+def test_cli_contract_holds_for_any_input(case):
+    command, flags, data, to_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for name, value in flags.items():
+            argv += [CLI_FLAGS[name], flag_text(value)]
+        if data:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(data))
+            argv += ["--config", str(config)]
+        out_path = Path(tmp) / "out.txt" if to_file else None
+        if out_path is not None:
+            argv += ["--out", str(out_path)]
+
+        code, stdout, stderr, written = first = run_captured(argv, out_path)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert stdout == "" and written is None
+            assert stderr.startswith("error: ")
+        if code == 0:
+            text = stdout if out_path is None else written.decode()
+            report = probability_values(command, text)
+            if command == "discriminate" and json.loads(text)["accepted_total"] == 0:
+                # no accepted click: the error estimate is undefined, not 0
+                assert ("p_e_empirical", None) in report
+                report.remove(("p_e_empirical", None))
+            for key, value in report:
+                assert isinstance(value, float) and 0.0 <= value <= 1.0, (key, value)
+        assert run_captured(argv, out_path) == first

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -29,6 +30,7 @@ from timebin_cavity import (
     theta_for_outcome,
     total_error,
 )
+from timebin_cavity.cavity import TABLE_PORTS
 
 NO_DARK = DarkCountModel(0.0)
 
@@ -39,13 +41,39 @@ def symmetric_config(d, r_sq, n_prime):
     )
 
 
+def port_counts(stats, port):
+    """A fixed-phase run's frames per column of one port."""
+    return stats.counts[stats.ports == TABLE_PORTS.index(port)]
+
+
+def clicks(stats):
+    """A fixed-phase run's nonzero columns by (port, bin); a dark D1 column
+    adds to the table's D1 column of its bin, where there is one."""
+    merged = {}
+    for p, b, c in zip(stats.ports.tolist(), stats.bins.tolist(), stats.counts):
+        if c:
+            key = (TABLE_PORTS[p], b)
+            merged[key] = merged.get(key, 0) + int(c)
+    return merged
+
+
+def assert_same_stats(a, b):
+    """Every field equal, the histogram and its labels included."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
 class TestSampleFrame:
     """Frame-level behaviour, sampled through run_trials."""
 
     def test_transparent_splitters_always_click_input_bin(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.1, n_prime=8)
         stats = run_trials(cfg, basis_state(4, 3), NO_DARK, 25, master_seed=0)
-        assert stats.counts == {(Port.D2, 3): 25}
+        assert clicks(stats) == {(Port.D2, 3): 25}
         assert stats.dark_clicks == 0
 
     def test_certain_dark_rate_is_rejected_by_model(self):
@@ -57,11 +85,11 @@ class TestSampleFrame:
         state = mub_state(3, 1)
         dark = DarkCountModel(0.05)
         stats = run_trials(cfg, state, dark, 60, master_seed=0, bin_cap=12)
-        for port, time_bin in stats.counts:
-            if port is Port.NONE:
-                assert time_bin == 0
-            else:
-                assert 1 <= time_bin <= 12
+        # every column, the cap dark D1 ones included, clicked or not
+        assert stats.counts.shape == stats.ports.shape == stats.bins.shape == (37,)
+        none = stats.ports == TABLE_PORTS.index(Port.NONE)
+        assert (stats.bins[none] == 0).all()
+        assert ((1 <= stats.bins[~none]) & (stats.bins[~none] <= 12)).all()
 
 
 class TestRunTrials:
@@ -70,7 +98,7 @@ class TestRunTrials:
         state = mub_state(2, 0)
         a = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
         b = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
-        assert a == b
+        assert_same_stats(a, b)
 
     def test_requires_at_least_one_trial(self):
         cfg = symmetric_config(2, 0.5, 4)
@@ -80,7 +108,8 @@ class TestRunTrials:
     def test_counts_add_up_to_trials(self):
         cfg = symmetric_config(4, 0.5, 12)
         stats = run_trials(cfg, mub_state(4, 0), DarkCountModel(0.002), 50_000, 5)
-        assert sum(stats.counts.values()) == 50_000
+        assert stats.counts.dtype == np.int64
+        assert stats.counts.sum() == 50_000
 
     def test_error_estimator_requires_discrimination_run(self):
         cfg = symmetric_config(2, 0.5, 4)
@@ -91,35 +120,32 @@ class TestRunTrials:
     def test_every_entry_frequency_matches_analytic(self):
         cfg = symmetric_config(4, 0.5, 12)
         state = random_normalized_state(np.random.default_rng(1), 4)
-        dist = full_outcome_distribution(cfg, state, 12)
+        table = full_outcome_distribution(cfg, state, 12)
         n = 200_000
 
         def check(seed):
             stats = run_trials(cfg, state, NO_DARK, n, seed)
-            expected = dict(dist.sorted_entries())
-            expected[(Port.NONE, 0)] = dist.residual
-            for key, p in expected.items():
-                port, time_bin = key
-                freq = stats.counts.get((port, time_bin), 0) / n
-                if not within_binomial_error(freq, p, n):
-                    return False
-            return True
+            # without dark counts the histogram is the table's layout
+            assert np.array_equal(stats.ports, table.ports)
+            assert np.array_equal(stats.bins, table.bins)
+            return all(
+                within_binomial_error(count / n, p, n)
+                for count, p in zip(stats.counts.tolist(), table.masses[0].tolist())
+            )
 
         assert retry_once(check, seeds=(2024, 2025))
 
     def test_chi_square_against_analytic_distribution(self):
         cfg = symmetric_config(4, 0.7, 12)
         state = mub_state(4, 0)
-        dist = full_outcome_distribution(cfg, state, 12)
+        table = full_outcome_distribution(cfg, state, 12)
         n = 300_000
         stats = run_trials(cfg, state, NO_DARK, n, master_seed=4242)
 
-        cells = list(dist.sorted_entries()) + [((Port.NONE, 0), dist.residual)]
         observed, expected = [], []
         small_obs, small_exp = 0, 0.0
-        for key, p in cells:
+        for o, p in zip(stats.counts.tolist(), table.masses[0].tolist()):
             e = p * n
-            o = stats.counts.get(key, 0)
             if e < 5.0:  # pool sparse cells so the chi-square approximation holds
                 small_obs += o
                 small_exp += e
@@ -158,12 +184,11 @@ class TestDarkCounts:
         cfg = symmetric_config(2, 0.9, 40)
         state = mub_state(2, 0)
         stats = run_trials(cfg, state, DarkCountModel(0.01), 100_000, 21)
-        d1_dark_region = sum(
-            c for (port, b), c in stats.counts.items() if port is Port.D1 and b > 2
-        )
-        d2_dark_region = sum(
-            c for (port, b), c in stats.counts.items() if port is Port.D2 and b > 2
-        )
+        late = stats.bins > 2
+        d1 = stats.ports == TABLE_PORTS.index(Port.D1)
+        d2 = stats.ports == TABLE_PORTS.index(Port.D2)
+        d1_dark_region = stats.counts[late & d1].sum()
+        d2_dark_region = stats.counts[late & d2].sum()
         # D2 also receives signal clicks in this region; it must be the
         # larger of the two, and both must be populated
         assert d1_dark_region > 0
@@ -177,13 +202,13 @@ class TestDarkCounts:
         state = basis_state(4, 3)
         n = 20_000
         stats = run_trials(cfg, state, DarkCountModel(p_dc), n, 17)
-        assert sum(stats.counts.values()) == n
+        assert stats.counts.sum() == n
         q = math.exp(2.0 * math.log1p(-p_dc))
         p_dark_wins = (1.0 - q**2) + q**2 * (1.0 - q) / 2.0
         assert within_binomial_error(stats.dark_clicks / n, p_dark_wins, n)
         if p_dc < 1e-6:
             clean = run_trials(cfg, state, NO_DARK, n, 17)
-            assert stats.counts == clean.counts
+            assert clicks(stats) == clicks(clean)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p_dc", [1e-310, 5e-324])
@@ -194,7 +219,7 @@ class TestDarkCounts:
         stats = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(p_dc), 1000, 1)
         tiny = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(1e-300), 1000, 1)
         assert stats.dark_clicks == tiny.dark_clicks == 0
-        assert stats.counts == tiny.counts
+        assert stats.counts is tiny.counts is None
         assert stats.setting_accepted == tiny.setting_accepted
 
     def test_zero_dark_rate_never_flags_dark(self):
@@ -207,7 +232,7 @@ class TestRunDiscrimination:
     def test_reproducible(self):
         a = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, 25_000, 777)
         b = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, 25_000, 777)
-        assert a == b
+        assert_same_stats(a, b)
 
     def test_frozen_counts_without_dark_counts(self):
         # setting counts, then one multinomial over every setting's three
@@ -223,7 +248,7 @@ class TestRunDiscrimination:
             3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
             3808, 3832, 3721, 3706, 3699, 3719, 3837, 3724,
         ]  # fmt: skip
-        assert stats.counts == {}  # a discrimination run keeps no bin counts
+        assert stats.counts is None  # a discrimination run keeps no bin counts
 
     def test_settings_cover_all_outcomes(self):
         stats = run_discrimination(4, 0.5, 0.5, 8, 0, NO_DARK, 40_000, 13)
@@ -323,7 +348,7 @@ class TestFrozenCounts:
             3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
             3808, 3832, 3721, 3706, 3699, 3719, 3837, 3724,
         ]  # fmt: skip
-        assert stats.counts == {}
+        assert stats.counts is stats.ports is stats.bins is None
 
     def test_frozen_counts_of_dark_d1_clicks(self):
         # Basis input 1 has its D1 column at bin 1 and BACK columns at bins
@@ -335,11 +360,15 @@ class TestFrozenCounts:
         assert stats.dark_clicks == 1862
         assert stats.setting_frames == {} and stats.setting_accepted == {}
         for port, frames in ((Port.D1, 12768), (Port.D2, 5663), (Port.BACK, 1569)):
-            assert sum(c for (p, _), c in stats.counts.items() if p is port) == frames
-        assert [stats.counts.get((Port.D1, b), 0) for b in range(1, 17)] == [
+            assert port_counts(stats, port).sum() == frames
+        # the table's 33 columns, then the dark D1 columns (D1, 1..16)
+        assert stats.ports[33:].tolist() == [TABLE_PORTS.index(Port.D1)] * 16
+        assert stats.bins[33:].tolist() == list(range(1, 17))
+        merged = clicks(stats)
+        assert [merged.get((Port.D1, b), 0) for b in range(1, 17)] == [
             12084, 78, 70, 64, 65, 46, 32, 41, 37, 33, 43, 36, 32, 35, 43, 29
         ]  # fmt: skip
-        items = sorted((p.value, b, c) for (p, b), c in stats.counts.items())
+        items = sorted((p.value, b, c) for (p, b), c in merged.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
             "5329b52e5f042763c006664bd18c36a804c7a01a6911bbbd09bcb2d9a05e3fba"
         )
@@ -375,7 +404,7 @@ class TestAgainstPerFrameOracle:
             pairs = [(got.dark_clicks, want.dark_clicks)]
             if entry == "run_trials":
                 for port in Port:
-                    got_port = sum(c for (p, _), c in got.counts.items() if p is port)
+                    got_port = int(port_counts(got, port).sum())
                     want_port = sum(
                         c for (p, _), c in want.counts.items() if p == port.value
                     )
@@ -415,7 +444,7 @@ class TestCost:
         )
         assert time.perf_counter() - start < 5.0
         assert sum(stats.setting_frames.values()) == n_trials
-        assert sum(fixed.counts.values()) == n_trials
+        assert fixed.counts.sum() == n_trials
         assert 0 < stats.accepted_total < n_trials
 
     @pytest.mark.parametrize("d", [2, 64])
@@ -444,7 +473,7 @@ class TestCost:
     def test_memory_does_not_grow_with_hit_chunks(self, monkeypatch):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
         # have a dark click inside the cap and are simulated one by one, in
-        # chunks of 4096, each tallied into the one column accumulator.
+        # chunks of 4096, each tallied into the per-setting accepted counts.
         d, cap, chunk = 2, 2**16, 4_096
         table = montecarlo._outcome_table(
             symmetric_config(d, 0.9, 8),
@@ -467,6 +496,36 @@ class TestCost:
                 tracemalloc.stop()
 
         assert peak(40) <= 1.2 * peak(4)
+
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-7])
+    def test_discrimination_run_allocates_nothing_per_column(self, monkeypatch, p_dc):
+        # The table of d = 2, n' = 2**20 has 2**21 + 1 columns: an int64 or
+        # bool array over them would take 16 or 2 MiB. The run keeps only
+        # per-setting counts and tests acceptance as a column range; at
+        # p_dc = 1e-7 about 19 000 hit frames take part.
+        d, n_prime = 2, 2**20
+        table = montecarlo._outcome_table(
+            symmetric_config(d, 0.9, n_prime),
+            mub_state(d, 0),
+            [theta_for_outcome(d, m) for m in range(d)],
+            n_prime,
+        )
+        monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
+
+        def run():
+            return run_discrimination(
+                d, 0.9, 0.9, n_prime, 0, DarkCountModel(p_dc), 10**5, 1
+            )
+
+        run()  # the first run imports numpy's seeding modules
+        tracemalloc.start()
+        try:
+            stats = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.accepted_total > 0
+        assert peak < 2**20
 
 
 def _must_not_allocate(*args, **kwargs):
