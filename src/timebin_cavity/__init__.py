@@ -10,7 +10,6 @@ numbers.
 
 from .cavity import (
     CavityConfig,
-    Port,
     cutoff_acceptances,
     d1_bin_probability,
     d2_bin_probability,
@@ -51,7 +50,6 @@ __all__ = [
     "CavityConfig",
     "DarkCountModel",
     "EmpiricalStats",
-    "Port",
     "TimeBinState",
     "TradeoffPoint",
     "accepted_event_probability",

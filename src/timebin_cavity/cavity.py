@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import List, Sequence
 
 import numpy as np
@@ -31,15 +30,6 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-class Port(Enum):
-    """Exit channels of the measurement stage (NONE = still circulating)."""
-
-    D1 = "D1"
-    D2 = "D2"
-    BACK = "BACK"
-    NONE = "NONE"
 
 
 @dataclass(frozen=True)
@@ -299,10 +289,11 @@ def projection_fidelity(cfg: CavityConfig, N: int, k: int) -> float:
     return fidelity(gamma_state(cfg, N), mub_state(cfg.dim, k))
 
 
-# Port codes: outcome tables label each column by its index into this
-# tuple, and the sampler counts frames by it. The detectors come first, so
-# a code above D2's is a frame that clicked no detector.
-TABLE_PORTS = (Port.D1, Port.D2, Port.BACK, Port.NONE)
+# Exit ports (NONE: still circulating), detectors first, so a code above
+# D2's is a frame that clicked no detector. Outcome tables label each column
+# by its port's index here, and the sampler counts frames by it.
+TABLE_PORTS = ("D1", "D2", "BACK", "NONE")
+D1, D2, BACK, NONE = range(len(TABLE_PORTS))
 
 
 @dataclass(frozen=True)
@@ -310,15 +301,16 @@ class OutcomeTable:
     """Exit masses of one input state at several loop phases, one row each.
 
     Column c is the exit (TABLE_PORTS[ports[c]], bins[c]); every row shares
-    the layout, in (port name, bin) order with zero-mass slots kept: one
-    upstream column per bin (BACK bins, then D1 bins), D2 bins 1..bin_cap,
-    then the still-circulating residual (NONE, bin 0). D2 columns below
-    bin d are inconclusive clicks: the photon left before every input slot
-    had entered the loop. Ports are labelled by provenance: the first
-    reflection of slot n is (D1, n), backward leakage through the first
-    splitter (BACK, bin). When both reach a bin (superposition inputs, bins
-    2..d) they leave on the same line, and their coherent mass is the D1
-    column. Which bins reach D1 depends on the input alone, not on the phase.
+    the layout, zero-mass slots kept, and each part is in bin order: column
+    b - 1 is the upstream exit at bin b, column bin_cap + b - 1 is D2 at
+    bin b, and the last is the still-circulating residual (NONE, bin 0). D2
+    columns below bin d are inconclusive clicks: the photon left before
+    every input slot had entered the loop. An upstream column is labelled
+    by provenance: D1 at a bin where an input slot reflects off the first
+    splitter, BACK (leakage back through it) everywhere else. At a bin
+    where both happen (superposition inputs, bins 2..d) they leave on the
+    same line, and their coherent mass is the D1 column. Which bins are D1
+    depends on the input alone, not on the phase.
     """
 
     ports: np.ndarray
@@ -337,9 +329,10 @@ def outcome_table(
     the literal projection-state probabilities.
 
     Built in two parts for all phases at once, straight into one
-    preallocated (len(thetas), 2 bin_cap + 1) array. Over the entry bins
-    1..d the circulating amplitude steps as c_b = loop c_(b-1) + t1 psi_b,
-    with loop = r1 r2 e^{-i (theta + pi)}; bin b's upstream exit comes from
+    preallocated (len(thetas), 2 bin_cap + 1) array in the bin-order layout
+    of :class:`OutcomeTable`. Over the entry bins 1..d the circulating
+    amplitude steps as c_b = loop c_(b-1) + t1 psi_b, with
+    loop = r1 r2 e^{-i (theta + pi)}; bin b's upstream exit comes from
     c_(b-1) and the slot reflecting there. Nothing enters after bin d, so
     |c_(d+j)|^2 = (r1 r2)^(2j) |c_d|^2, and the tail is outer products of
     |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
@@ -358,47 +351,27 @@ def outcome_table(
         )
     d = cfg.dim
     r1, r2, t1, t2 = cfg.r1, cfg.r2, cfg.t1, cfg.t2
-    # A bin's upstream exit is the D1 click while an input slot enters and
-    # reflects there, otherwise backward leakage.
-    reflected = np.zeros(bin_cap, dtype=bool)
-    reflected[:d] = (state.amps != 0) & (r1 > 0.0)
-    upstream = np.concatenate(  # 0-based bins, in column order
-        [np.flatnonzero(~reflected), np.flatnonzero(reflected)]
-    )
-    n_back = bin_cap - int(reflected.sum())
-    column_ports = (Port.BACK, Port.D1, Port.D2, Port.NONE)
-    ports = np.repeat(
-        np.array([TABLE_PORTS.index(p) for p in column_ports], dtype=np.int8),
-        [n_back, bin_cap - n_back, bin_cap, 1],
-    )
-    bins = np.concatenate([upstream + 1, np.arange(1, bin_cap + 1), [0]])
+    ports = np.full(2 * bin_cap + 1, D2, dtype=np.int8)
+    ports[:bin_cap] = BACK
+    ports[:d][(state.amps != 0) & (r1 > 0.0)] = D1
+    ports[-1] = NONE
+    bins = np.append(np.tile(np.arange(1, bin_cap + 1), 2), 0)
 
     thetas = np.asarray(thetas, dtype=float)
     loop = r1 * r2 * np.exp(-1j * (thetas + math.pi))
     leak = 1j * t1 * r2 * np.exp(-1j * thetas)
     masses = np.empty((len(thetas), 2 * bin_cap + 1))
-    d2 = masses[:, bin_cap:-1]  # column b - 1 is D2 bin b
+    upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
     circulating = np.zeros(len(thetas), dtype=np.complex128)
-    # Upstream column of each entry bin: D1 columns follow the n_back BACK
-    # columns, and each kind keeps bin order.
-    reflects = reflected[:d]
-    entry_cols = np.where(
-        reflects, n_back + np.cumsum(reflects) - 1, np.cumsum(~reflects) - 1
-    )
-    entry_bins = zip(
-        entry_cols.tolist(),
-        (1j * r1 * state.amps).tolist(),
-        (t1 * state.amps).tolist(),
-    )
-    for b, (col, reflecting, entering) in enumerate(entry_bins):
-        masses[:, col] = abs(leak * circulating + reflecting) ** 2
+    entry_bins = zip((1j * r1 * state.amps).tolist(), (t1 * state.amps).tolist())
+    for b, (reflecting, entering) in enumerate(entry_bins):
+        upstream[:, b] = abs(leak * circulating + reflecting) ** 2
         circulating = loop * circulating + entering
         d2[:, b] = abs(t2 * circulating) ** 2
     norm = abs(circulating) ** 2
     decay = (r1 * r2) ** (2 * np.arange(bin_cap - d + 1))
     np.multiply.outer(t2**2 * norm, decay[1:], out=d2[:, d:])
-    back = masses[:, n_back - (bin_cap - d) : n_back]  # BACK bins d + 1..bin_cap
-    np.multiply.outer(t1**2 * r2**2 * norm, decay[:-1], out=back)
+    np.multiply.outer(t1**2 * r2**2 * norm, decay[:-1], out=upstream[:, d:])
     masses[:, -1] = r2**2 * norm * decay[-1]
     return OutcomeTable(ports=ports, bins=bins, masses=masses)
 

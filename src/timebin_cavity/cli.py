@@ -237,15 +237,25 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     return rows
 
 
+def _one_r_sq(config: ExperimentConfig, command: str) -> float:
+    """The grid's one value; a command other than error-sweep takes no grid."""
+    if len(config.r_grid) != 1:
+        raise UsageError(
+            f"{command} takes one --r-grid value, got {len(config.r_grid)}; "
+            "only error-sweep takes a grid"
+        )
+    return config.r_grid[0]
+
+
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
-    """:func:`imperfections.cutoff_tradeoff_scan` at the first grid value."""
+    """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value."""
     cutoffs = config.n_prime_values
     if not cutoffs:
         raise UsageError(
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
             "or set n_prime_values in the config file"
         )
-    _, _, rows = _accepted_rows(config, config.r_grid[0], cutoffs)
+    _, _, rows = _accepted_rows(config, _one_r_sq(config, "tradeoff"), cutoffs)
     return tradeoff_points(rows, cutoffs, config.k)
 
 
@@ -257,7 +267,8 @@ def _z_score(observed: float, expected: float, n: int) -> float:
 
 def discrimination_report(config: ExperimentConfig) -> dict:
     """Empirical vs analytic statistics as a JSON-ready dict; one kernel pass."""
-    cfg, _, (p_analytic,) = _accepted_rows(config, config.r_grid[0], [config.n_prime])
+    r_sq = _one_r_sq(config, "discriminate")
+    cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, [config.n_prime])
     p_analytic = p_analytic.tolist()
     stats = run_discrimination(
         d=config.d,
@@ -271,13 +282,13 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     )
     settings = []
     for m in range(config.d):
-        frames = stats.setting_frames.get(m, 0)
+        frames = int(stats.setting_frames[m])
         p_hat = stats.p_hat(m)
         settings.append(
             {
                 "m": m,
                 "frames": frames,
-                "accepted": stats.setting_accepted.get(m, 0),
+                "accepted": int(stats.setting_accepted[m]),
                 "p_hat": p_hat,
                 "p_analytic": p_analytic[m],
                 "z": _z_score(p_hat, p_analytic[m], frames),
@@ -290,7 +301,7 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         p_e_z = _z_score(p_e_hat, p_e_expected, stats.accepted_total)
     return {
         "d": config.d,
-        "r_sq": config.r_grid[0],
+        "r_sq": r_sq,
         "r_effective": cfg.r1_sq,
         "n_prime": config.n_prime,
         "prepared_k": config.k,

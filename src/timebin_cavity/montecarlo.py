@@ -7,11 +7,11 @@ the statistics pipeline against the analytic module.
 
 A run builds one stacked table: row m holds the cumulative exit masses
 for phase setting m over one shared column layout
-(:func:`cavity.outcome_table`), zero-mass columns included. The table steps
-the loop amplitude over the d entry bins and writes every later bin in
-closed form, as a power of r^2 times that amplitude's mass; it does not
-reuse the acceptance kernel, so the report's Monte Carlo vs analytic
-z-scores compare two independent computations.
+(:func:`cavity.outcome_table`) in bin order, zero-mass columns included.
+The table steps the loop amplitude over the d entry bins and writes every
+later bin in closed form, as a power of r^2 times that amplitude's mass;
+it does not reuse the acceptance kernel, so the report's Monte Carlo vs
+analytic z-scores compare two independent computations.
 
 Frames are iid, and the dark process does not depend on the photon, so a
 run samples counts, not frames. Given the setting counts n_m (one
@@ -20,35 +20,35 @@ have a dark click inside bin_cap. The rest click as their photon does: one
 multinomial over every row's column ranges, split where the CDF steps up in
 a fixed-phase run and at the window's edges in a discrimination run, whose
 report reads only accepted counts. Only the hit frames are simulated one
-by one, in chunks of at most :data:`_DEFAULT_CHUNK`: photon column by
-inverse CDF of the row, first dark bin from a uniform scaled into
-[0, p_hit), then detector, dual-dark pick and tie (:func:`_merge_dark`).
+by one, in chunks of at most :data:`_DEFAULT_CHUNK`: photon column by inverse
+CDF of the row, first dark bin from a uniform scaled into [0, p_hit), then
+fair coins for the dark detector and a photon/dark tie (:func:`_merge_dark`).
 A call costs O(rows K + hit frames), whatever ``n_trials`` is.
 
 Randomness comes from one Philox stream keyed by the master seed
 (:func:`_generator`), read in a fixed order: setting counts, hit counts,
-the photon-only range counts, then five doubles per hit frame. Results are
+the photon-only range counts, then four doubles per hit frame. Results are
 a pure function of (config, n_trials, master_seed).
 
 A fixed-phase run returns its counts in the table's own layout: an int64
 histogram over the table's 2 bin_cap + 1 columns (a dark D2 click takes
 its bin's D2 column), then, with dark counts, bin_cap columns (D1, 1..
 bin_cap) for frames a dark D1 click won. A discrimination run keeps only
-its per-setting counts and allocates nothing per column.
+its per-setting counts, (d,) arrays, and allocates nothing per column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cavity import (
-    TABLE_PORTS,
+    D1,
+    D2,
     CavityConfig,
-    Port,
     full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
     outcome_table,
     theta_for_outcome,
@@ -56,11 +56,10 @@ from .cavity import (
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-_D1, _D2 = TABLE_PORTS.index(Port.D1), TABLE_PORTS.index(Port.D2)
-# Per-hit-frame variate block: outcome, dark bin, dark detector, dual-dark
-# pick, photon/dark tie break.
-_DRAWS_PER_HIT = 5
-# Most hit frames simulated at once; each takes 5 doubles and a few int64
+# Per-hit-frame variate block: outcome, dark bin, dark detector, photon/dark
+# tie break.
+_DRAWS_PER_HIT = 4
+# Most hit frames simulated at once; each takes 4 doubles and a few int64
 # temporaries, about 0.1 KiB, so a chunk holds under 1 MiB. The stream is
 # read in the same order whatever the chunk size.
 _DEFAULT_CHUNK = 8_192
@@ -90,9 +89,10 @@ class EmpiricalStats:
     Both kinds of run fill ``dark_clicks`` and ``accepted_total``. A
     fixed-phase run fills ``counts``, the frames per column, labelled like
     :class:`cavity.OutcomeTable` by ``ports`` (cavity.TABLE_PORTS codes) and
-    ``bins``; a discrimination run leaves those None and fills the setting
-    dicts. Array fields have no single truth value, so == is identity;
-    compare two runs field by field.
+    ``bins``; a discrimination run leaves those None and fills the (d,)
+    int64 arrays ``setting_frames`` and ``setting_accepted``. Array fields
+    have no single truth value, so == is identity; compare two runs field
+    by field.
     """
 
     n_trials: int
@@ -106,8 +106,8 @@ class EmpiricalStats:
     counts: Optional[np.ndarray] = None
     dark_clicks: int = 0
     accepted_total: int = 0
-    setting_frames: Dict[int, int] = field(default_factory=dict)
-    setting_accepted: Dict[int, int] = field(default_factory=dict)
+    setting_frames: Optional[np.ndarray] = None
+    setting_accepted: Optional[np.ndarray] = None
 
     def d2_window_frequency(self) -> float:
         """Fraction of frames with a D2 click inside the accepted window."""
@@ -115,21 +115,17 @@ class EmpiricalStats:
 
     def p_hat(self, m: int) -> float:
         """Empirical windowed acceptance for setting m (discrimination runs)."""
-        frames = self.setting_frames.get(m, 0)
-        if frames == 0:
-            return 0.0
-        return self.setting_accepted.get(m, 0) / frames
+        frames = int(self.setting_frames[m])
+        return int(self.setting_accepted[m]) / frames if frames else 0.0
 
     def p_e_hat(self) -> float:
         """Empirical discrimination error: mismatched share of accepted clicks."""
-        if self.prepared_k is None or not self.setting_frames:
+        if self.prepared_k is None:
             raise ValueError("error estimate requires a discrimination run")
         if self.accepted_total == 0:
             raise ValueError("no accepted events; error estimate undefined")
-        mismatched = sum(
-            c for m, c in self.setting_accepted.items() if m != self.prepared_k
-        )
-        return mismatched / self.accepted_total
+        matched = int(self.setting_accepted[self.prepared_k])
+        return (self.accepted_total - matched) / self.accepted_total
 
 
 @dataclass(frozen=True)
@@ -198,10 +194,12 @@ def _merge_dark(
 
     Every frame here has one: its first dark bin F comes from u[:, 1]
     scaled into [0, p_hit), the law of F given F <= bin_cap. The earliest
-    click wins a frame, a tie by u[:, 4]. Writes the dark click's column
-    into ``cols`` for every frame it wins and returns ``cols``, the won
-    frames' indices and the per-frame dark-win flags. A dark D2 click at
-    bin b takes the table's (D2, b) column, bin_cap + b - 1; a dark D1
+    click wins a frame, a tie by u[:, 3]. In bin F one detector fires
+    alone, or both do and one is picked fairly: D1 has the click with
+    probability 1/2 exactly, decided by u[:, 2]. Writes the dark click's
+    column into ``cols`` for every frame it wins and returns ``cols``, the
+    won frames' indices and the per-frame dark-win flags. A dark D2 click
+    at bin b takes the table's (D2, b) column, bin_cap + b - 1; a dark D1
     click takes column 2 bin_cap + b, one of the bin_cap columns after the
     table's K = 2 bin_cap + 1, since most bins have a BACK column and no
     D1 one.
@@ -212,21 +210,12 @@ def _merge_dark(
     np.minimum(first_dark, bin_cap, out=first_dark)  # a quotient rounded up
     photon_bins = table.bins[cols]
     wins = (
-        (table.ports[cols] > _D2)  # the photon clicked no detector
+        (table.ports[cols] > D2)  # the photon clicked no detector
         | (first_dark < photon_bins)
-        | ((first_dark == photon_bins) & (u[:, 4] < 0.5))
+        | ((first_dark == photon_bins) & (u[:, 3] < 0.5))
     )
     won = np.flatnonzero(wins)
-    first_dark = first_dark[won]
-    # One detector fires (each with p_one_detector) or both do, and then
-    # the dual-dark pick chooses.
-    any_dark = -math.expm1(log_no_dark)
-    p_one_detector = p_dc * (1.0 - p_dc) / any_dark
-    u_det = u[won, 2]
-    dark_d1 = (u_det < p_one_detector) | (
-        (u_det >= 2.0 * p_one_detector) & (u[won, 3] < 0.5)
-    )
-    cols[won] = first_dark + np.where(dark_d1, 2 * bin_cap, bin_cap - 1)
+    cols[won] = first_dark[won] + np.where(u[won, 2] < 0.5, 2 * bin_cap, bin_cap - 1)
     return cols, won, wins
 
 
@@ -278,7 +267,7 @@ def _sample(
     if prepared_k is None:
         # The table's columns, then with dark counts cap dark D1 columns.
         n_dark = cap if dark.p_dc > 0.0 else 0
-        stats.ports = np.append(table.ports, np.full(n_dark, _D1, np.int8))
+        stats.ports = np.append(table.ports, np.full(n_dark, D1, np.int8))
         stats.bins = np.append(table.bins, np.arange(1, n_dark + 1))
         stats.counts = np.zeros(n_table + n_dark, dtype=np.int64)
         stats.counts[edges] = photon_counts[0]
@@ -302,10 +291,7 @@ def _sample(
 
     stats.accepted_total = int(setting_accepted.sum())
     if prepared_k is not None:
-        stats.setting_frames = {m: int(c) for m, c in enumerate(frames) if c}
-        stats.setting_accepted = {
-            m: int(c) for m, c in enumerate(setting_accepted) if c
-        }
+        stats.setting_frames, stats.setting_accepted = frames, setting_accepted
     return stats
 
 

@@ -11,7 +11,6 @@ import reference
 from conftest import random_normalized_state, window_cases
 from timebin_cavity import (
     CavityConfig,
-    Port,
     TimeBinState,
     basis_state,
     cutoff_acceptances,
@@ -642,15 +641,15 @@ class TestFullOutcomeDistribution:
     def test_delta_branching_arithmetic(self):
         cfg = symmetric_config(4, 0.5, n_prime=150)
         dist = full_outcome_distribution(cfg, basis_state(4, 2), 160)
-        assert port_mass(dist, Port.D1) == pytest.approx(0.5, abs=1e-12)
-        assert port_mass(dist, Port.D2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert port_mass(dist, Port.BACK) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert port_mass(dist, "D1") == pytest.approx(0.5, abs=1e-12)
+        assert port_mass(dist, "D2") == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert port_mass(dist, "BACK") == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert math.fsum(dist.masses[0].tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_transparent_splitters_single_entry(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.4, n_prime=6)
         dist = full_outcome_distribution(cfg, basis_state(4, 2), 8)
-        assert nonzero_exits(dist) == {(Port.D2, 2): pytest.approx(1.0)}
+        assert nonzero_exits(dist) == {("D2", 2): pytest.approx(1.0)}
         assert dist.masses[0, -1] == 0.0
 
     def test_d2_port_total_matches_summed_bins(self):
@@ -658,7 +657,7 @@ class TestFullOutcomeDistribution:
         state = random_normalized_state(rng, 5)
         cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.5, theta=1.1, n_prime=20)
         dist = full_outcome_distribution(cfg, state, 20)
-        assert port_mass(dist, Port.D2) == pytest.approx(
+        assert port_mass(dist, "D2") == pytest.approx(
             d2_total_probability(cfg, state, include_early=True), abs=1e-13
         )
 
@@ -667,8 +666,8 @@ class TestFullOutcomeDistribution:
         state = random_normalized_state(rng, 5)
         cfg = CavityConfig(dim=5, r1_sq=0.5, r2_sq=0.5, theta=1.1, n_prime=20)
         dist = full_outcome_distribution(cfg, state, 20)
-        expected = port_mass(dist, Port.D2) - d2_total_probability(cfg, state)
-        early = port_mass(dist, Port.D2, below=5)
+        expected = port_mass(dist, "D2") - d2_total_probability(cfg, state)
+        early = port_mass(dist, "D2", below=5)
         assert early == pytest.approx(expected, abs=1e-13)
 
     def test_residual_shrinks_with_cap(self):
@@ -712,7 +711,7 @@ def table_cases(draw):
 
 
 def column_keys(table):
-    return [(TABLE_PORTS[p].value, b) for p, b in zip(table.ports, table.bins)]
+    return [(TABLE_PORTS[p], b) for p, b in zip(table.ports, table.bins)]
 
 
 class TestOutcomeTable:
@@ -730,8 +729,11 @@ class TestOutcomeTable:
         cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=d)
         table = outcome_table(cfg, state, thetas, bin_cap)
         keys = column_keys(table)
-        assert keys[-1] == ("NONE", 0)
-        assert keys[:-1] == sorted(keys[:-1])  # (port name, bin) order
+        # bins 1..bin_cap upstream (D1 or BACK), then on D2, then (NONE, 0)
+        cap_bins = list(range(1, bin_cap + 1))
+        assert [b for _, b in keys] == cap_bins + cap_bins + [0]
+        assert {p for p, _ in keys[:bin_cap]} <= {"D1", "BACK"}
+        assert [p for p, _ in keys[bin_cap:]] == ["D2"] * bin_cap + ["NONE"]
         assert len(set(keys)) == len(keys) == 2 * bin_cap + 1
         for row, theta in zip(table.masses, thetas):
             entries, residual = reference.outcome_masses(

@@ -8,8 +8,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_sweep, parse_tradeoff
@@ -18,6 +19,7 @@ from timebin_cavity import (
     DarkCountModel,
     cavity,
     cli,
+    montecarlo,
     mub_state,
     theta_for_outcome,
     total_error_closed_form,
@@ -157,7 +159,9 @@ class TestOneKernelPass:
         assert len(kernel_calls) == len(rows) == 3
 
     def test_once_per_tradeoff(self, kernel_calls):
-        config = ExperimentConfig(d=4, p_dc=1e-4, n_prime_values=[4, 8, 16]).resolved()
+        config = ExperimentConfig(
+            d=4, r_grid=[0.5], p_dc=1e-4, n_prime_values=[4, 8, 16]
+        ).resolved()
         assert len(cli.compute_tradeoff(config)) == 3
         assert len(kernel_calls) == 1
 
@@ -334,8 +338,9 @@ class TestDiscriminate:
 
     def test_tiny_dark_rate_runs_clean(self, capsys):
         code = run_cli(
-            "discriminate", "--d", "2", "--trials", "1000", "--p-dc", "1e-17"
-        )
+            "discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "1000",
+            "--p-dc", "1e-17",
+        )  # fmt: skip
         assert code == 0
         assert json.loads(capsys.readouterr().out)["dark_clicks"] == 0
 
@@ -455,6 +460,33 @@ class TestTradeoff:
         assert run_cli(
             "tradeoff", "--d", "8", "--r-grid", "0.9", "--n-prime", "4,16"
         ) == 1
+
+
+class TestOneRValue:
+    """discriminate and tradeoff run at one r² value; only error-sweep
+    takes a grid."""
+
+    @pytest.mark.parametrize("source", ["flag", "config", "default"])
+    @pytest.mark.parametrize("command", ["discriminate", "tradeoff"])
+    def test_grid_is_usage_error(self, tmp_path, capsys, command, source):
+        out = tmp_path / "out.txt"
+        n_prime = "4,8" if command == "tradeoff" else "8"
+        argv = [command, "--d", "4", "--n-prime", n_prime, "--trials", "100"]
+        grid_size = {"flag": 2, "config": 3, "default": 10}[source]
+        if source == "flag":
+            argv += ["--r-grid", "0.5,0.9"]
+        elif source == "config":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"r_grid": [0.5, 0.7, 0.9]}))
+            argv += ["--config", str(path)]
+        for to_file in (False, True):
+            assert run_cli(*argv, *(["--out", str(out)] if to_file else [])) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: {command} takes one --r-grid value, got {grid_size}; "
+                "only error-sweep takes a grid\n"
+            )
+            assert captured.out == "" and not out.exists()
 
 
 def _must_not_run(*args, **kwargs):
@@ -761,15 +793,21 @@ R_SQ = st.one_of(
 BAD_R_SQ = st.sampled_from([math.nan, 1.0, -0.1, math.inf])
 
 
-def cli_values(d):
-    """Per config field, (valid values, rejected values) at dimension d."""
+def cli_values(d, command):
+    """Per config field, (valid values, rejected values) at dimension d.
+
+    Only error-sweep takes a grid; the other commands take one r² value.
+    """
     window = st.integers(d, d + 24)
+    grid_size = 3 if command == "error-sweep" else 1
     return {
         "d": (st.just(d), st.integers(-1, 1)),
         "r_grid": (
-            st.lists(R_SQ, min_size=1, max_size=3),
+            st.lists(R_SQ, min_size=1, max_size=grid_size),
             st.lists(st.one_of(R_SQ, BAD_R_SQ), max_size=3).filter(
-                lambda grid: not grid or not all(0.0 <= r < 1.0 for r in grid)
+                lambda grid: not grid
+                or len(grid) > grid_size
+                or not all(0.0 <= r < 1.0 for r in grid)
             ),
         ),
         "n_prime": (window, st.integers(0, d - 1)),
@@ -812,13 +850,18 @@ def invocations(draw):
     """(command, flag values, config-file values, write to --out).
 
     At most one field takes a rejected value: each field in about one run
-    of 16, and none in a quarter of the runs. The drawn d and a tradeoff's
-    cutoffs are always set.
+    of 16, and none in a quarter of the runs. The drawn d, a tradeoff's
+    cutoffs and the one r² value of discriminate and tradeoff (the default
+    is a grid) are always set.
     """
     command = draw(st.sampled_from(["error-sweep", "discriminate", "tradeoff"]))
-    values = cli_values(draw(st.integers(2, 16)))
+    values = cli_values(draw(st.integers(2, 16)), command)
     broken = draw(st.sampled_from([None] * 4 + sorted(values)))
-    needed = {"d", broken} | ({"n_prime_values"} if command == "tradeoff" else set())
+    needed = {"d", broken}
+    if command != "error-sweep":
+        needed.add("r_grid")
+    if command == "tradeoff":
+        needed.add("n_prime_values")
     flags, data = {}, {}
     for name, (good, bad) in values.items():
         where = draw(st.sampled_from(["unset", "file", "flag"]))
@@ -900,3 +943,39 @@ def test_cli_contract_holds_for_any_input(case):
             for key, value in report:
                 assert isinstance(value, float) and 0.0 <= value <= 1.0, (key, value)
         assert run_captured(argv, out_path) == first
+
+
+@st.composite
+def seed_pairs(draw):
+    """Two distinct seeds in [0, 2**128), often one Philox key word apart."""
+    seed = draw(st.integers(0, 2**128 - 1))
+    offset = draw(
+        st.one_of(st.sampled_from([1, 2**32, 2**64]), st.integers(1, 2**128 - 1))
+    )
+    return seed, (seed + offset) % 2**128
+
+
+@given(pair=seed_pairs())
+@example(pair=(5, 5 + 2**32))
+@example(pair=(5, 5 + 2**64))
+@example(pair=(0, 2**128 - 1))
+@settings(max_examples=200, deadline=None)
+def test_distinct_seeds_give_distinct_streams(pair):
+    # the seed is the whole 128-bit Philox key: no two seeds share a stream
+    a, b = (montecarlo._generator(seed).random(4) for seed in pair)
+    assert (a != b).all()
+
+
+@given(seed=st.integers(0, 2**128 - 2**64 - 1))
+@example(seed=0)
+@settings(max_examples=10, deadline=None)
+def test_seeds_a_key_word_apart_give_distinct_reports(seed):
+    argv = [
+        "discriminate", "--d", "16", "--r-grid", "0.9", "--p-dc", "1e-3",
+        "--trials", "20000", "--format", "json",
+    ]  # fmt: skip
+    first, second = (
+        run_captured([*argv, "--seed", str(s)], None) for s in (seed, seed + 2**64)
+    )
+    assert first[0] == second[0] == 0
+    assert json.loads(first[1])["settings"] != json.loads(second[1])["settings"]
