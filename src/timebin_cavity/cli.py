@@ -380,7 +380,12 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_defaults(args) -> int:
-    print(json.dumps(dataclasses.asdict(ExperimentConfig()), indent=2))
+    config = ExperimentConfig()
+    if args.for_command in ("discriminate", "tradeoff"):
+        config.r_grid = config.r_grid[-1:]  # these run at one |R|^2
+    if args.for_command == "tradeoff":
+        config.n_prime_values = [config.d, 2 * config.d, 4 * config.d]
+    print(json.dumps(dataclasses.asdict(config), indent=2))
     return 0
 
 
@@ -528,6 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func in _COMMANDS:
         sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
+    sub.choices["defaults"].add_argument(
+        "for_command",
+        nargs="?",
+        choices=[name for name, *_ in _COMMANDS if name != "defaults"],
+        help="print a configuration this command runs",
+    )
     return parser
 
 

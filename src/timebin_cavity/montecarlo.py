@@ -13,28 +13,33 @@ later bin in closed form, as a power of r^2 times that amplitude's mass;
 it does not reuse the acceptance kernel, so the report's Monte Carlo vs
 analytic z-scores compare two independent computations.
 
-Frames are iid, and the dark process does not depend on the photon, so a
-run samples counts, not frames. Given the setting counts n_m (one
-multinomial over the rows), h_m ~ Binomial(n_m, p_hit) frames per setting
-have a dark click inside bin_cap. The rest click as their photon does: one
-multinomial over every row's column ranges, split where the CDF steps up in
-a fixed-phase run and at the window's edges in a discrimination run, whose
-report reads only accepted counts. Only the hit frames are simulated one
-by one, in chunks of at most :data:`_DEFAULT_CHUNK`: photon column by inverse
-CDF of the row, first dark bin from a uniform scaled into [0, p_hit), then
-fair coins for the dark detector and a photon/dark tie (:func:`_merge_dark`).
-A call costs O(rows K + hit frames), whatever ``n_trials`` is.
+Frames are iid, so a run samples counts, not frames: each row's counts
+are one multinomial over that row's exact one-frame outcome law. The dark
+process does not depend on the photon, and the earliest click inside
+bin_cap wins a frame, a photon/dark tie by a fair coin. With
+q = (1 - p_dc)^2 per bin, a photon click at bin b keeps its frame with
+probability q^b + q^(b-1)(1 - q)/2 and a photon that clicks nothing
+(BACK, NONE) with q^bin_cap; a dark click at bin f wins with probability
+q^(f-1)(1 - q) times the photon mass that clicks after f or never plus
+half the mass that clicks at f, and is D1 or D2 with probability 1/2
+each. The law is a few passes over the table, O(rows K) with
+K = 2 bin_cap + 1 columns, and a call costs that whatever ``n_trials``
+and ``p_dc`` are.
 
 Randomness comes from one Philox stream keyed by the master seed
-(:func:`_generator`), read in a fixed order: setting counts, hit counts,
-the photon-only range counts, then four doubles per hit frame. Results are
-a pure function of (config, n_trials, master_seed).
+(:func:`_generator`), read in a fixed order: the setting counts, then one
+multinomial over every row's law, its dark categories last. Without dark
+counts the law is the table row, and the draws are those of the photon
+alone. Results are a pure function of (config, n_trials, master_seed).
 
-A fixed-phase run returns its counts in the table's own layout: an int64
-histogram over the table's 2 bin_cap + 1 columns (a dark D2 click takes
-its bin's D2 column), then, with dark counts, bin_cap columns (D1, 1..
-bin_cap) for frames a dark D1 click won. A discrimination run keeps only
-its per-setting counts, (d,) arrays, and allocates nothing per column.
+A fixed-phase run draws over the table's columns, then bin_cap dark D1
+and bin_cap dark D2 columns (:func:`_column_law`), and returns its counts
+in the table's own layout: an int64 histogram over the table's
+2 bin_cap + 1 columns (a dark D2 click adds to its bin's D2 column), then,
+with dark counts, bin_cap columns (D1, 1..bin_cap) for frames a dark D1
+click won. A discrimination run draws over five categories per setting
+(:func:`_range_law`), keeps only its per-setting counts, (d,) arrays, and
+allocates nothing per column.
 """
 
 from __future__ import annotations
@@ -56,13 +61,10 @@ from .cavity import (
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-# Per-hit-frame variate block: outcome, dark bin, dark detector, photon/dark
-# tie break.
-_DRAWS_PER_HIT = 4
-# Most hit frames simulated at once; each takes 4 doubles and a few int64
-# temporaries, about 0.1 KiB, so a chunk holds under 1 MiB. The stream is
-# read in the same order whatever the chunk size.
-_DEFAULT_CHUNK = 8_192
+# Rows x bins per block of a discrimination run's D2 columns: a block of
+# masses takes 128 KiB, so the run's law stays well under 1 MiB at any
+# window.
+_LAW_BLOCK_CELLS = 1 << 14
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
@@ -165,6 +167,7 @@ def _p_hit(p_dc: float, bin_cap: int) -> float:
     return -math.expm1(bin_cap * 2.0 * math.log1p(-p_dc))
 
 
+# Not called in the package; bound for the benchmark's traced run.
 def _sample_photon(
     table: _OutcomeTable, settings: np.ndarray, u_outcome: np.ndarray
 ) -> np.ndarray:
@@ -183,6 +186,7 @@ def _sample_photon(
     return cols
 
 
+# Not called in the package; bound for the benchmark's traced run.
 def _merge_dark(
     cols: np.ndarray,
     table: _OutcomeTable,
@@ -219,6 +223,120 @@ def _merge_dark(
     return cols, won, wins
 
 
+def _masses(cdf: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The masses of columns start..stop - 1 of every row of ``cdf``."""
+    if start == 0:
+        return np.diff(cdf[:, :stop], axis=1, prepend=0.0)
+    return np.diff(cdf[:, start - 1 : stop], axis=1)
+
+
+def _first_dark(
+    log_q: float, start: int, stop: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """log q^(b-1), and q^(b-1)(1 - q), the chance that b is the first bin
+    with a dark click, over bins start..stop - 1; log q = 2 log1p(-p_dc)."""
+    log_before = np.arange(start - 1, stop - 1) * log_q
+    return log_before, np.exp(log_before) * -math.expm1(log_q)
+
+
+def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
+    """Each row's one-frame law over a fixed-phase run's columns.
+
+    The table's masses, (rows, K), without dark counts. With them,
+    (rows, K + 2 bin_cap): the share of each table column no dark click
+    takes, then dark D1 and dark D2 clicks at bins 1..bin_cap. An entry
+    below the CDF's rounding can be a little negative.
+    """
+    cdf = table.cdf
+    rows, n_table = cdf.shape
+    law = np.empty((rows, n_table + (2 * bin_cap if p_dc > 0.0 else 0)))
+    law[:, 0] = cdf[:, 0]
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=law[:, 1:n_table])
+    if p_dc == 0.0:
+        return law
+    log_q = 2.0 * math.log1p(-p_dc)
+    log_before, first = _first_dark(log_q, 1, bin_cap + 1)
+    click_keeps = np.exp(log_before) - 0.5 * first
+    no_click_keeps = math.exp(bin_cap * log_q)
+    up, d2 = law[:, :bin_cap], law[:, bin_cap : n_table - 1]
+    d1 = table.ports[:bin_cap] == D1
+    clicks = d2 + up * d1
+    dark = law[:, n_table : n_table + bin_cap]
+    np.cumsum(clicks, axis=1, out=dark)
+    np.subtract(1.0, dark, out=dark)  # the mass that clicks later or never
+    dark += 0.5 * clicks
+    dark *= 0.5 * first  # each detector has a dark click half the time
+    law[:, n_table + bin_cap :] = dark
+    up *= np.where(d1, click_keeps, no_click_keeps)
+    d2 *= click_keeps
+    law[:, n_table - 1] *= no_click_keeps
+    return law
+
+
+def _range_law(
+    table: _OutcomeTable, p_dc: float, bin_cap: int, d: int, n_prime: int
+) -> np.ndarray:
+    """Each row's one-frame law over a discrimination run's categories.
+
+    Without dark counts, (rows, 3): the photon's column ranges before,
+    inside and after the accepted window (D2 bins d..n_prime), each the
+    difference of the row's CDF at its edges. With them, (rows, 5): those
+    ranges less what dark clicks take, then a dark D2 click inside the
+    window, then every other dark click (what the ranges lost, less the
+    fourth). Clamped at 0: the pinned last CDF entry can sit just below
+    its neighbour.
+
+    Dark clicks in the window win sum_f q^(f-1)(1 - q)(S_f + C_f/2) over
+    f = d..n_prime, C_f the mass that clicks at f and S_f the mass that
+    clicks later or never. Summed by parts, with A the mass that clicks
+    before bin d, that is (q^(d-1) - q^n_prime)(1 - A) less, over the
+    window, C_b (q^(b-1) - q^n_prime - q^(b-1)(1 - q)/2): one weighted sum
+    per column, no running sum. D1 clicks happen only at the entry bins
+    1..d, so the D2 columns go in blocks of at most
+    :data:`_LAW_BLOCK_CELLS` cells split at the window's edges, and
+    nothing is allocated per column.
+    """
+    cdf = table.cdf
+    lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
+    ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
+    if p_dc == 0.0:
+        return np.maximum(ranges, 0.0)
+    log_q = 2.0 * math.log1p(-p_dc)
+    p_hit = _p_hit(p_dc, bin_cap)
+
+    def click_loss(log_before, first):  # 1 - q^b - q^(b-1)(1 - q)/2
+        return 0.5 * first - np.expm1(log_before)
+
+    def window_weight(log_before, first):  # q^(b-1) - q^n' - q^(b-1)(1-q)/2
+        after = -np.expm1(n_prime * log_q - log_before)
+        return np.exp(log_before) * after - 0.5 * first
+
+    log_before, first = _first_dark(log_q, 1, d + 1)
+    d1 = _masses(cdf, 0, d) * (table.ports[:d] == D1)
+    lost = np.zeros_like(ranges)
+    back = cdf[:, bin_cap - 1] - d1.sum(axis=1)
+    lost[:, 0] = np.einsum("ij,j->i", d1, click_loss(log_before, first))
+    lost[:, 0] += back * p_hit
+    lost[:, 2] = (cdf[:, -1] - cdf[:, -2]) * p_hit  # NONE clicks nothing
+    # A, and the window's sum, which starts with a D1 click at bin d
+    clicked = d1[:, :-1].sum(axis=1) + cdf[:, lo - 1] - cdf[:, bin_cap - 1]
+    window = d1[:, -1] * window_weight(log_before[-1:], first[-1:])
+    step = max(1, _LAW_BLOCK_CELLS // cdf.shape[0])
+    edges = sorted({*range(1, bin_cap + 1, step), d, n_prime + 1, bin_cap + 1})
+    for b0, b1 in zip(edges, edges[1:]):
+        d2 = _masses(cdf, bin_cap + b0 - 1, bin_cap + b1 - 1)
+        log_before, first = _first_dark(log_q, b0, b1)
+        part = (b0 >= d) + (b0 > n_prime)  # before, inside or after
+        lost[:, part] += np.einsum("ij,j->i", d2, click_loss(log_before, first))
+        if part == 1:
+            window += np.einsum("ij,j->i", d2, window_weight(log_before, first))
+    # q^(d-1) - q^n', the chance that the first dark bin is in the window
+    first_inside = -math.exp((d - 1) * log_q) * math.expm1((n_prime - d + 1) * log_q)
+    accepted = 0.5 * (first_inside * (1.0 - clicked) - window)
+    other = lost.sum(axis=1) - accepted
+    return np.maximum(np.column_stack([ranges - lost, accepted, other]), 0.0)
+
+
 def _sample(
     cfg: CavityConfig,
     state: Optional[TimeBinState],
@@ -247,51 +365,37 @@ def _sample(
     table = _outcome_table(cfg, state, thetas, cap)
     rng = _generator(master_seed)
 
-    rows, n_table = len(thetas), table.ports.size
-    lo, hi = cap + d - 1, cap + cfg.n_prime  # accepted: D2 bins d..n_prime
-    frames = rng.multinomial(n_trials, np.full(rows, 1.0 / rows))
-    hits = rng.binomial(frames, _p_hit(dark.p_dc, cap))  # no draws at p_dc = 0
-    # Frames without a dark click inside the cap: one multinomial over the
-    # column ranges that end at each edge. A fixed-phase run's edges are the
-    # columns where its CDF steps up (the CDF is flat between two); a
-    # discrimination run's split off the window. Clamped at 0: the pinned
-    # last entry can sit just below its neighbour.
-    if prepared_k is None:
-        edges = np.flatnonzero(np.diff(table.cdf[0], prepend=0.0) > 0.0)
-    else:
-        edges = np.array([lo - 1, hi - 1, n_table - 1])
-    masses = np.diff(table.cdf[:, edges], axis=1, prepend=0.0)
-    photon_counts = rng.multinomial(frames - hits, np.maximum(masses, 0.0))
-    setting_accepted = photon_counts[:, (lo <= edges) & (edges < hi)].sum(axis=1)
+    frames = rng.multinomial(n_trials, np.full(len(thetas), 1.0 / len(thetas)))
     stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, prepared_k)
-    if prepared_k is None:
-        # The table's columns, then with dark counts cap dark D1 columns.
-        n_dark = cap if dark.p_dc > 0.0 else 0
-        stats.ports = np.append(table.ports, np.full(n_dark, D1, np.int8))
-        stats.bins = np.append(table.bins, np.arange(1, n_dark + 1))
-        stats.counts = np.zeros(n_table + n_dark, dtype=np.int64)
-        stats.counts[edges] = photon_counts[0]
-
-    # Frames with one, simulated in chunks, ordered by setting. A dark D1
-    # column lies above the window, so [lo, hi) is every accepted column.
-    hit_ends = np.cumsum(hits)
-    n_hits = int(hit_ends[-1])
-    for start in range(0, n_hits, _DEFAULT_CHUNK):
-        stop = min(start + _DEFAULT_CHUNK, n_hits)
-        settings = np.searchsorted(hit_ends, np.arange(start, stop), side="right")
-        u = rng.random((stop - start, _DRAWS_PER_HIT))
-        cols = _sample_photon(table, settings, u[:, 0])
-        cols, won, _ = _merge_dark(cols, table, u, dark.p_dc, cap)
-        if stats.counts is not None:
-            np.add.at(stats.counts, cols, 1)
-        setting_accepted += np.bincount(
-            settings[(lo <= cols) & (cols < hi)], minlength=rows
-        )
-        stats.dark_clicks += won.size
-
-    stats.accepted_total = int(setting_accepted.sum())
     if prepared_k is not None:
-        stats.setting_frames, stats.setting_accepted = frames, setting_accepted
+        law = _range_law(table, dark.p_dc, cap, d, cfg.n_prime)
+        counts = rng.multinomial(frames, law)
+        # photon accepted (column 1), then with dark counts dark accepted (3)
+        stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)
+        stats.setting_frames = frames
+        stats.dark_clicks = int(counts[:, 3:].sum())
+        stats.accepted_total = int(stats.setting_accepted.sum())
+        return stats
+
+    # Drawn up to the last column a frame can reach: numpy's multinomial
+    # gives what is left to its last category. A zero entry draws nothing
+    # and reads nothing from the stream.
+    law = _column_law(table, dark.p_dc, cap)[0]
+    np.maximum(law, 0.0, out=law)
+    n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
+    drawn = rng.multinomial(frames[0], law[:reach])
+    del law  # the law and the histogram never coexist
+    counts = np.zeros(n_law, dtype=np.int64)
+    counts[:reach] = drawn
+    n_table = table.ports.size
+    n_dark = cap if dark.p_dc > 0.0 else 0
+    stats.dark_clicks = int(counts[n_table:].sum())
+    if n_dark:
+        counts[cap : 2 * cap] += counts[n_table + cap :]  # dark D2 clicks
+    stats.counts = counts[: n_table + n_dark]
+    stats.ports = np.append(table.ports, np.full(n_dark, D1, np.int8))
+    stats.bins = np.append(table.bins, np.arange(1, n_dark + 1))
+    stats.accepted_total = int(stats.counts[cap + d - 1 : cap + cfg.n_prime].sum())
     return stats
 
 

@@ -236,3 +236,33 @@ def window_sum(r1_sq, r2_sq, width, digits=50):
         ctx.prec = digits
         q = decimal.Decimal(r1_sq) * decimal.Decimal(r2_sq)
         return float((1 - q**width) / (1 - q))
+
+
+def frame_law(d, r1_sq, r2_sq, theta, amps, bin_cap, p_dc):
+    """Exact one-frame outcome law with dark counts, by enumeration.
+
+    Every photon exit of :func:`outcome_masses` meets every first dark bin
+    f in 1..bin_cap (probability q^(f-1) (1 - q), q = (1 - p_dc)**2) or
+    none inside the cap (q^bin_cap), each dark detector with probability
+    1/2 and each side of a fair tie coin. The earliest click wins, a tie
+    by the coin; a photon that reaches no detector loses to any dark
+    click. Returns {(port, bin, dark): probability}, dark True where a
+    dark click won, and ("NONE", 0, False) for no click.
+    """
+    entries, residual = outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap)
+    photons = list(entries.items()) + [(("NONE", 0), residual)]
+    q = (1.0 - p_dc) ** 2
+    firsts = [(f, q ** (f - 1) * (1.0 - q)) for f in range(1, bin_cap + 1)]
+    firsts.append((None, q**bin_cap))
+    law = {}
+    for (port, b), mass in photons:
+        clicks = port in ("D1", "D2")
+        for f, p_first in firsts:
+            for detector in ("D1", "D2"):
+                for dark_wins_tie in (False, True):
+                    photon_wins = f is None or (
+                        clicks and (f > b or (f == b and not dark_wins_tie))
+                    )
+                    key = (port, b, False) if photon_wins else (detector, f, True)
+                    law[key] = law.get(key, 0.0) + mass * p_first / 4.0
+    return law

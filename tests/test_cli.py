@@ -321,6 +321,20 @@ class TestDiscriminate:
         assert run_cli(*args, "--out", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_report_without_dark_counts_keeps_its_bytes(self, tmp_path):
+        # Without dark counts the frame law is the table row: the stream
+        # reads the setting counts, then the photon ranges. The committed
+        # report was written before the sampler drew dark counts from the
+        # law; it also pins numpy's multinomial algorithm.
+        out = tmp_path / "mc0.json"
+        assert run_cli(
+            "discriminate", "--d", "16", "--r-grid", "0.9", "--p-dc", "0",
+            "--trials", "200000", "--seed", "5", "--format", "json",
+            "--out", str(out),
+        ) == 0  # fmt: skip
+        committed = Path(__file__).parent / "data" / "mc0_report.json"
+        assert out.read_bytes() == committed.read_bytes()
+
     def test_report_contents(self, tmp_path):
         out = tmp_path / "report.json"
         assert run_cli(
@@ -746,6 +760,17 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(capsys.readouterr().out)
         assert run_cli("mub-verify", "--config", str(path)) == 0
+
+    @pytest.mark.parametrize(
+        "command", ["mub-verify", "error-sweep", "discriminate", "tradeoff"]
+    )
+    def test_defaults_for_a_command_run_it(self, tmp_path, capsys, command):
+        # discriminate and tradeoff reject the plain defaults' ten-value grid
+        assert run_cli("defaults", command) == 0
+        path = tmp_path / "config.json"
+        path.write_text(capsys.readouterr().out)
+        assert run_cli(command, "--config", str(path)) == 0
+        assert capsys.readouterr().out
 
     def test_file_that_is_not_text_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import (
@@ -340,16 +342,16 @@ class TestFixedRunAgainstAnalyticD2:
 
 class TestFrozenCounts:
     def test_frozen_counts(self):
-        # setting, hit and photon-range counts, then the hit frames one by
-        # one; the pin also depends on numpy's binomial and multinomial
-        # algorithms
+        # setting counts, then one multinomial over every setting's five
+        # categories; the pin also depends on numpy's binomial and
+        # multinomial algorithms
         stats = run_discrimination(
             16, 0.8, 0.8, 64, 3, DarkCountModel(1e-3), 60_000, 2024
         )
-        assert stats.accepted_total == 1136
-        assert stats.dark_clicks == 1041
+        assert stats.accepted_total == 1198
+        assert stats.dark_clicks == 1103
         assert stats.setting_accepted.tolist() == [
-            23, 40, 130, 630, 152, 52, 18, 18, 12, 10, 10, 6, 7, 7, 9, 12
+            25, 48, 158, 620, 175, 44, 28, 15, 9, 7, 10, 7, 8, 9, 10, 25
         ]  # fmt: skip
         assert stats.setting_frames.tolist() == [
             3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
@@ -360,24 +362,24 @@ class TestFrozenCounts:
     def test_frozen_counts_of_dark_d1_clicks(self):
         # Basis input 1 has its D1 column at bin 1 and BACK columns at bins
         # 2..16, so dark D1 wins land on both kinds. The pin also depends on
-        # numpy's binomial and multinomial algorithms.
+        # numpy's multinomial algorithm.
         cfg = symmetric_config(4, 0.6, 16)
         stats = run_trials(cfg, basis_state(4, 1), DarkCountModel(0.02), 20_000, 2024)
-        assert stats.accepted_total == 782
-        assert stats.dark_clicks == 1936
+        assert stats.accepted_total == 766
+        assert stats.dark_clicks == 1915
         assert stats.setting_frames is stats.setting_accepted is None
-        for port, frames in (("D1", 12647), ("D2", 5796), ("BACK", 1557)):
+        for port, frames in (("D1", 12780), ("D2", 5656), ("BACK", 1564)):
             assert port_counts(stats, port).sum() == frames
         # the table's 33 columns, then the dark D1 columns (D1, 1..16)
         assert stats.ports[33:].tolist() == [TABLE_PORTS.index("D1")] * 16
         assert stats.bins[33:].tolist() == list(range(1, 17))
         merged = clicks(stats)
         assert [merged.get(("D1", b), 0) for b in range(1, 17)] == [
-            11925, 77, 67, 73, 51, 51, 50, 43, 42, 44, 44, 35, 36, 43, 42, 24
+            12053, 89, 65, 43, 52, 46, 64, 54, 37, 43, 53, 49, 43, 32, 30, 27
         ]  # fmt: skip
         items = sorted((p, b, c) for (p, b), c in merged.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == (
-            "954cf0002269dc9a5ce083d2f0329ce9a503008238e5f8f8f148c1546b35c1ca"
+            "a93c62db02919d8412f8ead1e513e2f47e1c15414d517a4498125f3a31bf011e"
         )
 
 
@@ -427,8 +429,81 @@ class TestAgainstPerFrameOracle:
         assert retry_once(check, seeds=(8, 9))
 
 
+def _reference_columns(law, cap):
+    """:func:`reference.frame_law` in :func:`montecarlo._column_law`'s
+    layout: the table's columns, then dark D1 and dark D2 at 1..cap."""
+    n_table = 2 * cap + 1
+    out = np.zeros(n_table + 2 * cap)
+    for (port, b, dark), p in law.items():
+        if dark:
+            out[n_table + (cap if port == "D2" else 0) + b - 1] += p
+        elif port == "NONE":
+            out[n_table - 1] += p
+        else:
+            out[(cap if port == "D2" else 0) + b - 1] += p
+    return out
+
+
+class TestExactFrameLaw:
+    """The law each row's counts are drawn from, against the enumeration
+    of every photon exit, first dark bin, dark detector and tie coin."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        extra_bins=st.integers(0, 6),
+        window_data=st.data(),
+        r1_sq=st.floats(0.0, 0.99),
+        r2_sq=st.floats(0.0, 0.99),
+        p_dc=st.floats(0.0, 0.9, exclude_min=True),
+    )
+    def test_law_matches_enumeration(
+        self, d, extra_bins, window_data, r1_sq, r2_sq, p_dc
+    ):
+        cap = d + extra_bins
+        n_prime = window_data.draw(st.integers(d, cap), label="n_prime")
+        k = window_data.draw(st.integers(0, d - 1), label="k")
+        state = mub_state(d, k)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
+        table = montecarlo._outcome_table(cfg, state, thetas, cap)
+        columns = montecarlo._column_law(table, p_dc, cap)
+        ranges = montecarlo._range_law(table, p_dc, cap, d, n_prime)
+        lo, hi = cap + d - 1, cap + n_prime  # accepted columns
+        for m, theta in enumerate(thetas):
+            law = reference.frame_law(
+                d, r1_sq, r2_sq, theta, list(state.amps), cap, p_dc
+            )
+            want = _reference_columns(law, cap)
+            np.testing.assert_allclose(columns[m], want, rtol=0, atol=1e-14)
+            photon, dark_d2 = want[: 2 * cap + 1], want[2 * cap + 1 + cap :]
+            window = dark_d2[d - 1 : n_prime].sum()
+            want_ranges = [
+                photon[:lo].sum(),
+                photon[lo:hi].sum(),
+                photon[hi:].sum(),
+                window,
+                want[2 * cap + 1 :].sum() - window,
+            ]
+            np.testing.assert_allclose(ranges[m], want_ranges, rtol=0, atol=1e-14)
+            assert abs(columns[m].sum() - 1.0) <= 1e-14
+            assert abs(ranges[m].sum() - 1.0) <= 1e-14
+
+    def test_law_without_dark_counts_is_the_table(self):
+        d, cap = 4, 12
+        cfg = symmetric_config(d, 0.7, 8)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        table = montecarlo._outcome_table(cfg, mub_state(d, 1), thetas, cap)
+        masses = np.diff(table.cdf, axis=1, prepend=0.0)
+        assert np.array_equal(montecarlo._column_law(table, 0.0, cap), masses)
+        ranges = montecarlo._range_law(table, 0.0, cap, d, 8)
+        assert ranges.shape == (d, 3)
+        edges = table.cdf[:, [cap + d - 2, cap + 7, -1]]
+        assert np.array_equal(ranges, np.diff(edges, axis=1, prepend=0.0))
+
+
 class TestCost:
-    """A run costs O(table + hit frames), whatever n_trials is."""
+    """A run costs O(rows K), whatever n_trials and p_dc are."""
 
     @pytest.mark.parametrize("n_trials", [2**63, 10**30])
     def test_trials_beyond_int64_are_rejected(self, monkeypatch, n_trials):
@@ -440,23 +515,31 @@ class TestCost:
         with pytest.raises(ValueError, match="n_trials"):
             run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, n_trials, 1)
 
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-4])
     @pytest.mark.parametrize("n_trials", [10**15, montecarlo.MAX_TRIALS])
-    def test_cost_does_not_grow_with_trials(self, n_trials):
-        # without dark counts no frame is simulated on its own: the run is
-        # two multinomials, whatever n_trials is
+    def test_cost_does_not_grow_with_trials(self, n_trials, p_dc):
+        # no frame is simulated on its own, with dark counts or without:
+        # the run is two multinomials, whatever n_trials is
+        dark = DarkCountModel(p_dc)
         start = time.perf_counter()
-        stats = run_discrimination(16, 0.8, 0.8, 64, 3, NO_DARK, n_trials, 7)
+        stats = run_discrimination(16, 0.8, 0.8, 64, 3, dark, n_trials, 7)
         fixed = run_trials(
-            symmetric_config(16, 0.8, 64), mub_state(16, 3), NO_DARK, n_trials, 7
+            symmetric_config(16, 0.8, 64), mub_state(16, 3), dark, n_trials, 7
         )
         assert time.perf_counter() - start < 5.0
         assert stats.setting_frames.sum() == n_trials
         assert fixed.counts.sum() == n_trials
         assert 0 < stats.accepted_total < n_trials
+        assert (stats.dark_clicks > 0) == (fixed.dark_clicks > 0) == (p_dc > 0)
 
-    @pytest.mark.parametrize("d", [2, 64])
-    def test_discrimination_run_is_two_multinomials(self, monkeypatch, d):
-        # the setting counts, then every setting's photon ranges at once
+    @pytest.mark.parametrize(
+        "d, p_dc, categories", [(2, 0.0, 3), (64, 0.0, 3), (2, 1e-3, 5), (64, 1e-3, 5)]
+    )
+    def test_discrimination_run_is_two_multinomials(
+        self, monkeypatch, d, p_dc, categories
+    ):
+        # the setting counts, then every setting's frame law at once: the
+        # photon ranges, and with dark counts the two dark categories
         sizes = []
 
         class Counting:
@@ -474,14 +557,13 @@ class TestCost:
         monkeypatch.setattr(
             montecarlo, "_generator", lambda seed: Counting(generator(seed))
         )
-        run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(1e-3), 10**6, 7)
-        assert sizes == [(d,), (d, 3)]
+        run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(p_dc), 10**6, 7)
+        assert sizes == [(d,), (d, categories)]
 
-    def test_memory_does_not_grow_with_hit_chunks(self, monkeypatch):
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
-        # have a dark click inside the cap and are simulated one by one, in
-        # chunks of 4096, each tallied into the per-setting accepted counts.
-        d, cap, chunk = 2, 2**16, 4_096
+        # have a dark click inside the cap, and none is simulated alone.
+        d, cap, base = 2, 2**16, 4_096
         table = montecarlo._outcome_table(
             symmetric_config(d, 0.9, 8),
             mub_state(d, 0),
@@ -489,27 +571,26 @@ class TestCost:
             cap,
         )
         monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
-        monkeypatch.setattr(montecarlo, "_DEFAULT_CHUNK", chunk)
 
-        def peak(chunks):
+        def peak(n_trials):
             tracemalloc.start()
             try:
                 run_discrimination(
-                    d, 0.9, 0.9, 8, 0, DarkCountModel(1e-3), chunks * chunk, 3,
+                    d, 0.9, 0.9, 8, 0, DarkCountModel(1e-3), n_trials, 3,
                     bin_cap=cap,
                 )  # fmt: skip
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(40) <= 1.2 * peak(4)
+        assert peak(40 * base) <= 1.2 * peak(4 * base)
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-7])
     def test_discrimination_run_allocates_nothing_per_column(self, monkeypatch, p_dc):
         # The table of d = 2, n' = 2**20 has 2**21 + 1 columns: an int64 or
         # bool array over them would take 16 or 2 MiB. The run keeps only
         # per-setting counts and tests acceptance as a column range; at
-        # p_dc = 1e-7 about 19 000 hit frames take part.
+        # p_dc = 1e-7 its law sums the D2 columns in blocks.
         d, n_prime = 2, 2**20
         table = montecarlo._outcome_table(
             symmetric_config(d, 0.9, n_prime),
