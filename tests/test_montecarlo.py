@@ -359,6 +359,19 @@ class TestFrozenCounts:
         ]  # fmt: skip
         assert stats.counts is stats.ports is stats.bins is None
 
+    def test_frozen_counts_of_a_multi_block_dark_law(self):
+        # Two rows take blocks of at most 8192 D2 bins, split at the window's
+        # edges 2 and 20001: the law sums bins before, inside and after the
+        # window over several blocks each side of its upper edge.
+        stats = run_discrimination(
+            2, 0.999, 0.999, 20_000, 0, DarkCountModel(1e-4), 10**6, 2024,
+            bin_cap=2**15,
+        )  # fmt: skip
+        assert stats.accepted_total == 763
+        assert stats.dark_clicks == 714
+        assert stats.setting_accepted.tolist() == [753, 10]
+        assert stats.setting_frames.tolist() == [500377, 499623]
+
     def test_frozen_counts_of_dark_d1_clicks(self):
         # Basis input 1 has its D1 column at bin 1 and BACK columns at bins
         # 2..16, so dark D1 wins land on both kinds. The pin also depends on
