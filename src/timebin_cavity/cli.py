@@ -54,7 +54,8 @@ CLOSED_FORM_TOLERANCE = 1e-10
 # the largest d any window under the cell cap allowed), and every cutoff at
 # MAX_CUTOFF, below which bin counts are exact as floats. discriminate's
 # sampler also keeps its cap on d * (n_prime + d) cells, MAX_WINDOW_CELLS, and
-# on trials, MAX_TRIALS. An a:b:step r-grid spec names at most MAX_GRID_POINTS
+# on trials, MAX_TRIALS; tradeoff caps its cutoffs x d cells at the same
+# MAX_WINDOW_CELLS. An a:b:step r-grid spec names at most MAX_GRID_POINTS
 # values.
 MAX_MUB_DIM = 1024
 MAX_ANALYTIC_DIM = 2048
@@ -254,6 +255,12 @@ def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
         raise UsageError(
             "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
             "or set n_prime_values in the config file"
+        )
+    cells = len(cutoffs) * config.d  # the kernel holds d numbers per cutoff
+    if cells > MAX_WINDOW_CELLS:
+        raise UsageError(
+            f"{len(cutoffs)} cutoffs x d = {cells} exceeds the size cap "
+            f"{MAX_WINDOW_CELLS}"
         )
     _, _, rows = _accepted_rows(config, _one_r_sq(config, "tradeoff"), cutoffs)
     return tradeoff_points(rows, cutoffs, config.k)
@@ -475,7 +482,7 @@ def _load_config(args) -> ExperimentConfig:
                 raise UsageError(f"config key {name!r} must be {kind}, got {value!r}")
     config = ExperimentConfig(**data)
     for name, _, dest, parse in _FIELDS:  # flags override the file
-        value = None if dest is None else getattr(args, dest)
+        value = getattr(args, dest) if dest in args else None
         if value is None:
             continue
         value = value if parse is None else parse(value)
@@ -514,25 +521,25 @@ def build_parser() -> argparse.ArgumentParser:
             "Mach-Zehnder measurement for time-bin qudits"
         ),
     )
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--d", type=int, help="number of time bins")
-    common.add_argument("--r-grid", dest="r_grid", help="|R|^2 grid: a:b:step")
-    common.add_argument(
-        "--n-prime", dest="n_prime", help="window cutoff, or comma list for tradeoff"
-    )
-    common.add_argument("--eta", type=float, help="per-trip mode overlap in [0, 1]")
-    common.add_argument(
-        "--p-dc", dest="p_dc", type=float, help="dark-count probability per bin"
-    )
-    common.add_argument("--trials", type=int, help="Monte Carlo frames")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
+        sub.add_parser(name, help=help_text).set_defaults(func=func)
+
+    def add(flag, commands, **kwargs):  # each command rejects flags it lacks
+        for name in commands.split():
+            sub.choices[name].add_argument(flag, **kwargs)
+
+    windows = "error-sweep discriminate tradeoff"  # the window commands
+    add("--config", f"mub-verify {windows}", help="JSON config file; flags override it")
+    add("--d", f"mub-verify {windows}", type=int, help="number of time bins")
+    add("--r-grid", windows, help="|R|^2 grid: a:b:step")
+    add("--n-prime", windows, help="window cutoff, or comma list for tradeoff")
+    add("--eta", windows, type=float, help="per-trip mode overlap in [0, 1]")
+    add("--p-dc", windows, type=float, help="dark-count probability per bin")
+    add("--trials", "discriminate", type=int, help="Monte Carlo frames")
+    add("--seed", "discriminate", type=int, help="master seed")
+    add("--out", windows, help="output file (default: stdout)")
+    add("--format", windows, choices=("csv", "json"), help="output format")
     sub.choices["defaults"].add_argument(
         "for_command",
         nargs="?",

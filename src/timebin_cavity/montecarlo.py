@@ -117,6 +117,9 @@ class EmpiricalStats:
 
     def p_hat(self, m: int) -> float:
         """Empirical windowed acceptance for setting m (discrimination runs)."""
+        if self.prepared_k is None:
+            raise ValueError("acceptance estimate requires a discrimination run")
+        check_mub_index(self.dim, m)
         frames = int(self.setting_frames[m])
         return int(self.setting_accepted[m]) / frames if frames else 0.0
 
@@ -156,15 +159,6 @@ def _generator(seed: int) -> np.random.Generator:
     stream.
     """
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _p_hit(p_dc: float, bin_cap: int) -> float:
-    """Probability of a dark click on either detector in bins 1..bin_cap.
-
-    log1p/expm1 keep it accurate down to the smallest p_dc, where
-    (1 - p_dc)**2 rounds to 1; it is 0 at p_dc = 0.
-    """
-    return -math.expm1(bin_cap * 2.0 * math.log1p(-p_dc))
 
 
 # Not called in the package; bound for the benchmark's traced run.
@@ -209,7 +203,7 @@ def _merge_dark(
     D1 one.
     """
     log_no_dark = 2.0 * math.log1p(-p_dc)  # per bin, two detectors
-    u_dark = u[:, 1] * _p_hit(p_dc, bin_cap)
+    u_dark = u[:, 1] * -math.expm1(bin_cap * log_no_dark)  # P(F <= bin_cap)
     first_dark = np.floor(np.log1p(-u_dark) / log_no_dark).astype(np.int64) + 1
     np.minimum(first_dark, bin_cap, out=first_dark)  # a quotient rounded up
     photon_bins = table.bins[cols]
@@ -230,13 +224,14 @@ def _masses(cdf: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.diff(cdf[:, start - 1 : stop], axis=1)
 
 
-def _first_dark(
-    log_q: float, start: int, stop: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """log q^(b-1), and q^(b-1)(1 - q), the chance that b is the first bin
-    with a dark click, over bins start..stop - 1; log q = 2 log1p(-p_dc)."""
-    log_before = np.arange(start - 1, stop - 1) * log_q
-    return log_before, np.exp(log_before) * -math.expm1(log_q)
+def _bin_shares(log_q: float, b0: int, b1: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Over bins b0..b1 - 1: the share q^(b-1) - h_b of a photon click at b
+    that no dark click takes, and h_b = q^(b-1)(1 - q)/2, the chance that b
+    is the first bin with a dark click and it is on a given detector; log q
+    = 2 log1p(-p_dc)."""
+    before = np.exp(np.arange(b0 - 1, b1 - 1) * log_q)
+    h = before * -math.expm1(log_q) * 0.5
+    return before - h, h
 
 
 def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
@@ -255,8 +250,7 @@ def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     if p_dc == 0.0:
         return law
     log_q = 2.0 * math.log1p(-p_dc)
-    log_before, first = _first_dark(log_q, 1, bin_cap + 1)
-    click_keeps = np.exp(log_before) - 0.5 * first
+    click_keeps, h = _bin_shares(log_q, 1, bin_cap + 1)
     no_click_keeps = math.exp(bin_cap * log_q)
     up, d2 = law[:, :bin_cap], law[:, bin_cap : n_table - 1]
     d1 = table.ports[:bin_cap] == D1
@@ -265,7 +259,7 @@ def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     np.cumsum(clicks, axis=1, out=dark)
     np.subtract(1.0, dark, out=dark)  # the mass that clicks later or never
     dark += 0.5 * clicks
-    dark *= 0.5 * first  # each detector has a dark click half the time
+    dark *= h
     law[:, n_table + bin_cap :] = dark
     up *= np.where(d1, click_keeps, no_click_keeps)
     d2 *= click_keeps
@@ -280,61 +274,53 @@ def _range_law(
 
     Without dark counts, (rows, 3): the photon's column ranges before,
     inside and after the accepted window (D2 bins d..n_prime), each the
-    difference of the row's CDF at its edges. With them, (rows, 5): those
-    ranges less what dark clicks take, then a dark D2 click inside the
-    window, then every other dark click (what the ranges lost, less the
-    fourth). Clamped at 0: the pinned last CDF entry can sit just below
-    its neighbour.
+    difference of the row's CDF at its edges. With them, (rows, 5): the
+    column law of :func:`_column_law` summed per block, that is the three
+    ranges' kept photon mass, then dark D2 clicks inside the window, then
+    every other dark click. Clamped at 0: the pinned last CDF entry can sit
+    just below its neighbour.
 
-    Dark clicks in the window win sum_f q^(f-1)(1 - q)(S_f + C_f/2) over
-    f = d..n_prime, C_f the mass that clicks at f and S_f the mass that
-    clicks later or never. Summed by parts, with A the mass that clicks
-    before bin d, that is (q^(d-1) - q^n_prime)(1 - A) less, over the
-    window, C_b (q^(b-1) - q^n_prime - q^(b-1)(1 - q)/2): one weighted sum
-    per column, no running sum. D1 clicks happen only at the entry bins
-    1..d, so the D2 columns go in blocks of at most
-    :data:`_LAW_BLOCK_CELLS` cells split at the window's edges, and
-    nothing is allocated per column.
+    The D2 columns go in blocks of at most :data:`_LAW_BLOCK_CELLS` cells,
+    split at the window's edges d and n_prime + 1 and after the last entry
+    bin d, the last with a D1 column, so nothing is allocated per column.
+    With h_b from :func:`_bin_shares` and C_b the mass that clicks at bin
+    b, a block's kept photon mass is sum_b C_b (q^(b-1) - h_b) and each
+    detector's dark mass sum_b h_b (S_b + C_b/2), S_b the mass that clicks
+    after b or never; that is (1 - clicked) sum_b h_b less
+    sum_b C_b (sum_{f >= b} h_f - h_b/2), with ``clicked`` the mass that
+    clicks before the block, read from the CDF at its edge.
     """
     cdf = table.cdf
-    lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
-    ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
     if p_dc == 0.0:
+        lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
+        ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
         return np.maximum(ranges, 0.0)
+    rows = cdf.shape[0]
     log_q = 2.0 * math.log1p(-p_dc)
-    p_hit = _p_hit(p_dc, bin_cap)
-
-    def click_loss(log_before, first):  # 1 - q^b - q^(b-1)(1 - q)/2
-        return 0.5 * first - np.expm1(log_before)
-
-    def window_weight(log_before, first):  # q^(b-1) - q^n' - q^(b-1)(1-q)/2
-        after = -np.expm1(n_prime * log_q - log_before)
-        return np.exp(log_before) * after - 0.5 * first
-
-    log_before, first = _first_dark(log_q, 1, d + 1)
+    no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
+    law = np.zeros((rows, 5))
     d1 = _masses(cdf, 0, d) * (table.ports[:d] == D1)
-    lost = np.zeros_like(ranges)
-    back = cdf[:, bin_cap - 1] - d1.sum(axis=1)
-    lost[:, 0] = np.einsum("ij,j->i", d1, click_loss(log_before, first))
-    lost[:, 0] += back * p_hit
-    lost[:, 2] = (cdf[:, -1] - cdf[:, -2]) * p_hit  # NONE clicks nothing
-    # A, and the window's sum, which starts with a D1 click at bin d
-    clicked = d1[:, :-1].sum(axis=1) + cdf[:, lo - 1] - cdf[:, bin_cap - 1]
-    window = d1[:, -1] * window_weight(log_before[-1:], first[-1:])
-    step = max(1, _LAW_BLOCK_CELLS // cdf.shape[0])
-    edges = sorted({*range(1, bin_cap + 1, step), d, n_prime + 1, bin_cap + 1})
+    d1_before = np.zeros((rows, d + 1))  # column j: D1 mass at bins 1..j
+    np.cumsum(d1, axis=1, out=d1_before[:, 1:])
+    back = cdf[:, bin_cap - 1] - d1_before[:, d]
+    law[:, 0] = d1 @ _bin_shares(log_q, 1, d + 1)[0] + back * no_click_keeps
+    law[:, 2] = (cdf[:, -1] - cdf[:, -2]) * no_click_keeps
+    step = max(1, _LAW_BLOCK_CELLS // rows)
+    edges = sorted({*range(1, bin_cap + 1, step), d, d + 1, n_prime + 1, bin_cap + 1})
     for b0, b1 in zip(edges, edges[1:]):
-        d2 = _masses(cdf, bin_cap + b0 - 1, bin_cap + b1 - 1)
-        log_before, first = _first_dark(log_q, b0, b1)
+        clicks = _masses(cdf, bin_cap + b0 - 1, bin_cap + b1 - 1)  # D2
+        keeps, h = _bin_shares(log_q, b0, b1)
         part = (b0 >= d) + (b0 > n_prime)  # before, inside or after
-        lost[:, part] += np.einsum("ij,j->i", d2, click_loss(log_before, first))
-        if part == 1:
-            window += np.einsum("ij,j->i", d2, window_weight(log_before, first))
-    # q^(d-1) - q^n', the chance that the first dark bin is in the window
-    first_inside = -math.exp((d - 1) * log_q) * math.expm1((n_prime - d + 1) * log_q)
-    accepted = 0.5 * (first_inside * (1.0 - clicked) - window)
-    other = lost.sum(axis=1) - accepted
-    return np.maximum(np.column_stack([ranges - lost, accepted, other]), 0.0)
+        law[:, part] += clicks @ keeps
+        if b0 <= d:
+            clicks += d1[:, b0 - 1 : b1 - 1]
+        d2_before = cdf[:, bin_cap + b0 - 2] - cdf[:, bin_cap - 1]
+        clicked = d1_before[:, min(b0 - 1, d)] + d2_before
+        later = np.cumsum(h[::-1])[::-1] - 0.5 * h
+        dark = (1.0 - clicked) * h.sum() - clicks @ later
+        law[:, 4] += dark  # dark D1 clicks
+        law[:, 3 if part == 1 else 4] += dark  # dark D2 clicks
+    return np.maximum(law, 0.0, out=law)
 
 
 def _sample(

@@ -73,9 +73,19 @@ class TestParsing:
     def test_field_table_covers_the_config(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert {row[0] for row in cli._FIELDS} == fields
-        args = cli.build_parser().parse_args(["defaults"])
-        for _, _, dest, _ in cli._FIELDS:
-            assert dest is None or hasattr(args, dest)
+        dests = {dest for _, _, dest, _ in cli._FIELDS if dest is not None}
+        table = dests - {"trials", "seed"}
+        # each command parses exactly the flags it reads
+        takes = {
+            "mub-verify": {"d"},
+            "error-sweep": table,
+            "discriminate": dests,
+            "tradeoff": table,
+            "defaults": set(),
+        }
+        for command, wanted in takes.items():
+            args = cli.build_parser().parse_args([command])
+            assert dests & set(vars(args)) == wanted, command
 
 
 class TestConfigResolution:
@@ -463,7 +473,9 @@ class TestTradeoff:
         self, tmp_path, capsys, command
     ):
         out = tmp_path / "out.txt"
-        argv = ["--d", "2", "--r-grid", "0.5", "--trials", "1000", "--seed", "1"]
+        argv = ["--d", "2", "--r-grid", "0.5"]
+        if command == "discriminate":
+            argv += ["--trials", "1000", "--seed", "1"]
         assert run_cli(command, *argv, "--n-prime", "4,40", "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert "only tradeoff takes a comma list" in captured.err
@@ -485,7 +497,9 @@ class TestOneRValue:
     def test_grid_is_usage_error(self, tmp_path, capsys, command, source):
         out = tmp_path / "out.txt"
         n_prime = "4,8" if command == "tradeoff" else "8"
-        argv = [command, "--d", "4", "--n-prime", n_prime, "--trials", "100"]
+        argv = [command, "--d", "4", "--n-prime", n_prime]
+        if command == "discriminate":
+            argv += ["--trials", "100"]
         grid_size = {"flag": 2, "config": 3, "default": 10}[source]
         if source == "flag":
             argv += ["--r-grid", "0.5,0.9"]
@@ -556,6 +570,24 @@ class TestSizeCaps:
     ):
         monkeypatch.setattr(cli, target, lambda config: stub)
         assert run_cli(command, *flags) == 0
+
+    def test_cutoff_list_cap(self, monkeypatch, capsys):
+        d = cli.MAX_ANALYTIC_DIM
+        n_cutoffs = cli.MAX_WINDOW_CELLS // d  # cutoffs x d = the cap
+
+        def reached(cfg, k, cutoffs):
+            raise cli.UsageError(f"kernel reached with {len(cutoffs)} cutoffs")
+
+        at_cap = f"reached with {n_cutoffs} cutoffs"
+        for extra, message in ((0, at_cap), (1, "size cap")):
+            monkeypatch.setattr(
+                cli, "cutoff_acceptances", _must_not_run if extra else reached
+            )
+            cutoffs = ",".join([str(d)] * (n_cutoffs + extra))
+            argv = ["--d", str(d), "--r-grid", "0.5", "--n-prime", cutoffs]
+            assert run_cli("tradeoff", *argv) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
 
     def test_analytic_cap_admits_every_window_the_cell_cap_did(self):
         # d = 1448 was the largest d with 2 d^2 cells under MAX_WINDOW_CELLS
@@ -784,6 +816,28 @@ class TestConfigFile:
     def test_bad_flag_exits_one(self):
         assert run_cli("error-sweep", "--bogus") == 1
 
+    @pytest.mark.parametrize(
+        "argv,dropped",
+        [
+            (
+                ["mub-verify", "--d", "4", "--out", "f", "--p-dc", "7"],
+                "--out f --p-dc 7",
+            ),
+            (["defaults", "--d"], "--d"),
+            (["defaults", "discriminate", "--d", "32"], "--d 32"),
+            (["error-sweep", "--trials", "9", "--seed", "3"], "--trials 9 --seed 3"),
+            (["tradeoff", "--n-prime", "16,32", "--trials", "9"], "--trials 9"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_one(
+        self, tmp_path, monkeypatch, capsys, argv, dropped
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unrecognized arguments: {dropped}\n"
+        assert captured.out == "" and not (tmp_path / "f").exists()
+
 
 def test_tradeoff_columns_constant():
     assert TRADEOFF_COLUMNS == ("n_prime", "observed_error", "accepted_probability")
@@ -862,6 +916,9 @@ CLI_FLAGS = {
     "p_dc": "--p-dc", "n_trials": "--trials", "master_seed": "--seed",
     "output_format": "--format",
 }  # fmt: skip
+# Fields whose flag only discriminate takes; the other commands read them
+# from a config file only.
+SAMPLER_FIELDS = {"n_trials", "master_seed"}
 
 
 def flag_text(value):
@@ -890,9 +947,10 @@ def invocations(draw):
     flags, data = {}, {}
     for name, (good, bad) in values.items():
         where = draw(st.sampled_from(["unset", "file", "flag"]))
-        if where == "flag" and name not in CLI_FLAGS or (
-            where == "unset" and name in needed
-        ):
+        has_flag = name in CLI_FLAGS and (
+            command == "discriminate" or name not in SAMPLER_FIELDS
+        )
+        if where == "flag" and not has_flag or (where == "unset" and name in needed):
             where = "file"
         if where != "unset":
             value = draw(bad if name == broken else good)

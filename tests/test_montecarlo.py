@@ -118,6 +118,18 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="discrimination"):
             stats.p_e_hat()
 
+    def test_acceptance_estimator_requires_discrimination_run(self):
+        cfg = symmetric_config(2, 0.5, 4)
+        stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 1_000, 1)
+        with pytest.raises(ValueError, match="discrimination"):
+            stats.p_hat(0)
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_acceptance_estimator_rejects_a_setting_out_of_range(self, m):
+        stats = run_discrimination(4, 0.5, 0.5, 16, 0, NO_DARK, 1_000, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            stats.p_hat(m)
+
     def test_every_entry_frequency_matches_analytic(self):
         cfg = symmetric_config(4, 0.5, 12)
         state = random_normalized_state(np.random.default_rng(1), 4)
