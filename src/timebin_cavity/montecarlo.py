@@ -135,20 +135,24 @@ class EmpiricalStats:
 
 @dataclass(frozen=True)
 class _OutcomeTable:
-    """Stacked outcome CDF rows over one column layout."""
+    """Stacked outcome CDF rows over one column layout, and each row's
+    residual mass: the last CDF entry is pinned to 1, so its difference
+    from the one before is rounding, not that mass."""
 
     ports: np.ndarray  # (K,) cavity.TABLE_PORTS index of each column
     bins: np.ndarray  # (K,) time bin of each column
     cdf: np.ndarray  # (rows, K)
+    none: np.ndarray  # (rows,) mass of the (NONE, 0) column
 
 
 def _outcome_table(
     cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
 ) -> _OutcomeTable:
     table = outcome_table(cfg, state, thetas, bin_cap)
+    none = table.masses[:, -1].copy()
     cdf = np.cumsum(table.masses, axis=1, out=table.masses)
     cdf[:, -1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
-    return _OutcomeTable(ports=table.ports, bins=table.bins, cdf=cdf)
+    return _OutcomeTable(ports=table.ports, bins=table.bins, cdf=cdf, none=none)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -263,7 +267,7 @@ def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     law[:, n_table + bin_cap :] = dark
     up *= np.where(d1, click_keeps, no_click_keeps)
     d2 *= click_keeps
-    law[:, n_table - 1] *= no_click_keeps
+    law[:, n_table - 1] = table.none * no_click_keeps
     return law
 
 
@@ -304,7 +308,7 @@ def _range_law(
     np.cumsum(d1, axis=1, out=d1_before[:, 1:])
     back = cdf[:, bin_cap - 1] - d1_before[:, d]
     law[:, 0] = d1 @ _bin_shares(log_q, 1, d + 1)[0] + back * no_click_keeps
-    law[:, 2] = (cdf[:, -1] - cdf[:, -2]) * no_click_keeps
+    law[:, 2] = table.none * no_click_keeps
     step = max(1, _LAW_BLOCK_CELLS // rows)
     edges = sorted({*range(1, bin_cap + 1, step), d, d + 1, n_prime + 1, bin_cap + 1})
     for b0, b1 in zip(edges, edges[1:]):

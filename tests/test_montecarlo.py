@@ -514,6 +514,23 @@ class TestExactFrameLaw:
             assert abs(columns[m].sum() - 1.0) <= 1e-14
             assert abs(ranges[m].sum() - 1.0) <= 1e-14
 
+    def test_residual_has_its_own_mass(self):
+        # The (NONE, 0) mass is far below the pinned CDF's rounding; both
+        # laws take it from the table, not as a difference of the CDF.
+        d, cap, p_dc = 4, 40, 1e-3
+        cfg = symmetric_config(d, 0.5, cap)
+        state = mub_state(d, 1)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        table = montecarlo._outcome_table(cfg, state, thetas, cap)
+        columns = montecarlo._column_law(table, p_dc, cap)
+        ranges = montecarlo._range_law(table, p_dc, cap, d, cap)
+        for m, theta in enumerate(thetas):
+            law = reference.frame_law(d, 0.5, 0.5, theta, list(state.amps), cap, p_dc)
+            residual = law[("NONE", 0, False)]
+            assert 0.0 < residual < 1e-18
+            assert columns[m, 2 * cap] == pytest.approx(residual, rel=1e-12, abs=0)
+            assert ranges[m, 2] == pytest.approx(residual, rel=1e-12, abs=0)
+
     def test_law_without_dark_counts_is_the_table(self):
         d, cap = 4, 12
         cfg = symmetric_config(d, 0.7, 8)
