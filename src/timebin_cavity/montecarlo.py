@@ -281,8 +281,9 @@ def _range_law(
     difference of the row's CDF at its edges. With them, (rows, 5): the
     column law of :func:`_column_law` summed per block, that is the three
     ranges' kept photon mass, then dark D2 clicks inside the window, then
-    every other dark click. Clamped at 0: the pinned last CDF entry can sit
-    just below its neighbour.
+    every other dark click. Clamped to [0, 1]: the pinned last CDF entry can
+    sit just below its neighbour, and near r = 1 an entry bin's CDF can
+    round to just above 1.
 
     The D2 columns go in blocks of at most :data:`_LAW_BLOCK_CELLS` cells,
     split at the window's edges d and n_prime + 1 and after the last entry
@@ -298,7 +299,7 @@ def _range_law(
     if p_dc == 0.0:
         lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
         ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
-        return np.maximum(ranges, 0.0)
+        return np.clip(ranges, 0.0, 1.0, out=ranges)
     rows = cdf.shape[0]
     log_q = 2.0 * math.log1p(-p_dc)
     no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
@@ -324,7 +325,7 @@ def _range_law(
         dark = (1.0 - clicked) * h.sum() - clicks @ later
         law[:, 4] += dark  # dark D1 clicks
         law[:, 3 if part == 1 else 4] += dark  # dark D2 clicks
-    return np.maximum(law, 0.0, out=law)
+    return np.clip(law, 0.0, 1.0, out=law)
 
 
 def _sample(
@@ -371,7 +372,7 @@ def _sample(
     # gives what is left to its last category. A zero entry draws nothing
     # and reads nothing from the stream.
     law = _column_law(table, dark.p_dc, cap)[0]
-    np.maximum(law, 0.0, out=law)
+    np.clip(law, 0.0, 1.0, out=law)
     n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
     drawn = rng.multinomial(frames[0], law[:reach])
     del law  # the law and the histogram never coexist

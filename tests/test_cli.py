@@ -995,6 +995,10 @@ def run_captured(argv, out_path):
 
 
 @given(case=invocations())
+@example(  # two rows' CDF rounds above 1 at the window's lower edge
+    case=("discriminate", {"d": 6, "r_grid": [1 - 2**-53], "n_trials": 1000,
+          "master_seed": 1}, {}, False)
+)  # fmt: skip
 @settings(max_examples=300, deadline=None)
 def test_cli_contract_holds_for_any_input(case):
     command, flags, data, to_file = case

@@ -326,6 +326,22 @@ class TestRunDiscrimination:
 
         assert retry_once(check, seeds=(71, 72))
 
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
+    def test_law_is_clamped_to_one_near_unit_reflectivity(self, p_dc):
+        # At r^2 = 1 - 2**-53 and d = 6 two rows' CDF at the window's lower
+        # edge rounds to 1.0000000000000002, which numpy's multinomial
+        # rejects as a probability.
+        r_sq = 1.0 - 2.0**-53
+        dark = DarkCountModel(p_dc)
+        stats = run_discrimination(6, r_sq, r_sq, 24, 0, dark, 1000, 1)
+        assert stats.setting_frames.sum() == 1000
+        cfg = CavityConfig(dim=6, r1_sq=r_sq, r2_sq=r_sq, theta=0.0, n_prime=24)
+        thetas = [theta_for_outcome(6, m) for m in range(6)]
+        table = montecarlo._outcome_table(cfg, mub_state(6, 0), thetas, 24)
+        assert table.cdf[:, 28].max() > 1.0  # the rounding this guards against
+        law = montecarlo._range_law(table, p_dc, 24, 6, 24)
+        assert ((0.0 <= law) & (law <= 1.0)).all()
+
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
     def test_seed_outside_key_range_is_rejected(self, seed):
         # The seed is the Philox key, not reduced onto it: 2**128 + 1 must
