@@ -30,6 +30,11 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
+# Rows x bins per block wherever a table is walked bin by bin: the entry-bin
+# scan of :func:`outcome_table` (40 B per cell of buffers, 640 KiB) and the
+# sampler's dark-count law (128 KiB of masses), so neither grows with d or
+# the window.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -331,9 +336,13 @@ def outcome_table(
     Built in two parts for all phases at once, straight into one
     preallocated (len(thetas), 2 bin_cap + 1) array in the bin-order layout
     of :class:`OutcomeTable`. Over the entry bins 1..d the circulating
-    amplitude steps as c_b = loop c_(b-1) + t1 psi_b, with
+    amplitude obeys c_b = loop c_(b-1) + t1 psi_b, with
     loop = r1 r2 e^{-i (theta + pi)}; bin b's upstream exit comes from
-    c_(b-1) and the slot reflecting there. Nothing enters after bin d, so
+    c_(b-1) and the slot reflecting there. Every row's c over the entry
+    bins is one inclusive scan of that recurrence, bins along axis 0, in
+    log2 doubling steps and blocks of at most :data:`BLOCK_CELLS` rows x
+    bins, each block starting from the last one's c; nothing is stepped
+    bin by bin in Python. Nothing enters after bin d, so
     |c_(d+j)|^2 = (r1 r2)^(2j) |c_d|^2, and the tail is outer products of
     |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
     at bin b + 1 is t1^2 r2^2 |c_b|^2, and the residual is r2^2 |c_cap|^2.
@@ -358,17 +367,37 @@ def outcome_table(
     bins = np.append(np.tile(np.arange(1, bin_cap + 1), 2), 0)
 
     thetas = np.asarray(thetas, dtype=float)
+    rows = len(thetas)
     loop = r1 * r2 * np.exp(-1j * (thetas + math.pi))
     leak = 1j * t1 * r2 * np.exp(-1j * thetas)
-    masses = np.empty((len(thetas), 2 * bin_cap + 1))
+    masses = np.empty((rows, 2 * bin_cap + 1))
     upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
-    circulating = np.zeros(len(thetas), dtype=np.complex128)
-    entry_bins = zip((1j * r1 * state.amps).tolist(), (t1 * state.amps).tolist())
-    for b, (reflecting, entering) in enumerate(entry_bins):
-        upstream[:, b] = abs(leak * circulating + reflecting) ** 2
-        circulating = loop * circulating + entering
-        d2[:, b] = abs(t2 * circulating) ** 2
-    norm = abs(circulating) ** 2
+    reflecting, entering = 1j * r1 * state.amps, t1 * state.amps
+    # The entry bins go in blocks of at most BLOCK_CELLS rows x bins, each
+    # an inclusive scan along axis 0: row i of the block holds c at its
+    # i-th bin, row 0 the last block's c, and a doubling step adds
+    # loop^s c_(b-s), so log2 steps take in every earlier term. The buffers
+    # are allocated once: fresh block-sized temporaries cost more in page
+    # faults than the arithmetic.
+    step = min(d, max(1, BLOCK_CELLS // rows))
+    scan = np.zeros((step + 1, rows), dtype=np.complex128)
+    term = np.empty((step, rows), dtype=np.complex128)
+    mass = np.empty((step, rows))
+    for b0 in range(0, d, step):
+        n = min(step, d - b0)
+        c = scan[: n + 1]
+        c[1:] = entering[b0 : b0 + n, None]
+        power, shift = loop, 1
+        while shift <= n:
+            c[shift:] += np.multiply(power, c[:-shift], out=term[: n + 1 - shift])
+            power, shift = power * power, 2 * shift
+        np.multiply(leak, c[:-1], out=term[:n])
+        term[:n] += reflecting[b0 : b0 + n, None]
+        upstream[:, b0 : b0 + n] = np.square(np.abs(term[:n], out=mass[:n])).T
+        np.multiply(t2, c[1:], out=term[:n])
+        d2[:, b0 : b0 + n] = np.square(np.abs(term[:n], out=mass[:n])).T
+        scan[0] = c[n]
+    norm = abs(scan[0]) ** 2
     decay = (r1 * r2) ** (2 * np.arange(bin_cap - d + 1))
     np.multiply.outer(t2**2 * norm, decay[1:], out=d2[:, d:])
     np.multiply.outer(t1**2 * r2**2 * norm, decay[:-1], out=upstream[:, d:])

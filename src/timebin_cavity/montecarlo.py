@@ -8,10 +8,12 @@ the statistics pipeline against the analytic module.
 A run builds one stacked table: row m holds the cumulative exit masses
 for phase setting m over one shared column layout
 (:func:`cavity.outcome_table`) in bin order, zero-mass columns included.
-The table steps the loop amplitude over the d entry bins and writes every
-later bin in closed form, as a power of r^2 times that amplitude's mass;
-it does not reuse the acceptance kernel, so the report's Monte Carlo vs
-analytic z-scores compare two independent computations.
+The table scans the loop amplitude over the d entry bins for every row at
+once, in blocks of at most :data:`cavity.BLOCK_CELLS` rows x bins, and
+writes every later bin in closed form, as a power of r^2 times that
+amplitude's mass; it does not reuse the acceptance kernel, so the
+report's Monte Carlo vs analytic z-scores compare two independent
+computations.
 
 Frames are iid, so a run samples counts, not frames: each row's counts
 are one multinomial over that row's exact one-frame outcome law. The dark
@@ -51,20 +53,17 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import (
+    BLOCK_CELLS,
     D1,
     D2,
+    TWO_PI,
     CavityConfig,
     full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
     outcome_table,
-    theta_for_outcome,
 )
 from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
-# Rows x bins per block of a discrimination run's D2 columns: a block of
-# masses takes 128 KiB, so the run's law stays well under 1 MiB at any
-# window.
-_LAW_BLOCK_CELLS = 1 << 14
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
@@ -285,7 +284,7 @@ def _range_law(
     sit just below its neighbour, and near r = 1 an entry bin's CDF can
     round to just above 1.
 
-    The D2 columns go in blocks of at most :data:`_LAW_BLOCK_CELLS` cells,
+    The D2 columns go in blocks of at most :data:`BLOCK_CELLS` cells,
     split at the window's edges d and n_prime + 1 and after the last entry
     bin d, the last with a D1 column, so nothing is allocated per column.
     With h_b from :func:`_bin_shares` and C_b the mass that clicks at bin
@@ -310,7 +309,7 @@ def _range_law(
     back = cdf[:, bin_cap - 1] - d1_before[:, d]
     law[:, 0] = d1 @ _bin_shares(log_q, 1, d + 1)[0] + back * no_click_keeps
     law[:, 2] = table.none * no_click_keeps
-    step = max(1, _LAW_BLOCK_CELLS // rows)
+    step = max(1, BLOCK_CELLS // rows)
     edges = sorted({*range(1, bin_cap + 1, step), d, d + 1, n_prime + 1, bin_cap + 1})
     for b0, b1 in zip(edges, edges[1:]):
         clicks = _masses(cdf, bin_cap + b0 - 1, bin_cap + b1 - 1)  # D2
@@ -352,7 +351,7 @@ def _sample(
         thetas = [cfg.theta]
     else:
         state = mub_state(d, prepared_k)
-        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
     table = _outcome_table(cfg, state, thetas, cap)
     rng = _generator(master_seed)
 

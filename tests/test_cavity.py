@@ -27,6 +27,7 @@ from timebin_cavity import (
     total_error,
     total_error_closed_form,
 )
+from timebin_cavity import cavity
 from timebin_cavity.cavity import TABLE_PORTS, error_ratio, outcome_table
 
 
@@ -714,6 +715,20 @@ def column_keys(table):
     return [(TABLE_PORTS[p], b) for p, b in zip(table.ports, table.bins)]
 
 
+def assert_rows_match_per_bin_oracle(case, table):
+    """Every row of ``table`` within 1e-15 of :func:`reference.outcome_masses`."""
+    d, r1_sq, r2_sq, state, bin_cap, thetas = case
+    keys = column_keys(table)
+    for row, theta in zip(table.masses, thetas):
+        entries, residual = reference.outcome_masses(
+            d, r1_sq, r2_sq, theta, list(state.amps), bin_cap
+        )
+        assert set(entries) <= set(keys)
+        for key, mass in zip(keys[:-1], row[:-1]):
+            assert abs(mass - entries.get(key, 0.0)) <= 1e-15
+        assert abs(row[-1] - residual) <= 1e-15
+
+
 class TestOutcomeTable:
     @given(case=table_cases())
     @example(  # entry bins 2 and 4 are BACK columns between D1 ones
@@ -735,14 +750,20 @@ class TestOutcomeTable:
         assert {p for p, _ in keys[:bin_cap]} <= {"D1", "BACK"}
         assert [p for p, _ in keys[bin_cap:]] == ["D2"] * bin_cap + ["NONE"]
         assert len(set(keys)) == len(keys) == 2 * bin_cap + 1
-        for row, theta in zip(table.masses, thetas):
-            entries, residual = reference.outcome_masses(
-                d, r1_sq, r2_sq, theta, list(state.amps), bin_cap
-            )
-            assert set(entries) <= set(keys)
-            for key, mass in zip(keys[:-1], row[:-1]):
-                assert abs(mass - entries.get(key, 0.0)) <= 1e-15
-            assert abs(row[-1] - residual) <= 1e-15
+        assert_rows_match_per_bin_oracle(case, table)
+
+    @pytest.mark.parametrize("cells", [1, 20, 28, 48])
+    def test_blocked_scan_matches_per_bin_oracle(self, monkeypatch, cells):
+        # Four rows at d = 12 take blocks of 1, 5, 7 and 12 entry bins; each
+        # block's scan starts from the amplitude the last one ended with.
+        monkeypatch.setattr(cavity, "BLOCK_CELLS", cells)
+        d, bin_cap, thetas = 12, 40, [0.3, -1.2, 2.5, math.pi]
+        amps = random_normalized_state(np.random.default_rng(cells), d).amps.copy()
+        amps[[2, 7]] = 0.0  # BACK columns between D1 ones
+        state = TimeBinState(amps / np.linalg.norm(amps), normalized=True)
+        case = (d, 0.97, 0.9, state, bin_cap, thetas)
+        cfg = CavityConfig(dim=d, r1_sq=0.97, r2_sq=0.9, theta=0.0, n_prime=d)
+        assert_rows_match_per_bin_oracle(case, outcome_table(cfg, state, thetas, bin_cap))
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -727,3 +727,20 @@ class TestWindowCap:
         assert table.cdf.shape == (d, 2 * n_prime + 1)
         assert (table.cdf[:, -1] == 1.0).all()
         assert peak <= 45 * d * (n_prime + d)
+
+    def test_entry_bin_scan_is_blocked(self):
+        # At n_prime = d half the table's columns are entry bins; the largest
+        # such d under the cell cap. The table takes 8 B per cell and the
+        # scan's block buffers 640 KiB; a scan over all d entry bins at once
+        # would hold (d + 1) x d complex amplitudes, 16 B per cell more.
+        d = 1448
+        cfg = symmetric_config(d, 0.9, d)
+        thetas = [theta_for_outcome(d, m) for m in range(d)]
+        state = mub_state(d, 0)
+        tracemalloc.start()
+        try:
+            montecarlo._outcome_table(cfg, state, thetas, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * d * (d + d)
