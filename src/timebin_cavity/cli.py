@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -176,9 +177,73 @@ def emit_csv(rows: Sequence, columns: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_json(rows: Sequence, columns: Sequence[str]) -> str:
-    payload = [{c: getattr(row, c) for c in columns} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+_CONTAINERS = (dict, list, tuple)
+
+
+def _holds_container(items) -> bool:
+    return any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+
+
+def _row_cells(value):
+    """The items of every row, if the list ``value`` holds nonempty rows of
+    one kind (all objects or all arrays); else None."""
+    if not all(value):
+        return None
+    kinds = set(map(type, value))
+    if kinds == {dict}:
+        return itertools.chain.from_iterable(map(dict.values, value))
+    if kinds <= {list, tuple}:
+        return itertools.chain.from_iterable(value)
+    return None
+
+
+def _indented(value, pad: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for ``value`` nested at
+    ``pad``.
+
+    json runs its C encoder only when ``indent`` is None, so a container
+    of scalars is one C call with the indent's item separator, its
+    brackets opened by hand. A list of such containers of one kind, the
+    rows of a table, is one call too: every separator is written at the
+    rows' own level, and since a scalar neither starts nor ends with a
+    bracket and a string holds no raw newline, a closing bracket,
+    separator and opening bracket is always a boundary between rows, which
+    is re-indented. Any other container joins its items, each encoded one
+    level in. Object keys must be strings.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.JSONEncoder().encode(value)
+    inner = pad + "  "
+    is_dict = isinstance(value, dict)
+    if not _holds_container(value.values() if is_dict else value):
+        text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    cells = None if is_dict else _row_cells(value)
+    if cells is not None and not _holds_container(cells):
+        row = inner + "  "
+        text = json.JSONEncoder(separators=(",\n" + row, ": ")).encode(value)
+        left, right = text[1], text[-2]
+        body = text[2:-2].replace(
+            f"{right},\n{row}{left}", f"\n{inner}{right},\n{inner}{left}\n{row}"
+        )
+        return f"[\n{inner}{left}\n{row}{body}\n{inner}{right}\n{pad}]"
+    if is_dict:
+        key = json.JSONEncoder().encode
+        parts = [f"{key(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        left, right = "{}"
+    else:
+        parts = [_indented(item, inner) for item in value]
+        left, right = "[]"
+    return f"{left}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{right}"
+
+
+def emit_json(value, columns: Optional[Sequence[str]] = None) -> str:
+    """``json.dumps(value, indent=2)`` and a newline, by json's C encoder
+    (:func:`_indented`). With ``columns``, ``value`` is a sequence of rows,
+    each written as an object of those attributes."""
+    if columns is not None:
+        value = [{c: getattr(row, c) for c in columns} for row in value]
+    return _indented(value) + "\n"
 
 
 def _accepted_rows(config: ExperimentConfig, r_sq: float, cutoffs: Sequence[int]):
@@ -288,17 +353,17 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         master_seed=config.master_seed,
     )
     settings = []
-    for m in range(config.d):
-        frames = int(stats.setting_frames[m])
-        p_hat = stats.p_hat(m)
+    counts = zip(stats.setting_frames.tolist(), stats.setting_accepted.tolist())
+    for m, ((frames, accepted), p) in enumerate(zip(counts, p_analytic)):
+        p_hat = accepted / frames if frames else 0.0  # EmpiricalStats.p_hat(m)
         settings.append(
             {
                 "m": m,
                 "frames": frames,
-                "accepted": int(stats.setting_accepted[m]),
+                "accepted": accepted,
                 "p_hat": p_hat,
-                "p_analytic": p_analytic[m],
-                "z": _z_score(p_hat, p_analytic[m], frames),
+                "p_analytic": p,
+                "z": _z_score(p_hat, p, frames),
             }
         )
     p_e_expected = error_ratio(p_analytic, config.k)
@@ -373,7 +438,7 @@ def cmd_discriminate(args) -> int:
     config = _load_config(args).resolved()
     config.check_window(config.n_prime)
     report = discrimination_report(config)
-    _write_output(json.dumps(report, indent=2) + "\n", config.output_path)
+    _write_output(emit_json(report), config.output_path)
     if config.output_path is not None:
         print(f"wrote discrimination report to {config.output_path}")
     return 0
@@ -387,12 +452,17 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_defaults(args) -> int:
+    if args.for_command not in (None, *_RUN_COMMANDS):
+        raise UsageError(
+            f"argument for_command: invalid choice: {args.for_command!r} "
+            f"(choose from {', '.join(map(repr, _RUN_COMMANDS))})"
+        )
     config = ExperimentConfig()
     if args.for_command in ("discriminate", "tradeoff"):
         config.r_grid = config.r_grid[-1:]  # these run at one |R|^2
     if args.for_command == "tradeoff":
         config.n_prime_values = [config.d, 2 * config.d, 4 * config.d]
-    print(json.dumps(dataclasses.asdict(config), indent=2))
+    sys.stdout.write(emit_json(dataclasses.asdict(config)))
     return 0
 
 
@@ -509,6 +579,7 @@ _COMMANDS = (
     ("tradeoff", "error vs count rate across cutoffs", cmd_tradeoff),
     ("defaults", "print the default configuration", cmd_defaults),
 )
+_RUN_COMMANDS = tuple(name for name, *_ in _COMMANDS if name != "defaults")
 
 
 @functools.lru_cache(maxsize=None)
@@ -540,10 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("--seed", "discriminate", type=int, help="master seed")
     add("--out", windows, help="output file (default: stdout)")
     add("--format", windows, choices=("csv", "json"), help="output format")
+    # Checked by cmd_defaults, not by argparse: with choices here, argparse
+    # would read the value of a flag defaults lacks (--d 32) as the command
+    # and name that, not the flag.
     sub.choices["defaults"].add_argument(
         "for_command",
         nargs="?",
-        choices=[name for name, *_ in _COMMANDS if name != "defaults"],
+        metavar="{" + ",".join(_RUN_COMMANDS) + "}",
         help="print a configuration this command runs",
     )
     return parser

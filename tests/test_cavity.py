@@ -763,7 +763,8 @@ class TestOutcomeTable:
         state = TimeBinState(amps / np.linalg.norm(amps), normalized=True)
         case = (d, 0.97, 0.9, state, bin_cap, thetas)
         cfg = CavityConfig(dim=d, r1_sq=0.97, r2_sq=0.9, theta=0.0, n_prime=d)
-        assert_rows_match_per_bin_oracle(case, outcome_table(cfg, state, thetas, bin_cap))
+        table = outcome_table(cfg, state, thetas, bin_cap)
+        assert_rows_match_per_bin_oracle(case, table)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

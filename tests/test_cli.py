@@ -115,6 +115,47 @@ class TestConfigResolution:
             ExperimentConfig(**kwargs).resolved()
 
 
+# Scalars json writes in more than one way, or that the indenting encoder
+# and the C encoder could disagree on; the strings hold a raw newline and
+# brackets around a separator, the only text that marks a row boundary.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 2**63 - 1]),
+    st.text(max_size=8),
+    st.sampled_from(["},\n      {", "],\n    [", "\n", "{", "]"]),
+)
+JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["settings", "}", "\n"]))
+JSON_ROWS = st.one_of(
+    st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=6), max_size=5),
+    st.lists(st.lists(JSON_SCALARS, max_size=4), max_size=5),
+    st.lists(st.tuples(JSON_SCALARS, JSON_SCALARS), max_size=3),
+)
+JSON_REPORTS = st.builds(
+    lambda head, rows: {**head, "settings": rows},
+    st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=15),
+    JSON_ROWS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=st.one_of(JSON_REPORTS, JSON_ROWS, JSON_VALUES))
+@example(value={"p_e_empirical": None, "settings": []})
+@example(value=[{"a": -0.0, "b": 2**63 - 1, "c": 5e-324}, {"d": None}])
+@example(value=[{"a": 1}, {}])
+@example(value=[[1], [2, [3]]])
+@settings(max_examples=400, deadline=None)
+def test_json_text_is_the_indenting_encoders(value):
+    assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
 class TestRoundTrip:
     def test_csv_round_trips_exactly(self):
         config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved()
@@ -804,6 +845,15 @@ class TestConfigFile:
         assert run_cli(command, "--config", str(path)) == 0
         assert capsys.readouterr().out
 
+    def test_defaults_for_an_unknown_command_exits_one(self, capsys):
+        assert run_cli("defaults", "bogus") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: argument for_command: invalid choice: 'bogus' "
+            "(choose from 'mub-verify', "
+        )
+        assert captured.out == ""
+
     def test_file_that_is_not_text_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe{")
@@ -824,6 +874,7 @@ class TestConfigFile:
                 "--out f --p-dc 7",
             ),
             (["defaults", "--d"], "--d"),
+            (["defaults", "--d", "32"], "--d"),
             (["defaults", "discriminate", "--d", "32"], "--d 32"),
             (["error-sweep", "--trials", "9", "--seed", "3"], "--trials 9 --seed 3"),
             (["tradeoff", "--n-prime", "16,32", "--trials", "9"], "--trials 9"),
