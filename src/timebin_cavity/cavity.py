@@ -373,11 +373,9 @@ def outcome_table(
     masses = np.empty((rows, 2 * bin_cap + 1))
     upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
     reflecting, entering = 1j * r1 * state.amps, t1 * state.amps
-    # The entry bins go in blocks of at most BLOCK_CELLS rows x bins, each
-    # an inclusive scan along axis 0: row i of the block holds c at its
-    # i-th bin, row 0 the last block's c, and a doubling step adds
-    # loop^s c_(b-s), so log2 steps take in every earlier term. The buffers
-    # are allocated once: fresh block-sized temporaries cost more in page
+    # Scan row 0 holds the last block's c and row i the c of the block's
+    # i-th bin; a doubling step adds loop^s c_(b-s). The buffers are
+    # allocated once: fresh block-sized temporaries cost more in page
     # faults than the arithmetic.
     step = min(d, max(1, BLOCK_CELLS // rows))
     scan = np.zeros((step + 1, rows), dtype=np.complex128)

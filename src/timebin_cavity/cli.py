@@ -180,60 +180,46 @@ def emit_csv(rows: Sequence, columns: Sequence[str]) -> str:
 _CONTAINERS = (dict, list, tuple)
 
 
-def _holds_container(items) -> bool:
-    return any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
-
-
-def _row_cells(value):
-    """The items of every row, if the list ``value`` holds nonempty rows of
-    one kind (all objects or all arrays); else None."""
-    if not all(value):
-        return None
-    kinds = set(map(type, value))
-    if kinds == {dict}:
-        return itertools.chain.from_iterable(map(dict.values, value))
-    if kinds <= {list, tuple}:
-        return itertools.chain.from_iterable(value)
-    return None
-
-
 def _indented(value, pad: str = "") -> str:
     """The text of ``json.dumps(value, indent=2)`` for ``value`` nested at
     ``pad``.
 
-    json runs its C encoder only when ``indent`` is None, so a container
-    of scalars is one C call with the indent's item separator, its
-    brackets opened by hand. A list of such containers of one kind, the
-    rows of a table, is one call too: every separator is written at the
-    rows' own level, and since a scalar neither starts nor ends with a
-    bracket and a string holds no raw newline, a closing bracket,
-    separator and opening bracket is always a boundary between rows, which
-    is re-indented. Any other container joins its items, each encoded one
-    level in. Object keys must be strings.
+    json runs its C encoder only when ``indent`` is None, so each run of
+    items that are not nonempty containers is one C call with the indent's
+    item separator, its brackets cut off; nested containers are encoded
+    one level in, between the runs. A list of objects of scalars, the rows
+    of a table, is one call: every separator is written at the rows' own
+    level, and since a scalar neither starts nor ends with a brace and a
+    string holds no raw newline, "}", separator, "{" is always a boundary
+    between rows, which is re-indented. Object keys must be strings.
     """
     if not isinstance(value, _CONTAINERS) or not value:
         return json.JSONEncoder().encode(value)
-    inner = pad + "  "
-    is_dict = isinstance(value, dict)
-    if not _holds_container(value.values() if is_dict else value):
-        text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    cells = None if is_dict else _row_cells(value)
-    if cells is not None and not _holds_container(cells):
-        row = inner + "  "
-        text = json.JSONEncoder(separators=(",\n" + row, ": ")).encode(value)
-        left, right = text[1], text[-2]
-        body = text[2:-2].replace(
-            f"{right},\n{row}{left}", f"\n{inner}{right},\n{inner}{left}\n{row}"
-        )
-        return f"[\n{inner}{left}\n{row}{body}\n{inner}{right}\n{pad}]"
-    if is_dict:
-        key = json.JSONEncoder().encode
-        parts = [f"{key(k)}: {_indented(v, inner)}" for k, v in value.items()]
-        left, right = "{}"
-    else:
-        parts = [_indented(item, inner) for item in value]
-        left, right = "[]"
+    inner, is_dict = pad + "  ", isinstance(value, dict)
+    if not is_dict and all(isinstance(row, dict) and row for row in value):
+        cells = itertools.chain.from_iterable(map(dict.values, value))
+        if not any(map(isinstance, cells, itertools.repeat(_CONTAINERS))):
+            row = inner + "  "
+            text = json.JSONEncoder(separators=(",\n" + row, ": ")).encode(value)
+            body = text[2:-2].replace(
+                f"}},\n{row}{{", f"\n{inner}}},\n{inner}{{\n{row}"
+            )
+            return f"[\n{inner}{{\n{row}{body}\n{inner}}}\n{pad}]"
+    encode = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+    parts, run = [], []
+    for item in value.items() if is_dict else value:
+        nested = item[1] if is_dict else item
+        if not (isinstance(nested, _CONTAINERS) and nested):
+            run.append(item)
+            continue
+        if run:
+            parts.append(encode(dict(run) if is_dict else run)[1:-1])
+            run = []
+        text = _indented(nested, inner)
+        parts.append(f"{encode(item[0])}: {text}" if is_dict else text)
+    if run:
+        parts.append(encode(dict(run) if is_dict else run)[1:-1])
+    left, right = "{}" if is_dict else "[]"
     return f"{left}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{right}"
 
 
