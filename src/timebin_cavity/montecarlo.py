@@ -298,7 +298,7 @@ def _range_law(
     if p_dc == 0.0:
         lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
         ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
-        return np.clip(ranges, 0.0, 1.0, out=ranges)
+        return np.minimum(np.maximum(ranges, 0.0, out=ranges), 1.0, out=ranges)
     rows = cdf.shape[0]
     log_q = 2.0 * math.log1p(-p_dc)
     no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
@@ -324,7 +324,7 @@ def _range_law(
         dark = (1.0 - clicked) * h.sum() - clicks @ later
         law[:, 4] += dark  # dark D1 clicks
         law[:, 3 if part == 1 else 4] += dark  # dark D2 clicks
-    return np.clip(law, 0.0, 1.0, out=law)
+    return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
 def _sample(
@@ -371,7 +371,7 @@ def _sample(
     # gives what is left to its last category. A zero entry draws nothing
     # and reads nothing from the stream.
     law = _column_law(table, dark.p_dc, cap)[0]
-    np.clip(law, 0.0, 1.0, out=law)
+    np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
     n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
     drawn = rng.multinomial(frames[0], law[:reach])
     del law  # the law and the histogram never coexist
