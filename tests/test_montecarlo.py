@@ -485,6 +485,34 @@ def _reference_columns(law, cap):
     return out
 
 
+def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
+    """Both of a table's laws, row by row, equal :func:`reference.frame_law`
+    within 1e-14."""
+    state = mub_state(d, k)
+    thetas = [theta_for_outcome(d, m) for m in range(d)]
+    cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
+    table = montecarlo._outcome_table(cfg, state, thetas, cap)
+    columns = montecarlo._column_law(table, p_dc, cap)
+    ranges = montecarlo._range_law(table, p_dc, cap, d, n_prime)
+    lo, hi = cap + d - 1, cap + n_prime  # accepted columns
+    for m, theta in enumerate(thetas):
+        law = reference.frame_law(d, r1_sq, r2_sq, theta, list(state.amps), cap, p_dc)
+        want = _reference_columns(law, cap)
+        np.testing.assert_allclose(columns[m], want, rtol=0, atol=1e-14)
+        photon, dark_d2 = want[: 2 * cap + 1], want[2 * cap + 1 + cap :]
+        window = dark_d2[d - 1 : n_prime].sum()
+        want_ranges = [
+            photon[:lo].sum(),
+            photon[lo:hi].sum(),
+            photon[hi:].sum(),
+            window,
+            want[2 * cap + 1 :].sum() - window,
+        ]
+        np.testing.assert_allclose(ranges[m], want_ranges, rtol=0, atol=1e-14)
+        assert abs(columns[m].sum() - 1.0) <= 1e-14
+        assert abs(ranges[m].sum() - 1.0) <= 1e-14
+
+
 class TestExactFrameLaw:
     """The law each row's counts are drawn from, against the enumeration
     of every photon exit, first dark bin, dark detector and tie coin."""
@@ -504,31 +532,16 @@ class TestExactFrameLaw:
         cap = d + extra_bins
         n_prime = window_data.draw(st.integers(d, cap), label="n_prime")
         k = window_data.draw(st.integers(0, d - 1), label="k")
-        state = mub_state(d, k)
-        thetas = [theta_for_outcome(d, m) for m in range(d)]
-        cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
-        table = montecarlo._outcome_table(cfg, state, thetas, cap)
-        columns = montecarlo._column_law(table, p_dc, cap)
-        ranges = montecarlo._range_law(table, p_dc, cap, d, n_prime)
-        lo, hi = cap + d - 1, cap + n_prime  # accepted columns
-        for m, theta in enumerate(thetas):
-            law = reference.frame_law(
-                d, r1_sq, r2_sq, theta, list(state.amps), cap, p_dc
-            )
-            want = _reference_columns(law, cap)
-            np.testing.assert_allclose(columns[m], want, rtol=0, atol=1e-14)
-            photon, dark_d2 = want[: 2 * cap + 1], want[2 * cap + 1 + cap :]
-            window = dark_d2[d - 1 : n_prime].sum()
-            want_ranges = [
-                photon[:lo].sum(),
-                photon[lo:hi].sum(),
-                photon[hi:].sum(),
-                window,
-                want[2 * cap + 1 :].sum() - window,
-            ]
-            np.testing.assert_allclose(ranges[m], want_ranges, rtol=0, atol=1e-14)
-            assert abs(columns[m].sum() - 1.0) <= 1e-14
-            assert abs(ranges[m].sum() - 1.0) <= 1e-14
+        assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc)
+
+    @pytest.mark.parametrize("cells", [1, 6, 12, 21])
+    @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
+    def test_blocked_dark_law_matches_enumeration(self, monkeypatch, cells, p_dc):
+        # Three rows take blocks of 1, 2, 4 and 7 bins, split again at the
+        # window's edges and after the last entry bin; the clicked mass
+        # carries from block to block.
+        monkeypatch.setattr(montecarlo, "BLOCK_CELLS", cells)
+        assert_laws_match_enumeration(3, 14, 9, 1, 0.9, 0.8, p_dc)
 
     def test_residual_has_its_own_mass(self):
         # The (NONE, 0) mass is far below the pinned CDF's rounding; both
