@@ -292,7 +292,7 @@ def _range_law(
     detector's dark mass sum_b h_b (S_b + C_b/2), S_b the mass that clicks
     after b or never; that is (1 - clicked) sum_b h_b less
     sum_b C_b (sum_{f >= b} h_f - h_b/2), with ``clicked`` the mass that
-    clicks before the block, read from the CDF at its edge.
+    clicks before the block, summed over the blocks before it.
     """
     cdf = table.cdf
     if p_dc == 0.0:
@@ -304,11 +304,10 @@ def _range_law(
     no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
     law = np.zeros((rows, 5))
     d1 = _masses(cdf, 0, d) * (table.ports[:d] == D1)
-    d1_before = np.zeros((rows, d + 1))  # column j: D1 mass at bins 1..j
-    np.cumsum(d1, axis=1, out=d1_before[:, 1:])
-    back = cdf[:, bin_cap - 1] - d1_before[:, d]
+    back = cdf[:, bin_cap - 1] - d1.sum(axis=1)
     law[:, 0] = d1 @ _bin_shares(log_q, 1, d + 1)[0] + back * no_click_keeps
     law[:, 2] = table.none * no_click_keeps
+    clicked = 0.0  # the mass that clicks before the block
     step = max(1, BLOCK_CELLS // rows)
     edges = sorted({*range(1, bin_cap + 1, step), d, d + 1, n_prime + 1, bin_cap + 1})
     for b0, b1 in zip(edges, edges[1:]):
@@ -318,10 +317,9 @@ def _range_law(
         law[:, part] += clicks @ keeps
         if b0 <= d:
             clicks += d1[:, b0 - 1 : b1 - 1]
-        d2_before = cdf[:, bin_cap + b0 - 2] - cdf[:, bin_cap - 1]
-        clicked = d1_before[:, min(b0 - 1, d)] + d2_before
         later = np.cumsum(h[::-1])[::-1] - 0.5 * h
         dark = (1.0 - clicked) * h.sum() - clicks @ later
+        clicked += clicks.sum(axis=1)
         law[:, 4] += dark  # dark D1 clicks
         law[:, 3 if part == 1 else 4] += dark  # dark D2 clicks
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
