@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -77,13 +77,11 @@ class ExperimentConfig:
     """Flat run configuration; file values are overridden by CLI flags."""
 
     d: int = 16
-    r_grid: List[float] = field(
-        default_factory=lambda: [round(0.5 + 0.05 * i, 10) for i in range(10)]
-    )
+    r_grid: Optional[List[float]] = None  # by command when unset, see resolved
     k: int = 0
     theta: Optional[float] = None
     n_prime: Optional[int] = None  # defaults to 4 * d when unset
-    n_prime_values: Optional[List[int]] = None
+    n_prime_values: Optional[List[int]] = None  # tradeoff's cutoffs
     eta: float = 1.0
     p_dc: float = 0.0
     n_trials: int = 100_000
@@ -91,9 +89,23 @@ class ExperimentConfig:
     output_path: Optional[str] = None
     output_format: str = "csv"
 
-    def resolved(self) -> "ExperimentConfig":
-        """Validated copy with dependent defaults filled in."""
+    def resolved(self, command: str) -> "ExperimentConfig":
+        """Validated copy with the defaults ``command`` reads filled in.
+
+        Unset, r_grid is ten values from 0.5 to 0.95 for error-sweep and its
+        last value for the commands that run at one, n_prime is 4 d, and a
+        tradeoff's cutoffs are d, 2 d and 4 d. mub-verify reads d alone.
+        """
         cfg = dataclasses.replace(self)
+        if command == "mub-verify":
+            if cfg.d < 1:
+                raise UsageError(f"d must be >= 1, got {cfg.d}")
+            if cfg.d > MAX_MUB_DIM:
+                raise UsageError(f"d must be <= {MAX_MUB_DIM} (size cap), got {cfg.d}")
+            return cfg
+        if cfg.r_grid is None:
+            grid = [round(0.5 + 0.05 * i, 10) for i in range(10)]
+            cfg.r_grid = grid if command == "error-sweep" else grid[-1:]
         if cfg.d < 2:
             raise UsageError(f"d must be >= 2 for basis experiments, got {cfg.d}")
         if cfg.d > MAX_ANALYTIC_DIM:
@@ -109,6 +121,8 @@ class ExperimentConfig:
             raise UsageError(f"theta must be finite, got {cfg.theta}")
         if cfg.n_prime is None:
             cfg.n_prime = 4 * cfg.d
+        if cfg.n_prime_values is None and command == "tradeoff":
+            cfg.n_prime_values = [cfg.d, 2 * cfg.d, 4 * cfg.d]
         if not cfg.d <= cfg.n_prime <= MAX_CUTOFF:
             raise UsageError(f"n_prime must lie in [d, 2**53], got {cfg.n_prime}")
         for value in cfg.n_prime_values or []:
@@ -127,14 +141,30 @@ class ExperimentConfig:
             )
         if cfg.output_format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {cfg.output_format}")
+        if command == "tradeoff":
+            cutoffs = cfg.n_prime_values
+            if not cutoffs:
+                raise UsageError(
+                    "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
+                    "or set n_prime_values in the config file"
+                )
+            cells = len(cutoffs) * cfg.d  # the kernel holds d numbers per cutoff
+            if cells > MAX_WINDOW_CELLS:
+                raise UsageError(
+                    f"{len(cutoffs)} cutoffs x d = {cells} exceeds the size cap "
+                    f"{MAX_WINDOW_CELLS}"
+                )
+        if command == "discriminate":
+            try:
+                check_window_size(cfg.d, cfg.n_prime)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+        if command != "error-sweep" and len(cfg.r_grid) != 1:
+            raise UsageError(
+                f"{command} takes one --r-grid value, got {len(cfg.r_grid)}; "
+                "only error-sweep takes a grid"
+            )
         return cfg
-
-    def check_window(self, n_prime: int) -> None:
-        """Reject a window over the size cap before anything is allocated."""
-        try:
-            check_window_size(self.d, n_prime)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
 
     def cavity_config(self, r_sq: float, n_prime: int) -> CavityConfig:
         """Cavity for grid value r_sq: both reflectivities r_sq * eta, and the
@@ -289,31 +319,11 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     return rows
 
 
-def _one_r_sq(config: ExperimentConfig, command: str) -> float:
-    """The grid's one value; a command other than error-sweep takes no grid."""
-    if len(config.r_grid) != 1:
-        raise UsageError(
-            f"{command} takes one --r-grid value, got {len(config.r_grid)}; "
-            "only error-sweep takes a grid"
-        )
-    return config.r_grid[0]
-
-
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
-    """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value."""
+    """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value,
+    for a config resolved for tradeoff."""
     cutoffs = config.n_prime_values
-    if not cutoffs:
-        raise UsageError(
-            "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
-            "or set n_prime_values in the config file"
-        )
-    cells = len(cutoffs) * config.d  # the kernel holds d numbers per cutoff
-    if cells > MAX_WINDOW_CELLS:
-        raise UsageError(
-            f"{len(cutoffs)} cutoffs x d = {cells} exceeds the size cap "
-            f"{MAX_WINDOW_CELLS}"
-        )
-    _, _, rows = _accepted_rows(config, _one_r_sq(config, "tradeoff"), cutoffs)
+    _, _, rows = _accepted_rows(config, config.r_grid[0], cutoffs)
     return tradeoff_points(rows, cutoffs, config.k)
 
 
@@ -324,8 +334,9 @@ def _z_score(observed: float, expected: float, n: int) -> float:
 
 
 def discrimination_report(config: ExperimentConfig) -> dict:
-    """Empirical vs analytic statistics as a JSON-ready dict; one kernel pass."""
-    r_sq = _one_r_sq(config, "discriminate")
+    """Empirical vs analytic statistics as a JSON-ready dict, for a config
+    resolved for discriminate; one kernel pass."""
+    r_sq = config.r_grid[0]
     cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, [config.n_prime])
     p_analytic = p_analytic.tolist()
     stats = run_discrimination(
@@ -398,10 +409,6 @@ def _emit_rows(rows, columns, config: ExperimentConfig) -> None:
 
 def cmd_mub_verify(args) -> int:
     config = _load_config(args)
-    if config.d < 1:
-        raise UsageError(f"d must be >= 1, got {config.d}")
-    if config.d > MAX_MUB_DIM:
-        raise UsageError(f"d must be <= {MAX_MUB_DIM} (size cap), got {config.d}")
     deviation = verify_mub(config.d)
     status = "pass" if deviation < MUB_TOLERANCE else "FAIL"
     print(
@@ -412,7 +419,7 @@ def cmd_mub_verify(args) -> int:
 
 
 def cmd_error_sweep(args) -> int:
-    config = _load_config(args).resolved()
+    config = _load_config(args)
     rows = compute_sweep(config)
     _emit_rows(rows, SWEEP_COLUMNS, config)
     return 0
@@ -421,8 +428,7 @@ def cmd_error_sweep(args) -> int:
 def cmd_discriminate(args) -> int:
     if args.format == "csv":  # a config file's output_format is for the tables
         raise UsageError("discriminate writes a JSON report; it takes no --format csv")
-    config = _load_config(args).resolved()
-    config.check_window(config.n_prime)
+    config = _load_config(args)
     report = discrimination_report(config)
     _write_output(emit_json(report), config.output_path)
     if config.output_path is not None:
@@ -431,24 +437,14 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    config = _load_config(args).resolved()
+    config = _load_config(args)
     rows = compute_tradeoff(config)
     _emit_rows(rows, TRADEOFF_COLUMNS, config)
     return 0
 
 
 def cmd_defaults(args) -> int:
-    if args.for_command not in (None, *_RUN_COMMANDS):
-        raise UsageError(
-            f"argument for_command: invalid choice: {args.for_command!r} "
-            f"(choose from {', '.join(map(repr, _RUN_COMMANDS))})"
-        )
-    config = ExperimentConfig()
-    if args.for_command in ("discriminate", "tradeoff"):
-        config.r_grid = config.r_grid[-1:]  # these run at one |R|^2
-    if args.for_command == "tradeoff":
-        config.n_prime_values = [config.d, 2 * config.d, 4 * config.d]
-    sys.stdout.write(emit_json(dataclasses.asdict(config)))
+    sys.stdout.write(emit_json(dataclasses.asdict(ExperimentConfig())))
     return 0
 
 
@@ -479,12 +475,10 @@ def parse_r_grid(text: str) -> List[float]:
         raise UsageError(f"bad r-grid spec {text!r}: {exc}") from exc
 
 
-def parse_n_prime(text: str):
-    """Either a single cutoff or a comma list of cutoffs."""
+def parse_n_prime(text: str) -> List[int]:
+    """A cutoff or a comma list of cutoffs, as a list."""
     try:
-        if "," in text:
-            return [int(p) for p in text.split(",")]
-        return int(text)
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad n-prime spec {text!r}: {exc}") from exc
 
@@ -518,6 +512,8 @@ def _has_type(value, kind: str) -> bool:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file's values, overridden by the flags, resolved for the
+    command."""
     data = {}
     if args.config:
         try:
@@ -542,15 +538,17 @@ def _load_config(args) -> ExperimentConfig:
         if value is None:
             continue
         value = value if parse is None else parse(value)
-        if name == "n_prime" and isinstance(value, list):
-            if args.command != "tradeoff":
+        if name == "n_prime" and args.command == "tradeoff":
+            name = "n_prime_values"  # the flag sets the tradeoff cutoffs
+        elif name == "n_prime":
+            if len(value) != 1:
                 raise UsageError(
                     f"{args.command} takes one --n-prime cutoff; "
                     "only tradeoff takes a comma list"
                 )
-            name = "n_prime_values"  # a comma list sets the tradeoff cutoffs
+            (value,) = value
         setattr(config, name, value)
-    return config
+    return config.resolved(args.command)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -565,7 +563,6 @@ _COMMANDS = (
     ("tradeoff", "error vs count rate across cutoffs", cmd_tradeoff),
     ("defaults", "print the default configuration", cmd_defaults),
 )
-_RUN_COMMANDS = tuple(name for name, *_ in _COMMANDS if name != "defaults")
 
 
 @functools.lru_cache(maxsize=None)
@@ -597,15 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--seed", "discriminate", type=int, help="master seed")
     add("--out", windows, help="output file (default: stdout)")
     add("--format", windows, choices=("csv", "json"), help="output format")
-    # Checked by cmd_defaults, not by argparse: with choices here, argparse
-    # would read the value of a flag defaults lacks (--d 32) as the command
-    # and name that, not the flag.
-    sub.choices["defaults"].add_argument(
-        "for_command",
-        nargs="?",
-        metavar="{" + ",".join(_RUN_COMMANDS) + "}",
-        help="print a configuration this command runs",
-    )
     return parser
 
 

@@ -41,6 +41,10 @@ from timebin_cavity.cli import (
 )
 
 
+# r_grid when unset, for error-sweep; discriminate and tradeoff take its last
+DEFAULT_GRID = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -61,7 +65,7 @@ class TestParsing:
             parse_r_grid("0.9:0.5:0.1")
 
     def test_n_prime_single_and_list(self):
-        assert cli.parse_n_prime("32") == 32
+        assert cli.parse_n_prime("32") == [32]
         assert cli.parse_n_prime("21,36,66") == [21, 36, 66]
 
     def test_grid_at_the_point_cap(self):
@@ -90,8 +94,23 @@ class TestParsing:
 
 class TestConfigResolution:
     def test_window_defaults_to_four_frames(self):
-        cfg = ExperimentConfig(d=8).resolved()
+        cfg = ExperimentConfig(d=8).resolved("error-sweep")
         assert cfg.n_prime == 32
+
+    @pytest.mark.parametrize(
+        "command,r_grid,cutoffs",
+        [
+            ("error-sweep", DEFAULT_GRID, None),
+            ("discriminate", [0.95], None),
+            ("tradeoff", [0.95], [8, 16, 32]),
+        ],
+    )
+    def test_unset_grid_and_cutoffs_depend_on_the_command(
+        self, command, r_grid, cutoffs
+    ):
+        cfg = ExperimentConfig(d=8).resolved(command)
+        assert cfg.r_grid == r_grid
+        assert cfg.n_prime_values == cutoffs
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -112,7 +131,7 @@ class TestConfigResolution:
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(cli.UsageError, match=match):
-            ExperimentConfig(**kwargs).resolved()
+            ExperimentConfig(**kwargs).resolved("error-sweep")
 
 
 # Scalars json writes in more than one way, or that the indenting encoder
@@ -158,13 +177,17 @@ def test_json_text_is_the_indenting_encoders(value):
 
 class TestRoundTrip:
     def test_csv_round_trips_exactly(self):
-        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved()
+        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved(
+            "error-sweep"
+        )
         rows = compute_sweep(config)
         parsed = parse_sweep(emit_csv(rows, SWEEP_COLUMNS), "csv")
         assert parsed == rows
 
     def test_json_round_trips_exactly(self):
-        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved()
+        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved(
+            "error-sweep"
+        )
         rows = compute_sweep(config)
         parsed = parse_sweep(emit_json(rows, SWEEP_COLUMNS), "json")
         assert parsed == rows
@@ -179,7 +202,7 @@ class TestRoundTrip:
     def test_tradeoff_round_trips_exactly(self, fmt):
         config = ExperimentConfig(
             d=4, r_grid=[0.8], p_dc=1e-4, n_prime_values=[4, 8, 16]
-        ).resolved()
+        ).resolved("tradeoff")
         rows = cli.compute_tradeoff(config)
         emit = emit_csv if fmt == "csv" else emit_json
         assert parse_tradeoff(emit(rows, TRADEOFF_COLUMNS), fmt) == rows
@@ -205,21 +228,21 @@ class TestOneKernelPass:
     def test_once_per_sweep_row(self, kernel_calls):
         config = ExperimentConfig(
             d=4, r_grid=[0.3, 0.6, 0.9], k=1, eta=0.97, p_dc=1e-4, n_prime=12
-        ).resolved()
+        ).resolved("error-sweep")
         rows = compute_sweep(config)
         assert len(kernel_calls) == len(rows) == 3
 
     def test_once_per_tradeoff(self, kernel_calls):
         config = ExperimentConfig(
             d=4, r_grid=[0.5], p_dc=1e-4, n_prime_values=[4, 8, 16]
-        ).resolved()
+        ).resolved("tradeoff")
         assert len(cli.compute_tradeoff(config)) == 3
         assert len(kernel_calls) == 1
 
     def test_once_per_report(self, kernel_calls):
         config = ExperimentConfig(
             d=4, r_grid=[0.6], eta=0.97, p_dc=1e-4, n_trials=1000
-        ).resolved()
+        ).resolved("discriminate")
         cli.discrimination_report(config)
         assert len(kernel_calls) == 1
 
@@ -233,7 +256,7 @@ class TestOneKernelPass:
             eta=0.97,
             p_dc=1e-4,
             n_prime=n_prime,
-        ).resolved()
+        ).resolved("error-sweep")
         dark = DarkCountModel(config.p_dc)
         prepared = mub_state(d, k)
         for row in compute_sweep(config):
@@ -499,9 +522,24 @@ class TestTradeoff:
         rows = parse_tradeoff(out.read_text(), "json")
         assert rows[0].observed_error < rows[1].observed_error < rows[2].observed_error
 
-    def test_missing_cutoff_list_is_usage_error(self, capsys):
-        assert run_cli("tradeoff", "--d", "8", "--r-grid", "0.9") == 1
-        assert "cutoff" in capsys.readouterr().err
+    def test_unset_cutoffs_are_d_2d_and_4d(self, capsys):
+        assert run_cli("tradeoff", "--d", "8", "--r-grid", "0.9") == 0
+        rows = parse_tradeoff(capsys.readouterr().out, "csv")
+        assert [row.n_prime for row in rows] == [8, 16, 32]
+
+    def test_one_cutoff_from_the_flag(self, capsys):
+        # one value is a list of one cutoff, not n_prime, which tradeoff
+        # does not read
+        argv = ["tradeoff", "--d", "16", "--r-grid", "0.9", "--n-prime"]
+        assert run_cli(*argv, "32") == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "n_prime,observed_error,accepted_probability\n"
+            "32,0.18379127246930158,0.016253554844243463\n"
+        )
+        assert captured.err == ""
+        assert run_cli(*argv, "32,64") == 0
+        assert capsys.readouterr().out.splitlines()[1] == captured.out.splitlines()[1]
 
     def test_empty_cutoff_list_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -533,7 +571,7 @@ class TestOneRValue:
     """discriminate and tradeoff run at one r² value; only error-sweep
     takes a grid."""
 
-    @pytest.mark.parametrize("source", ["flag", "config", "default"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["discriminate", "tradeoff"])
     def test_grid_is_usage_error(self, tmp_path, capsys, command, source):
         out = tmp_path / "out.txt"
@@ -541,7 +579,7 @@ class TestOneRValue:
         argv = [command, "--d", "4", "--n-prime", n_prime]
         if command == "discriminate":
             argv += ["--trials", "100"]
-        grid_size = {"flag": 2, "config": 3, "default": 10}[source]
+        grid_size = {"flag": 2, "config": 3}[source]
         if source == "flag":
             argv += ["--r-grid", "0.5,0.9"]
         elif source == "config":
@@ -570,21 +608,18 @@ class TestSizeCaps:
 
     def test_window_cap_boundary(self):
         d = 4
-        config = ExperimentConfig(d=d).resolved()
         n_prime = cli.MAX_WINDOW_CELLS // d - d  # d * (n' + d) = cap
-        config.check_window(n_prime)
+        ExperimentConfig(d=d, n_prime=n_prime).resolved("discriminate")
         with pytest.raises(cli.UsageError, match="size cap"):
-            config.check_window(n_prime + 1)
+            ExperimentConfig(d=d, n_prime=n_prime + 1).resolved("discriminate")
 
     @pytest.mark.parametrize("d", [64, 256, 915])
     def test_default_window_is_accepted(self, d):
-        config = ExperimentConfig(d=d).resolved()
-        config.check_window(config.n_prime)
+        ExperimentConfig(d=d).resolved("discriminate")
 
     def test_default_window_cap_starts_at_d_916(self):
-        config = ExperimentConfig(d=916).resolved()
         with pytest.raises(cli.UsageError, match="size cap"):
-            config.check_window(config.n_prime)
+            ExperimentConfig(d=916).resolved("discriminate")
 
     @pytest.mark.parametrize(
         "command,flags,target,stub",
@@ -828,30 +863,42 @@ class TestConfigFile:
         assert run_cli("error-sweep", "--config", str(path)) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
-    def test_defaults_output_is_a_valid_config_file(self, tmp_path, capsys):
-        assert run_cli("defaults") == 0
-        path = tmp_path / "config.json"
-        path.write_text(capsys.readouterr().out)
-        assert run_cli("mub-verify", "--config", str(path)) == 0
-
     @pytest.mark.parametrize(
         "command", ["mub-verify", "error-sweep", "discriminate", "tradeoff"]
     )
-    def test_defaults_for_a_command_run_it(self, tmp_path, capsys, command):
-        # discriminate and tradeoff reject the plain defaults' ten-value grid
-        assert run_cli("defaults", command) == 0
+    def test_defaults_output_runs_every_command(self, tmp_path, capsys, command):
+        assert run_cli("defaults") == 0
         path = tmp_path / "config.json"
         path.write_text(capsys.readouterr().out)
         assert run_cli(command, "--config", str(path)) == 0
-        assert capsys.readouterr().out
+        from_file = capsys.readouterr().out
+        assert run_cli(command) == 0
+        assert capsys.readouterr().out == from_file
 
-    def test_defaults_for_an_unknown_command_exits_one(self, capsys):
-        assert run_cli("defaults", "bogus") == 1
+    @pytest.mark.parametrize(
+        "command,r_grid,cutoffs",
+        [
+            ("mub-verify", DEFAULT_GRID, None),
+            ("error-sweep", DEFAULT_GRID, None),
+            ("discriminate", [0.95], None),
+            ("tradeoff", [0.95], [16, 32, 64]),
+        ],
+    )
+    def test_command_without_flags_runs_its_default_config(
+        self, tmp_path, capsys, command, r_grid, cutoffs
+    ):
+        # each command's unset grid and cutoffs, written out
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"r_grid": r_grid, "n_prime_values": cutoffs}))
+        assert run_cli(command, "--config", str(path)) == 0
+        want = capsys.readouterr()
+        assert run_cli(command) == 0
+        assert capsys.readouterr() == want and want.out
+
+    def test_defaults_takes_no_command(self, capsys):
+        assert run_cli("defaults", "tradeoff") == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "error: argument for_command: invalid choice: 'bogus' "
-            "(choose from 'mub-verify', "
-        )
+        assert captured.err == "error: unrecognized arguments: tradeoff\n"
         assert captured.out == ""
 
     def test_file_that_is_not_text_rejected(self, tmp_path, capsys):
@@ -874,8 +921,7 @@ class TestConfigFile:
                 "--out f --p-dc 7",
             ),
             (["defaults", "--d"], "--d"),
-            (["defaults", "--d", "32"], "--d"),
-            (["defaults", "discriminate", "--d", "32"], "--d 32"),
+            (["defaults", "--d", "32"], "--d 32"),
             (["error-sweep", "--trials", "9", "--seed", "3"], "--trials 9 --seed 3"),
             (["tradeoff", "--n-prime", "16,32", "--trials", "9"], "--trials 9"),
         ],
@@ -983,18 +1029,12 @@ def invocations(draw):
     """(command, flag values, config-file values, write to --out).
 
     At most one field takes a rejected value: each field in about one run
-    of 16, and none in a quarter of the runs. The drawn d, a tradeoff's
-    cutoffs and the one r² value of discriminate and tradeoff (the default
-    is a grid) are always set.
+    of 16, and none in a quarter of the runs. The drawn d is always set.
     """
     command = draw(st.sampled_from(["error-sweep", "discriminate", "tradeoff"]))
     values = cli_values(draw(st.integers(2, 16)), command)
     broken = draw(st.sampled_from([None] * 4 + sorted(values)))
     needed = {"d", broken}
-    if command != "error-sweep":
-        needed.add("r_grid")
-    if command == "tradeoff":
-        needed.add("n_prime_values")
     flags, data = {}, {}
     for name, (good, bad) in values.items():
         where = draw(st.sampled_from(["unset", "file", "flag"]))

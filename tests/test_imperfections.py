@@ -30,7 +30,7 @@ class TestModels:
     @pytest.mark.parametrize("eta", [-0.1, 1.0001])
     def test_mismatch_bounds(self, eta):
         with pytest.raises(UsageError, match="eta"):
-            ExperimentConfig(d=8, eta=eta).resolved()
+            ExperimentConfig(d=8, eta=eta).resolved("error-sweep")
 
     @pytest.mark.parametrize("p_dc", [-1e-9, 1.0])
     def test_dark_count_bounds(self, p_dc):
@@ -40,7 +40,8 @@ class TestModels:
 
 def effective_round_trip(d, r, eta):
     """The factor both mirrors get for grid value r at mode overlap eta."""
-    return ExperimentConfig(d=d, eta=eta).resolved().cavity_config(r, 4 * d).r1_sq
+    config = ExperimentConfig(d=d, eta=eta).resolved("error-sweep")
+    return config.cavity_config(r, 4 * d).r1_sq
 
 
 class TestEffectiveRoundTrip:
@@ -59,7 +60,7 @@ class TestEffectiveRoundTrip:
 
     def test_domain_check(self):
         with pytest.raises(UsageError, match=r"\[0, 1\)"):
-            ExperimentConfig(d=8, r_grid=[1.0], eta=0.9).resolved()
+            ExperimentConfig(d=8, r_grid=[1.0], eta=0.9).resolved("error-sweep")
 
 
 class TestMismatchWiring:
