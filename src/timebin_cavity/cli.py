@@ -74,14 +74,15 @@ class NumericalInvariantViolation(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Flat run configuration; file values are overridden by CLI flags."""
+    """Flat run configuration; file values are overridden by CLI flags. A
+    config file may hold every key: a command type-checks a key it does not
+    read (see ``_FIELDS``) and otherwise ignores it."""
 
     d: int = 16
     r_grid: Optional[List[float]] = None  # by command when unset, see resolved
     k: int = 0
     theta: Optional[float] = None
-    n_prime: Optional[int] = None  # defaults to 4 * d when unset
-    n_prime_values: Optional[List[int]] = None  # tradeoff's cutoffs
+    n_prime: Optional[List[int]] = None  # window cutoffs, see resolved
     eta: float = 1.0
     p_dc: float = 0.0
     n_trials: int = 100_000
@@ -92,9 +93,11 @@ class ExperimentConfig:
     def resolved(self, command: str) -> "ExperimentConfig":
         """Validated copy with the defaults ``command`` reads filled in.
 
-        Unset, r_grid is ten values from 0.5 to 0.95 for error-sweep and its
-        last value for the commands that run at one, n_prime is 4 d, and a
-        tradeoff's cutoffs are d, 2 d and 4 d. mub-verify reads d alone.
+        Only the fields ``command`` reads are checked: mub-verify reads d
+        alone, and only discriminate reads n_trials and master_seed. Unset,
+        r_grid is ten values from 0.5 to 0.95 for error-sweep and its last
+        value for the others, and the cutoffs n_prime are d, 2 d and 4 d for
+        tradeoff and 4 d for the others, which take one.
         """
         cfg = dataclasses.replace(self)
         if command == "mub-verify":
@@ -106,6 +109,19 @@ class ExperimentConfig:
         if cfg.r_grid is None:
             grid = [round(0.5 + 0.05 * i, 10) for i in range(10)]
             cfg.r_grid = grid if command == "error-sweep" else grid[-1:]
+        if cfg.n_prime is None:
+            d = cfg.d
+            cfg.n_prime = [d, 2 * d, 4 * d] if command == "tradeoff" else [4 * d]
+        if command != "tradeoff" and len(cfg.n_prime) != 1:
+            raise UsageError(
+                f"{command} takes one --n-prime cutoff; "
+                "only tradeoff takes a comma list"
+            )
+        if not cfg.n_prime:
+            raise UsageError(
+                "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
+                "or set n_prime in the config file"
+            )
         if cfg.d < 2:
             raise UsageError(f"d must be >= 2 for basis experiments, got {cfg.d}")
         if cfg.d > MAX_ANALYTIC_DIM:
@@ -119,22 +135,16 @@ class ExperimentConfig:
             raise UsageError(f"k must lie in 0..{cfg.d - 1}, got {cfg.k}")
         if cfg.theta is not None and not math.isfinite(cfg.theta):
             raise UsageError(f"theta must be finite, got {cfg.theta}")
-        if cfg.n_prime is None:
-            cfg.n_prime = 4 * cfg.d
-        if cfg.n_prime_values is None and command == "tradeoff":
-            cfg.n_prime_values = [cfg.d, 2 * cfg.d, 4 * cfg.d]
-        if not cfg.d <= cfg.n_prime <= MAX_CUTOFF:
-            raise UsageError(f"n_prime must lie in [d, 2**53], got {cfg.n_prime}")
-        for value in cfg.n_prime_values or []:
+        for value in cfg.n_prime:
             if not cfg.d <= value <= MAX_CUTOFF:
                 raise UsageError(f"cutoff {value} must lie in [d, 2**53], d = {cfg.d}")
         if not 0.0 <= cfg.eta <= 1.0:
             raise UsageError(f"eta must lie in [0, 1], got {cfg.eta}")
         if not 0.0 <= cfg.p_dc < 1.0:
             raise UsageError(f"p_dc must lie in [0, 1), got {cfg.p_dc}")
-        if not 1 <= cfg.n_trials <= MAX_TRIALS:
+        if command == "discriminate" and not 1 <= cfg.n_trials <= MAX_TRIALS:
             raise UsageError(f"trials must lie in [1, 2**63 - 1], got {cfg.n_trials}")
-        if not 0 <= cfg.master_seed < 2**128:
+        if command == "discriminate" and not 0 <= cfg.master_seed < 2**128:
             raise UsageError(
                 "seed must lie in [0, 2**128), the Philox key range, "
                 f"got {cfg.master_seed}"
@@ -142,21 +152,15 @@ class ExperimentConfig:
         if cfg.output_format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {cfg.output_format}")
         if command == "tradeoff":
-            cutoffs = cfg.n_prime_values
-            if not cutoffs:
-                raise UsageError(
-                    "tradeoff needs a list of cutoffs; pass --n-prime a,b,c "
-                    "or set n_prime_values in the config file"
-                )
-            cells = len(cutoffs) * cfg.d  # the kernel holds d numbers per cutoff
+            cells = len(cfg.n_prime) * cfg.d  # the kernel holds d numbers per cutoff
             if cells > MAX_WINDOW_CELLS:
                 raise UsageError(
-                    f"{len(cutoffs)} cutoffs x d = {cells} exceeds the size cap "
+                    f"{len(cfg.n_prime)} cutoffs x d = {cells} exceeds the size cap "
                     f"{MAX_WINDOW_CELLS}"
                 )
         if command == "discriminate":
             try:
-                check_window_size(cfg.d, cfg.n_prime)
+                check_window_size(cfg.d, cfg.n_prime[0])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         if command != "error-sweep" and len(cfg.r_grid) != 1:
@@ -296,7 +300,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     prepared = mub_state(config.d, k)
     rows = []
     for r_sq in config.r_grid:
-        cfg, (probs,), (dark_probs,) = _accepted_rows(config, r_sq, [config.n_prime])
+        cfg, (probs,), (dark_probs,) = _accepted_rows(config, r_sq, config.n_prime)
         p_e = error_ratio(probs.tolist(), k)
         p_e_closed = total_error_closed_form(cfg.r1_sq, config.d)
         if abs(p_e - p_e_closed) > CLOSED_FORM_TOLERANCE:
@@ -322,9 +326,8 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
     """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value,
     for a config resolved for tradeoff."""
-    cutoffs = config.n_prime_values
-    _, _, rows = _accepted_rows(config, config.r_grid[0], cutoffs)
-    return tradeoff_points(rows, cutoffs, config.k)
+    _, _, rows = _accepted_rows(config, config.r_grid[0], config.n_prime)
+    return tradeoff_points(rows, config.n_prime, config.k)
 
 
 def _z_score(observed: float, expected: float, n: int) -> float:
@@ -336,14 +339,14 @@ def _z_score(observed: float, expected: float, n: int) -> float:
 def discrimination_report(config: ExperimentConfig) -> dict:
     """Empirical vs analytic statistics as a JSON-ready dict, for a config
     resolved for discriminate; one kernel pass."""
-    r_sq = config.r_grid[0]
-    cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, [config.n_prime])
+    r_sq, (n_prime,) = config.r_grid[0], config.n_prime
+    cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, config.n_prime)
     p_analytic = p_analytic.tolist()
     stats = run_discrimination(
         d=config.d,
         r1_sq=cfg.r1_sq,
         r2_sq=cfg.r2_sq,
-        n_prime=config.n_prime,
+        n_prime=n_prime,
         prepared_k=config.k,
         dark=DarkCountModel(config.p_dc),
         n_trials=config.n_trials,
@@ -372,7 +375,7 @@ def discrimination_report(config: ExperimentConfig) -> dict:
         "d": config.d,
         "r_sq": r_sq,
         "r_effective": cfg.r1_sq,
-        "n_prime": config.n_prime,
+        "n_prime": n_prime,
         "prepared_k": config.k,
         "p_dc": config.p_dc,
         "n_trials": config.n_trials,
@@ -426,7 +429,7 @@ def cmd_error_sweep(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    if args.format == "csv":  # a config file's output_format is for the tables
+    if args.output_format == "csv":  # a config file's output_format is for the tables
         raise UsageError("discriminate writes a JSON report; it takes no --format csv")
     config = _load_config(args)
     report = discrimination_report(config)
@@ -483,23 +486,28 @@ def parse_n_prime(text: str) -> List[int]:
         raise UsageError(f"bad n-prime spec {text!r}: {exc}") from exc
 
 
-# Every ExperimentConfig field: its config-file value type, then the flag
-# (argparse dest) that overrides it and the parser of that flag's text.
-# Fields that default to None also accept null.
+_WINDOWS = ("error-sweep", "discriminate", "tradeoff")  # the window commands
+
+# Every ExperimentConfig field: its config-file value type, the commands that
+# read it, and the flag that sets it (argparse dest is the field name) with
+# that flag's argparse type and help, or None. Fields that default to None
+# also accept null. A config file may hold every key: a command type-checks
+# a key it does not read and otherwise ignores it.
 _FIELDS = (
-    ("d", "int", "d", None),
-    ("r_grid", "list of float", "r_grid", parse_r_grid),
-    ("k", "int", None, None),
-    ("theta", "float", None, None),
-    ("n_prime", "int", "n_prime", parse_n_prime),
-    ("n_prime_values", "list of int", None, None),
-    ("eta", "float", "eta", None),
-    ("p_dc", "float", "p_dc", None),
-    ("n_trials", "int", "trials", None),
-    ("master_seed", "int", "seed", None),
-    ("output_path", "str", "out", None),
-    ("output_format", "str", "format", None),
-)
+    ("d", "int", ("mub-verify", *_WINDOWS), ("--d", int, "number of time bins")),
+    ("r_grid", "list of float", _WINDOWS,
+        ("--r-grid", parse_r_grid, "|R|^2 grid: a:b:step")),
+    ("k", "int", _WINDOWS, None),
+    ("theta", "float", _WINDOWS, None),
+    ("n_prime", "list of int", _WINDOWS,
+        ("--n-prime", parse_n_prime, "window cutoff, or comma list for tradeoff")),
+    ("eta", "float", _WINDOWS, ("--eta", float, "per-trip mode overlap in [0, 1]")),
+    ("p_dc", "float", _WINDOWS, ("--p-dc", float, "dark-count probability per bin")),
+    ("n_trials", "int", ("discriminate",), ("--trials", int, "Monte Carlo frames")),
+    ("master_seed", "int", ("discriminate",), ("--seed", int, "master seed")),
+    ("output_path", "str", _WINDOWS, ("--out", str, "output file (default: stdout)")),
+    ("output_format", "str", _WINDOWS, ("--format", str, "csv or json")),
+)  # fmt: skip
 _NULLABLE = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -532,23 +540,9 @@ def _load_config(args) -> ExperimentConfig:
         if name in data and not (value is None and name in _NULLABLE):
             if not _has_type(value, kind):
                 raise UsageError(f"config key {name!r} must be {kind}, got {value!r}")
-    config = ExperimentConfig(**data)
-    for name, _, dest, parse in _FIELDS:  # flags override the file
-        value = getattr(args, dest) if dest in args else None
-        if value is None:
-            continue
-        value = value if parse is None else parse(value)
-        if name == "n_prime" and args.command == "tradeoff":
-            name = "n_prime_values"  # the flag sets the tradeoff cutoffs
-        elif name == "n_prime":
-            if len(value) != 1:
-                raise UsageError(
-                    f"{args.command} takes one --n-prime cutoff; "
-                    "only tradeoff takes a comma list"
-                )
-            (value,) = value
-        setattr(config, name, value)
-    return config.resolved(args.command)
+        if getattr(args, name, None) is not None:  # flags override the file
+            data[name] = getattr(args, name)
+    return ExperimentConfig(**data).resolved(args.command)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -577,23 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func in _COMMANDS:
-        sub.add_parser(name, help=help_text).set_defaults(func=func)
-
-    def add(flag, commands, **kwargs):  # each command rejects flags it lacks
-        for name in commands.split():
-            sub.choices[name].add_argument(flag, **kwargs)
-
-    windows = "error-sweep discriminate tradeoff"  # the window commands
-    add("--config", f"mub-verify {windows}", help="JSON config file; flags override it")
-    add("--d", f"mub-verify {windows}", type=int, help="number of time bins")
-    add("--r-grid", windows, help="|R|^2 grid: a:b:step")
-    add("--n-prime", windows, help="window cutoff, or comma list for tradeoff")
-    add("--eta", windows, type=float, help="per-trip mode overlap in [0, 1]")
-    add("--p-dc", windows, type=float, help="dark-count probability per bin")
-    add("--trials", "discriminate", type=int, help="Monte Carlo frames")
-    add("--seed", "discriminate", type=int, help="master seed")
-    add("--out", windows, help="output file (default: stdout)")
-    add("--format", windows, choices=("csv", "json"), help="output format")
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        if name != "defaults":
+            command.add_argument("--config", help="JSON config file; flags override it")
+    for name, _, commands, flag in _FIELDS:  # each command rejects flags it lacks
+        for command in commands if flag is not None else ():
+            option, parse, text = flag
+            sub.choices[command].add_argument(option, dest=name, type=parse, help=text)
     return parser
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -75,33 +76,35 @@ class TestParsing:
         assert cli.build_parser() is cli.build_parser()
 
     def test_field_table_covers_the_config(self):
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert {row[0] for row in cli._FIELDS} == fields
-        dests = {dest for _, _, dest, _ in cli._FIELDS if dest is not None}
-        table = dests - {"trials", "seed"}
-        # each command parses exactly the flags it reads
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [name for name, *_ in cli._FIELDS] == fields
+        windows = set(fields) - {"n_trials", "master_seed"}
+        # the fields each command reads, and the flags it parses: k and
+        # theta come from a config file only
         takes = {
-            "mub-verify": {"d"},
-            "error-sweep": table,
-            "discriminate": dests,
-            "tradeoff": table,
-            "defaults": set(),
+            "mub-verify": ({"d"}, {"d"}),
+            "error-sweep": (windows, windows - {"k", "theta"}),
+            "discriminate": (set(fields), set(fields) - {"k", "theta"}),
+            "tradeoff": (windows, windows - {"k", "theta"}),
+            "defaults": (set(), set()),
         }
-        for command, wanted in takes.items():
+        for command, (reads, flags) in takes.items():
+            table = {name for name, _, cmds, _ in cli._FIELDS if command in cmds}
+            assert table == reads, command
             args = cli.build_parser().parse_args([command])
-            assert dests & set(vars(args)) == wanted, command
+            assert set(fields) & set(vars(args)) == flags, command
 
 
 class TestConfigResolution:
     def test_window_defaults_to_four_frames(self):
         cfg = ExperimentConfig(d=8).resolved("error-sweep")
-        assert cfg.n_prime == 32
+        assert cfg.n_prime == [32]
 
     @pytest.mark.parametrize(
         "command,r_grid,cutoffs",
         [
-            ("error-sweep", DEFAULT_GRID, None),
-            ("discriminate", [0.95], None),
+            ("error-sweep", DEFAULT_GRID, [32]),
+            ("discriminate", [0.95], [32]),
             ("tradeoff", [0.95], [8, 16, 32]),
         ],
     )
@@ -110,28 +113,28 @@ class TestConfigResolution:
     ):
         cfg = ExperimentConfig(d=8).resolved(command)
         assert cfg.r_grid == r_grid
-        assert cfg.n_prime_values == cutoffs
+        assert cfg.n_prime == cutoffs
 
     @pytest.mark.parametrize(
-        "kwargs,match",
+        "command,kwargs,match",
         [
-            (dict(d=1), "d must be >= 2 for basis experiments"),
-            (dict(d=2049), "d = 2049 exceeds the size cap 2048"),
-            (dict(r_grid=[1.0]), "r_grid"),
-            (dict(eta=1.5), "eta"),
-            (dict(p_dc=1.0), "p_dc"),
-            (dict(n_trials=0), "trials"),
-            (dict(output_format="xml"), "format"),
-            (dict(n_prime=4, d=8), "n_prime"),
-            (dict(k=9, d=8), "k"),
-            (dict(master_seed=-1), "seed"),
-            (dict(master_seed=2**128), "seed"),
-            (dict(n_trials=2**63), "trials"),
+            ("error-sweep", dict(d=1), "d must be >= 2 for basis experiments"),
+            ("error-sweep", dict(d=2049), "d = 2049 exceeds the size cap 2048"),
+            ("error-sweep", dict(r_grid=[1.0]), "r_grid"),
+            ("error-sweep", dict(eta=1.5), "eta"),
+            ("error-sweep", dict(p_dc=1.0), "p_dc"),
+            ("discriminate", dict(n_trials=0), "trials"),
+            ("error-sweep", dict(output_format="xml"), "format"),
+            ("error-sweep", dict(n_prime=[4], d=8), r"cutoff 4 must lie in \[d"),
+            ("error-sweep", dict(k=9, d=8), "k"),
+            ("discriminate", dict(master_seed=-1), "seed"),
+            ("discriminate", dict(master_seed=2**128), "seed"),
+            ("discriminate", dict(n_trials=2**63), "trials"),
         ],
     )
-    def test_validation(self, kwargs, match):
+    def test_validation(self, command, kwargs, match):
         with pytest.raises(cli.UsageError, match=match):
-            ExperimentConfig(**kwargs).resolved("error-sweep")
+            ExperimentConfig(**kwargs).resolved(command)
 
 
 # Scalars json writes in more than one way, or that the indenting encoder
@@ -177,7 +180,7 @@ def test_json_text_is_the_indenting_encoders(value):
 
 class TestRoundTrip:
     def test_csv_round_trips_exactly(self):
-        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved(
+        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=[12]).resolved(
             "error-sweep"
         )
         rows = compute_sweep(config)
@@ -185,7 +188,7 @@ class TestRoundTrip:
         assert parsed == rows
 
     def test_json_round_trips_exactly(self):
-        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=12).resolved(
+        config = ExperimentConfig(d=4, r_grid=[0.3, 0.77], n_prime=[12]).resolved(
             "error-sweep"
         )
         rows = compute_sweep(config)
@@ -201,7 +204,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_tradeoff_round_trips_exactly(self, fmt):
         config = ExperimentConfig(
-            d=4, r_grid=[0.8], p_dc=1e-4, n_prime_values=[4, 8, 16]
+            d=4, r_grid=[0.8], p_dc=1e-4, n_prime=[4, 8, 16]
         ).resolved("tradeoff")
         rows = cli.compute_tradeoff(config)
         emit = emit_csv if fmt == "csv" else emit_json
@@ -227,14 +230,14 @@ class TestOneKernelPass:
 
     def test_once_per_sweep_row(self, kernel_calls):
         config = ExperimentConfig(
-            d=4, r_grid=[0.3, 0.6, 0.9], k=1, eta=0.97, p_dc=1e-4, n_prime=12
+            d=4, r_grid=[0.3, 0.6, 0.9], k=1, eta=0.97, p_dc=1e-4, n_prime=[12]
         ).resolved("error-sweep")
         rows = compute_sweep(config)
         assert len(kernel_calls) == len(rows) == 3
 
     def test_once_per_tradeoff(self, kernel_calls):
         config = ExperimentConfig(
-            d=4, r_grid=[0.5], p_dc=1e-4, n_prime_values=[4, 8, 16]
+            d=4, r_grid=[0.5], p_dc=1e-4, n_prime=[4, 8, 16]
         ).resolved("tradeoff")
         assert len(cli.compute_tradeoff(config)) == 3
         assert len(kernel_calls) == 1
@@ -255,7 +258,7 @@ class TestOneKernelPass:
             k=k,
             eta=0.97,
             p_dc=1e-4,
-            n_prime=n_prime,
+            n_prime=[n_prime],
         ).resolved("error-sweep")
         dark = DarkCountModel(config.p_dc)
         prepared = mub_state(d, k)
@@ -528,8 +531,7 @@ class TestTradeoff:
         assert [row.n_prime for row in rows] == [8, 16, 32]
 
     def test_one_cutoff_from_the_flag(self, capsys):
-        # one value is a list of one cutoff, not n_prime, which tradeoff
-        # does not read
+        # one value is a list of one cutoff
         argv = ["tradeoff", "--d", "16", "--r-grid", "0.9", "--n-prime"]
         assert run_cli(*argv, "32") == 0
         captured = capsys.readouterr()
@@ -543,7 +545,7 @@ class TestTradeoff:
 
     def test_empty_cutoff_list_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n_prime_values": []}))
+        path.write_text(json.dumps({"n_prime": []}))
         assert run_cli("tradeoff", "--config", str(path)) == 1
         assert "tradeoff needs a list of cutoffs" in capsys.readouterr().err
 
@@ -609,9 +611,9 @@ class TestSizeCaps:
     def test_window_cap_boundary(self):
         d = 4
         n_prime = cli.MAX_WINDOW_CELLS // d - d  # d * (n' + d) = cap
-        ExperimentConfig(d=d, n_prime=n_prime).resolved("discriminate")
+        ExperimentConfig(d=d, n_prime=[n_prime]).resolved("discriminate")
         with pytest.raises(cli.UsageError, match="size cap"):
-            ExperimentConfig(d=d, n_prime=n_prime + 1).resolved("discriminate")
+            ExperimentConfig(d=d, n_prime=[n_prime + 1]).resolved("discriminate")
 
     @pytest.mark.parametrize("d", [64, 256, 915])
     def test_default_window_is_accepted(self, d):
@@ -800,7 +802,7 @@ class TestDefaults:
         assert run_cli("defaults") == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
-            "d", "r_grid", "k", "theta", "n_prime", "n_prime_values",
+            "d", "r_grid", "k", "theta", "n_prime",
             "eta", "p_dc", "n_trials", "master_seed",
             "output_path", "output_format",
         }
@@ -809,14 +811,14 @@ class TestDefaults:
 class TestConfigFile:
     def test_file_values_are_used(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"d": 4, "r_grid": [0.5], "n_prime": 12}))
+        path.write_text(json.dumps({"d": 4, "r_grid": [0.5], "n_prime": [12]}))
         assert run_cli("error-sweep", "--config", str(path)) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
 
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"d": 4, "r_grid": [0.5, 0.6], "n_prime": 12}))
+        path.write_text(json.dumps({"d": 4, "r_grid": [0.5, 0.6], "n_prime": [12]}))
         assert run_cli("error-sweep", "--config", str(path), "--r-grid", "0.7") == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
@@ -832,10 +834,10 @@ class TestConfigFile:
         [
             ("discriminate", {"k": 1.0}),
             ("discriminate", {"master_seed": "x"}),
-            ("discriminate", {"n_prime_values": 40}),
+            ("discriminate", {"n_prime": 40}),
             ("tradeoff", {"d": "16"}),
             ("tradeoff", {"r_grid": 0.5}),
-            ("tradeoff", {"n_prime_values": [8, True]}),
+            ("tradeoff", {"n_prime": [8, True]}),
         ],
     )
     def test_wrong_value_type_exits_one(
@@ -889,11 +891,57 @@ class TestConfigFile:
     ):
         # each command's unset grid and cutoffs, written out
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"r_grid": r_grid, "n_prime_values": cutoffs}))
+        path.write_text(json.dumps({"r_grid": r_grid, "n_prime": cutoffs}))
         assert run_cli(command, "--config", str(path)) == 0
         want = capsys.readouterr()
         assert run_cli(command) == 0
         assert capsys.readouterr() == want and want.out
+
+    def test_tradeoff_reads_the_file_cutoffs(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"d": 16, "r_grid": [0.9], "n_prime": [32]}))
+        assert run_cli("tradeoff", "--config", str(path)) == 0
+        from_file = capsys.readouterr()
+        argv = ["--d", "16", "--r-grid", "0.9", "--n-prime", "32"]
+        assert run_cli("tradeoff", *argv) == 0
+        assert capsys.readouterr() == from_file
+        assert from_file.out == (
+            "n_prime,observed_error,accepted_probability\n"
+            "32,0.18379127246930158,0.016253554844243463\n"
+        )
+
+    def test_one_cutoff_is_a_list_in_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"d": 16, "r_grid": [0.9], "n_prime": 32}))
+        assert run_cli("tradeoff", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: config key 'n_prime' must be list of int, got 32\n"
+        )
+
+    def test_keys_error_sweep_does_not_read_change_nothing(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_trials": 0, "master_seed": -1}))
+        argv = ["error-sweep", "--d", "4", "--r-grid", "0.5"]
+        assert run_cli(*argv) == 0
+        want = capsys.readouterr()
+        assert run_cli(*argv, "--config", str(path)) == 0
+        assert capsys.readouterr() == want and want.out
+
+    def test_mub_verify_reads_d_alone(self, tmp_path, capsys):
+        # every other key holds a value a window command rejects
+        path = tmp_path / "config.json"
+        data = {
+            "d": 16, "r_grid": [1.0], "k": -1, "theta": math.nan, "n_prime": [],
+            "eta": 2.0, "p_dc": 1.0, "n_trials": 0, "master_seed": -1,
+            "output_path": str(tmp_path / "out.txt"), "output_format": "xml",
+        }  # fmt: skip
+        path.write_text(json.dumps(data))
+        assert run_cli("mub-verify", "--d", "16") == 0
+        want = capsys.readouterr()
+        assert run_cli("mub-verify", "--config", str(path)) == 0
+        assert capsys.readouterr() == want and want.out
+        assert not (tmp_path / "out.txt").exists()
 
     def test_defaults_takes_no_command(self, capsys):
         assert run_cli("defaults", "tradeoff") == 1
@@ -972,10 +1020,12 @@ BAD_R_SQ = st.sampled_from([math.nan, 1.0, -0.1, math.inf])
 def cli_values(d, command):
     """Per config field, (valid values, rejected values) at dimension d.
 
-    Only error-sweep takes a grid; the other commands take one r² value.
+    Only error-sweep takes a grid and only tradeoff more than one cutoff;
+    the other commands take one r² value and one cutoff.
     """
     window = st.integers(d, d + 24)
     grid_size = 3 if command == "error-sweep" else 1
+    cutoffs = 3 if command == "tradeoff" else 1
     return {
         "d": (st.just(d), st.integers(-1, 1)),
         "r_grid": (
@@ -986,10 +1036,11 @@ def cli_values(d, command):
                 or not all(0.0 <= r < 1.0 for r in grid)
             ),
         ),
-        "n_prime": (window, st.integers(0, d - 1)),
-        "n_prime_values": (
-            st.lists(window, min_size=1, max_size=3),
-            st.lists(st.integers(0, d - 1), max_size=2),
+        "n_prime": (
+            st.lists(window, min_size=1, max_size=cutoffs),
+            st.lists(st.one_of(window, st.integers(0, d - 1)), max_size=3).filter(
+                lambda values: not values or len(values) > cutoffs or min(values) < d
+            ),
         ),
         "k": (st.integers(0, d - 1), st.sampled_from([-1, d, 16])),
         "theta": (
@@ -1013,9 +1064,15 @@ CLI_FLAGS = {
     "p_dc": "--p-dc", "n_trials": "--trials", "master_seed": "--seed",
     "output_format": "--format",
 }  # fmt: skip
-# Fields whose flag only discriminate takes; the other commands read them
-# from a config file only.
-SAMPLER_FIELDS = {"n_trials", "master_seed"}
+# The fields of cli_values each command reads. A config key of any other
+# field must change nothing, whatever its value.
+WINDOW_FIELDS = {"d", "r_grid", "n_prime", "k", "theta", "eta", "p_dc", "output_format"}
+READS = {
+    "mub-verify": {"d"},
+    "error-sweep": WINDOW_FIELDS,
+    "discriminate": WINDOW_FIELDS | {"n_trials", "master_seed"},
+    "tradeoff": WINDOW_FIELDS,
+}
 
 
 def flag_text(value):
@@ -1026,29 +1083,33 @@ def flag_text(value):
 
 @st.composite
 def invocations(draw):
-    """(command, flag values, config-file values, write to --out).
+    """(command, flag values, config-file values, write to --out, unread).
 
-    At most one field takes a rejected value: each field in about one run
-    of 16, and none in a quarter of the runs. The drawn d is always set.
+    At most one field the command reads takes a rejected value, and none in
+    at least a quarter of the runs. The drawn d is always set. ``unread`` is
+    a config key of a field the command does not read, with a valid or a
+    rejected value, or None for discriminate, which reads every field.
     """
-    command = draw(st.sampled_from(["error-sweep", "discriminate", "tradeoff"]))
+    command = draw(st.sampled_from(sorted(READS)))
     values = cli_values(draw(st.integers(2, 16)), command)
-    broken = draw(st.sampled_from([None] * 4 + sorted(values)))
+    broken = draw(st.sampled_from([None] * 4 + sorted(READS[command])))
     needed = {"d", broken}
     flags, data = {}, {}
-    for name, (good, bad) in values.items():
+    for name in sorted(READS[command]):
+        good, bad = values[name]
         where = draw(st.sampled_from(["unset", "file", "flag"]))
-        has_flag = name in CLI_FLAGS and (
-            command == "discriminate" or name not in SAMPLER_FIELDS
-        )
+        has_flag = name in CLI_FLAGS  # every flag of a field the command reads
         if where == "flag" and not has_flag or (where == "unset" and name in needed):
             where = "file"
         if where != "unset":
             value = draw(bad if name == broken else good)
             (data if where == "file" else flags)[name] = value
-    if "n_prime_values" in data and draw(st.booleans()):
-        flags["n_prime"] = data.pop("n_prime_values")  # a comma list
-    return command, flags, data, draw(st.booleans())
+    unread = None
+    if command != "discriminate":
+        name = draw(st.sampled_from(sorted(set(values) - READS[command])))
+        unread = {name: draw(st.one_of(*values[name]))}
+    to_file = command != "mub-verify" and draw(st.booleans())  # it takes no --out
+    return command, flags, data, to_file, unread
 
 
 def probability_values(command, text):
@@ -1070,6 +1131,20 @@ def probability_values(command, text):
     ]
 
 
+def command_line(command, flags, data, tmp, out_path):
+    """The argv of one run; a nonempty ``data`` is written to a config file."""
+    argv = [command]
+    for name, value in flags.items():
+        argv += [CLI_FLAGS[name], flag_text(value)]
+    if data:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(data))
+        argv += ["--config", str(config)]
+    if out_path is not None:
+        argv += ["--out", str(out_path)]
+    return argv
+
+
 def run_captured(argv, out_path):
     """(exit code, stdout, stderr, --out bytes or None) of one in-process run."""
     if out_path is not None and out_path.exists():
@@ -1088,30 +1163,24 @@ def run_captured(argv, out_path):
 @given(case=invocations())
 @example(  # two rows' CDF rounds above 1 at the window's lower edge
     case=("discriminate", {"d": 6, "r_grid": [1 - 2**-53], "n_trials": 1000,
-          "master_seed": 1}, {}, False)
+          "master_seed": 1}, {}, False, None)
 )  # fmt: skip
 @settings(max_examples=300, deadline=None)
 def test_cli_contract_holds_for_any_input(case):
-    command, flags, data, to_file = case
+    command, flags, data, to_file, unread = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command]
-        for name, value in flags.items():
-            argv += [CLI_FLAGS[name], flag_text(value)]
-        if data:
-            config = Path(tmp) / "config.json"
-            config.write_text(json.dumps(data))
-            argv += ["--config", str(config)]
         out_path = Path(tmp) / "out.txt" if to_file else None
-        if out_path is not None:
-            argv += ["--out", str(out_path)]
-
+        argv = command_line(command, flags, data, tmp, out_path)
         code, stdout, stderr, written = first = run_captured(argv, out_path)
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr
         if code == 1:
             assert stdout == "" and written is None
             assert stderr.startswith("error: ")
-        if code == 0:
+        if code == 0 and command == "mub-verify":
+            line = r"d=\d+: max \|overlap\^2 - 1/d\| = \S+ \(pass at 1e-12\)\n"
+            assert re.fullmatch(line, stdout)
+        elif code == 0:
             text = stdout if out_path is None else written.decode()
             report = probability_values(command, text)
             if command == "discriminate" and json.loads(text)["accepted_total"] == 0:
@@ -1121,6 +1190,9 @@ def test_cli_contract_holds_for_any_input(case):
             for key, value in report:
                 assert isinstance(value, float) and 0.0 <= value <= 1.0, (key, value)
         assert run_captured(argv, out_path) == first
+        if unread is not None:  # a key the command does not read changes nothing
+            argv = command_line(command, flags, {**data, **unread}, tmp, out_path)
+            assert run_captured(argv, out_path) == first
 
 
 @st.composite
