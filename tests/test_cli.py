@@ -1098,8 +1098,10 @@ def invocations(draw):
     for name in sorted(READS[command]):
         good, bad = values[name]
         where = draw(st.sampled_from(["unset", "file", "flag"]))
-        has_flag = name in CLI_FLAGS  # every flag of a field the command reads
-        if where == "flag" and not has_flag or (where == "unset" and name in needed):
+        # a command takes the flag of every field it reads that has one
+        if where == "flag" and name not in CLI_FLAGS or (
+            where == "unset" and name in needed
+        ):
             where = "file"
         if where != "unset":
             value = draw(bad if name == broken else good)
