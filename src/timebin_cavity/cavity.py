@@ -30,10 +30,11 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
-# Rows x bins per block wherever a table is walked bin by bin: the entry-bin
-# scan of :func:`outcome_table` (40 B per cell of buffers, 640 KiB) and the
-# sampler's dark-count law (128 KiB of masses), so neither grows with d or
-# the window.
+# Cells per block wherever bins are walked in blocks: rows x bins in the
+# entry-bin scan of :func:`entry_bin_masses` (40 B per cell of buffers,
+# 640 KiB), and bins in the sampler's discrimination law, whose 1-D sums
+# over the loop's decay take a few 128 KiB vectors per block; neither
+# grows with d or the window.
 BLOCK_CELLS = 1 << 14
 
 
@@ -323,56 +324,43 @@ class OutcomeTable:
     masses: np.ndarray
 
 
-def outcome_table(
-    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
-) -> OutcomeTable:
-    """Exit masses over D1, D2 and the backward port for every phase in thetas.
-
-    Every reflection contributes a phase of pi/2, so the map from input to
-    exit amplitudes is an isometry: for a normalized input each row sums
-    to one. The loop phase takes the sign that makes the D2 masses equal
-    the literal projection-state probabilities.
-
-    Built in two parts for all phases at once, straight into one
-    preallocated (len(thetas), 2 bin_cap + 1) array in the bin-order layout
-    of :class:`OutcomeTable`. Over the entry bins 1..d the circulating
-    amplitude obeys c_b = loop c_(b-1) + t1 psi_b, with
-    loop = r1 r2 e^{-i (theta + pi)}; bin b's upstream exit comes from
-    c_(b-1) and the slot reflecting there. Every row's c over the entry
-    bins is one inclusive scan of that recurrence, bins along axis 0, in
-    log2 doubling steps and blocks of at most :data:`BLOCK_CELLS` rows x
-    bins, each block starting from the last one's c; nothing is stepped
-    bin by bin in Python. Nothing enters after bin d, so
-    |c_(d+j)|^2 = (r1 r2)^(2j) |c_d|^2, and the tail is outer products of
-    |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
-    at bin b + 1 is t1^2 r2^2 |c_b|^2, and the residual is r2^2 |c_cap|^2.
-    The D2 masses are not taken from the acceptance kernel
-    (:func:`cutoff_acceptances`): the sampler draws from this table
-    and its report compares the counts with the kernel's P(m|k), which
-    checks something only while the two are different algorithms. The
-    config's own ``theta`` is ignored.
-    """
+def check_window(cfg: CavityConfig, state: TimeBinState, bin_cap: int) -> None:
+    """Reject an input the table cannot take, or a cap below the window."""
     _check_input(cfg, state)
     if bin_cap < cfg.n_prime:
         raise ValueError(
             f"bin_cap ({bin_cap}) must cover the accepted window "
             f"(n_prime = {cfg.n_prime})"
         )
-    d = cfg.dim
-    r1, r2, t1, t2 = cfg.r1, cfg.r2, cfg.t1, cfg.t2
-    ports = np.full(2 * bin_cap + 1, D2, dtype=np.int8)
-    ports[:bin_cap] = BACK
-    ports[:d][(state.amps != 0) & (r1 > 0.0)] = D1
-    ports[-1] = NONE
-    bins = np.append(np.tile(np.arange(1, bin_cap + 1), 2), 0)
 
+
+def entry_bin_masses(
+    cfg: CavityConfig,
+    state: TimeBinState,
+    thetas: Sequence[float],
+    upstream: np.ndarray,
+    d2: np.ndarray,
+) -> np.ndarray:
+    """The exit masses of the d entry bins for every phase in thetas.
+
+    Writes bin b's upstream mass to ``upstream[:, b - 1]`` and its D2 mass
+    to ``d2[:, b - 1]`` for b = 1..d, one row per phase, and returns each
+    row's |c_d|^2, the mass still circulating once every slot has entered.
+    Over the entry bins the circulating amplitude obeys
+    c_b = loop c_(b-1) + t1 psi_b, with loop = r1 r2 e^{-i (theta + pi)};
+    bin b's upstream exit comes from c_(b-1) and the slot reflecting there,
+    and its D2 exit is t2 c_b. Every row's c is one inclusive scan of that
+    recurrence, bins along axis 0, in log2 doubling steps and blocks of at
+    most :data:`BLOCK_CELLS` rows x bins, each block starting from the last
+    one's c; nothing is stepped bin by bin in Python. The caller checks
+    the input first (:func:`check_window`).
+    """
+    d = cfg.dim
     thetas = np.asarray(thetas, dtype=float)
     rows = len(thetas)
-    loop = r1 * r2 * np.exp(-1j * (thetas + math.pi))
-    leak = 1j * t1 * r2 * np.exp(-1j * thetas)
-    masses = np.empty((rows, 2 * bin_cap + 1))
-    upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
-    reflecting, entering = 1j * r1 * state.amps, t1 * state.amps
+    loop = cfg.r1 * cfg.r2 * np.exp(-1j * (thetas + math.pi))
+    leak = 1j * cfg.t1 * cfg.r2 * np.exp(-1j * thetas)
+    reflecting, entering = 1j * cfg.r1 * state.amps, cfg.t1 * state.amps
     # Scan row 0 holds the last block's c and row i the c of the block's
     # i-th bin; a doubling step adds loop^s c_(b-s). The buffers are
     # allocated once: fresh block-sized temporaries cost more in page
@@ -392,13 +380,48 @@ def outcome_table(
         np.multiply(leak, c[:-1], out=term[:n])
         term[:n] += reflecting[b0 : b0 + n, None]
         upstream[:, b0 : b0 + n] = np.square(np.abs(term[:n], out=mass[:n])).T
-        np.multiply(t2, c[1:], out=term[:n])
+        np.multiply(cfg.t2, c[1:], out=term[:n])
         d2[:, b0 : b0 + n] = np.square(np.abs(term[:n], out=mass[:n])).T
         scan[0] = c[n]
-    norm = abs(scan[0]) ** 2
+    return abs(scan[0]) ** 2
+
+
+def outcome_table(
+    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
+) -> OutcomeTable:
+    """Exit masses over D1, D2 and the backward port for every phase in thetas.
+
+    Every reflection contributes a phase of pi/2, so the map from input to
+    exit amplitudes is an isometry: for a normalized input each row sums
+    to one. The loop phase takes the sign that makes the D2 masses equal
+    the literal projection-state probabilities.
+
+    Built in two parts for all phases at once, straight into one
+    preallocated (len(thetas), 2 bin_cap + 1) array in the bin-order layout
+    of :class:`OutcomeTable`: the entry bins 1..d by
+    :func:`entry_bin_masses`, then the tail. Nothing enters after bin d, so
+    |c_(d+j)|^2 = (r1 r2)^(2j) |c_d|^2, and the tail is outer products of
+    |c_d|^2 with that one decay vector: D2 at bin b is t2^2 |c_b|^2, BACK
+    at bin b + 1 is t1^2 r2^2 |c_b|^2, and the residual is r2^2 |c_cap|^2.
+    The D2 masses are not taken from the acceptance kernel
+    (:func:`cutoff_acceptances`): the sampler draws from this table
+    and its report compares the counts with the kernel's P(m|k), which
+    checks something only while the two are different algorithms. The
+    config's own ``theta`` is ignored.
+    """
+    check_window(cfg, state, bin_cap)
+    masses = np.empty((len(thetas), 2 * bin_cap + 1))
+    upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
+    norm = entry_bin_masses(cfg, state, thetas, upstream, d2)
+    d, r1, r2 = cfg.dim, cfg.r1, cfg.r2
+    ports = np.full(2 * bin_cap + 1, D2, dtype=np.int8)
+    ports[:bin_cap] = BACK
+    ports[:d][(state.amps != 0) & (r1 > 0.0)] = D1
+    ports[-1] = NONE
+    bins = np.append(np.tile(np.arange(1, bin_cap + 1), 2), 0)
     decay = (r1 * r2) ** (2 * np.arange(bin_cap - d + 1))
-    np.multiply.outer(t2**2 * norm, decay[1:], out=d2[:, d:])
-    np.multiply.outer(t1**2 * r2**2 * norm, decay[:-1], out=upstream[:, d:])
+    np.multiply.outer(cfg.t2**2 * norm, decay[1:], out=d2[:, d:])
+    np.multiply.outer(cfg.t1**2 * r2**2 * norm, decay[:-1], out=upstream[:, d:])
     masses[:, -1] = r2**2 * norm * decay[-1]
     return OutcomeTable(ports=ports, bins=bins, masses=masses)
 

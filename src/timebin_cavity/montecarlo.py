@@ -5,15 +5,16 @@ finite outcome list rather than by re-simulating amplitudes; the
 sampler exists to exercise dark counts, the one-click-per-frame logic and
 the statistics pipeline against the analytic module.
 
-A run builds one stacked table: row m holds the cumulative exit masses
-for phase setting m over one shared column layout
+Both kinds of run scan the loop amplitude over the d entry bins for every
+phase setting at once (:func:`cavity.entry_bin_masses`). After bin d
+nothing enters, so every later bin's mass is |c_d|^2 times a power of
+(r1 r2)^2. A fixed-phase run writes those masses into a one-row table,
+the cumulative exit masses over one column layout
 (:func:`cavity.outcome_table`) in bin order, zero-mass columns included.
-The table scans the loop amplitude over the d entry bins for every row at
-once, in blocks of at most :data:`cavity.BLOCK_CELLS` rows x bins, and
-writes every later bin in closed form, as a power of r^2 times that
-amplitude's mass; it does not reuse the acceptance kernel, so the
-report's Monte Carlo vs analytic z-scores compare two independent
-computations.
+A discrimination run builds no table: its law takes the entry bins'
+masses and 1-D sums of the decay vector, summed bin by bin in blocks.
+Neither reuses the acceptance kernel, so the report's Monte Carlo vs
+analytic z-scores compare two independent computations.
 
 Frames are iid, so a run samples counts, not frames: each row's counts
 are one multinomial over that row's exact one-frame outcome law. The dark
@@ -24,15 +25,17 @@ probability q^b + q^(b-1)(1 - q)/2 and a photon that clicks nothing
 (BACK, NONE) with q^bin_cap; a dark click at bin f wins with probability
 q^(f-1)(1 - q) times the photon mass that clicks after f or never plus
 half the mass that clicks at f, and is D1 or D2 with probability 1/2
-each. The law is a few passes over the table, O(rows K) with
-K = 2 bin_cap + 1 columns, and a call costs that whatever ``n_trials``
-and ``p_dc`` are.
+each. A fixed-phase law is a few passes over the table, O(K) with
+K = 2 bin_cap + 1 columns; a discrimination law is O(d^2 log d) over the
+entry bins plus O(bin_cap) over 1-D blocks. A call costs that whatever
+``n_trials`` and ``p_dc`` are.
 
 Randomness comes from one Philox stream keyed by the master seed
 (:func:`_generator`), read in a fixed order: the setting counts, then one
 multinomial over every row's law, its dark categories last. Without dark
-counts the law is the table row, and the draws are those of the photon
-alone. Results are a pure function of (config, n_trials, master_seed).
+counts the law is the photon's exit masses, and the draws are those of
+the photon alone. Results are a pure function of (config, n_trials,
+master_seed).
 
 A fixed-phase run draws over the table's columns, then bin_cap dark D1
 and bin_cap dark D2 columns (:func:`_column_law`), and returns its counts
@@ -41,7 +44,8 @@ in the table's own layout: an int64 histogram over the table's
 with dark counts, bin_cap columns (D1, 1..bin_cap) for frames a dark D1
 click won. A discrimination run draws over five categories per setting
 (:func:`_range_law`), keeps only its per-setting counts, (d,) arrays, and
-allocates nothing per column.
+allocates nothing per column: what it holds over bins is the (d, d) entry
+masses and 1-D blocks of at most :data:`cavity.BLOCK_CELLS` bins.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ from .cavity import (
     D2,
     TWO_PI,
     CavityConfig,
+    check_window,
+    entry_bin_masses,
     full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
     outcome_table,
 )
@@ -67,9 +73,10 @@ from .states import TimeBinState, check_mub_index, mub_state
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
 # Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
-# The stacked table takes 8 B per row and column and has 2 bin_cap + 1
-# columns, about 16 B per cell, so 2**22 cells keep it under 100 MiB. The
-# acceptance kernel allocates nothing per cell.
+# A fixed-phase table takes 8 B per row and column and has 2 bin_cap + 1
+# columns, about 16 B per cell, so 2**22 cells keep it under 100 MiB; a
+# discrimination run holds 16 B per setting and entry bin, and 1-D blocks.
+# The acceptance kernel allocates nothing per cell.
 # The default window bin_cap = 4 d passes up to d = 915.
 MAX_WINDOW_CELLS = 1 << 22
 
@@ -220,13 +227,6 @@ def _merge_dark(
     return cols, won, wins
 
 
-def _masses(cdf: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The masses of columns start..stop - 1 of every row of ``cdf``."""
-    if start == 0:
-        return np.diff(cdf[:, :stop], axis=1, prepend=0.0)
-    return np.diff(cdf[:, start - 1 : stop], axis=1)
-
-
 def _bin_shares(log_q: float, b0: int, b1: int) -> Tuple[np.ndarray, np.ndarray]:
     """Over bins b0..b1 - 1: the share q^(b-1) - h_b of a photon click at b
     that no dark click takes, and h_b = q^(b-1)(1 - q)/2, the chance that b
@@ -235,6 +235,16 @@ def _bin_shares(log_q: float, b0: int, b1: int) -> Tuple[np.ndarray, np.ndarray]
     before = np.exp(np.arange(b0 - 1, b1 - 1) * log_q)
     h = before * -math.expm1(log_q) * 0.5
     return before - h, h
+
+
+def _block_weights(
+    log_q: float, b0: int, b1: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_bin_shares` over bins b0..b1 - 1, and the weight
+    sum_{f >= b} h_f - h_b/2 of a click at b against each detector's dark
+    clicks in the block."""
+    keeps, h = _bin_shares(log_q, b0, b1)
+    return keeps, h, np.cumsum(h[::-1])[::-1] - 0.5 * h
 
 
 def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
@@ -271,57 +281,98 @@ def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
 
 
 def _range_law(
-    table: _OutcomeTable, p_dc: float, bin_cap: int, d: int, n_prime: int
+    cfg: CavityConfig,
+    state: TimeBinState,
+    thetas: Sequence[float],
+    p_dc: float,
+    bin_cap: int,
 ) -> np.ndarray:
     """Each row's one-frame law over a discrimination run's categories.
 
-    Without dark counts, (rows, 3): the photon's column ranges before,
-    inside and after the accepted window (D2 bins d..n_prime), each the
-    difference of the row's CDF at its edges. With them, (rows, 5): the
-    column law of :func:`_column_law` summed per block, that is the three
-    ranges' kept photon mass, then dark D2 clicks inside the window, then
-    every other dark click. Clamped to [0, 1]: the pinned last CDF entry can
-    sit just below its neighbour, and near r = 1 an entry bin's CDF can
-    round to just above 1.
+    Without dark counts, (rows, 3): the photon's exit mass before, inside
+    and after the accepted window (D2 bins d..n_prime). With them,
+    (rows, 5): the column law of :func:`_column_law` summed over those
+    three ranges, that is their kept photon mass, then dark D2 clicks
+    inside the window, then every other dark click. Clamped to [0, 1]:
+    near r = 1 a sum of masses that is all but 1 can round above it.
 
-    The D2 columns go in blocks of at most :data:`BLOCK_CELLS` cells,
-    split at the window's edges d and n_prime + 1 and after the last entry
-    bin d, the last with a D1 column, so nothing is allocated per column.
+    Built without the outcome table, from the d entry bins' masses
+    (:func:`cavity.entry_bin_masses`, two (rows, d) arrays, each sum over
+    them a product with a weight vector) and |c_d|^2: after bin d every
+    mass is |c_d|^2 times the table's decay vector (r1 r2)^(2j), scaled by
+    t2^2 for D2, t1^2 r2^2 for BACK and r2^2 for the residual. So the
+    later bins enter as 1-D sums of that vector against the
+    :func:`_bin_shares` weights, summed bin by bin (never in closed form,
+    so the law stays apart from the acceptance kernel) in blocks of at
+    most :data:`BLOCK_CELLS` bins split at n_prime + 1.
+
     With h_b from :func:`_bin_shares` and C_b the mass that clicks at bin
-    b, a block's kept photon mass is sum_b C_b (q^(b-1) - h_b) and each
-    detector's dark mass sum_b h_b (S_b + C_b/2), S_b the mass that clicks
-    after b or never; that is (1 - clicked) sum_b h_b less
-    sum_b C_b (sum_{f >= b} h_f - h_b/2), with ``clicked`` the mass that
-    clicks before the block, summed over the blocks before it.
+    b, the kept photon mass is sum_b C_b (q^(b-1) - h_b) and each
+    detector's dark mass over a span of bins sum_b h_b (S_b + C_b/2), S_b
+    the mass that clicks after b or never; that is (1 - clicked) sum_b h_b
+    less sum_b C_b (sum_{f >= b} h_f - h_b/2), with ``clicked`` the mass
+    that clicks before the span: the entry bins' clicks, and for a block
+    after bin d also the decay of the blocks before it.
     """
-    cdf = table.cdf
-    if p_dc == 0.0:
-        lo, hi = bin_cap + d - 1, bin_cap + n_prime  # accepted columns
-        ranges = np.diff(cdf[:, [lo - 1, hi - 1, -1]], axis=1, prepend=0.0)
-        return np.minimum(np.maximum(ranges, 0.0, out=ranges), 1.0, out=ranges)
-    rows = cdf.shape[0]
+    check_window(cfg, state, bin_cap)
+    d, n_prime, rows = cfg.dim, cfg.n_prime, len(thetas)
+    upstream, d2 = np.empty((rows, d)), np.empty((rows, d))
+    norm = entry_bin_masses(cfg, state, thetas, upstream, d2)
     log_q = 2.0 * math.log1p(-p_dc)
-    no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
-    law = np.zeros((rows, 5))
-    d1 = _masses(cdf, 0, d) * (table.ports[:d] == D1)
-    back = cdf[:, bin_cap - 1] - d1.sum(axis=1)
-    law[:, 0] = d1 @ _bin_shares(log_q, 1, d + 1)[0] + back * no_click_keeps
-    law[:, 2] = table.none * no_click_keeps
-    clicked = 0.0  # the mass that clicks before the block
-    step = max(1, BLOCK_CELLS // rows)
-    edges = sorted({*range(1, bin_cap + 1, step), d, d + 1, n_prime + 1, bin_cap + 1})
+
+    # Bins d + 1..bin_cap, in units of |c_d|^2, per part (inside, after the
+    # window): the kept D2 decay, and with dark counts sum_b h_b and the
+    # dark mass the clicking decay takes, ``before`` being the D2 decay of
+    # the blocks before; ``back`` is the BACK decay, ``last`` the residual's.
+    kept, dark_h, dark_c = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    before = back = 0.0
+    last = 1.0
+    edges = sorted({*range(d + 1, bin_cap + 1, BLOCK_CELLS), n_prime + 1, bin_cap + 1})
     for b0, b1 in zip(edges, edges[1:]):
-        clicks = _masses(cdf, bin_cap + b0 - 1, bin_cap + b1 - 1)  # D2
-        keeps, h = _bin_shares(log_q, b0, b1)
-        part = (b0 >= d) + (b0 > n_prime)  # before, inside or after
-        law[:, part] += clicks @ keeps
-        if b0 <= d:
-            clicks += d1[:, b0 - 1 : b1 - 1]
-        later = np.cumsum(h[::-1])[::-1] - 0.5 * h
-        dark = (1.0 - clicked) * h.sum() - clicks @ later
-        clicked += clicks.sum(axis=1)
-        law[:, 4] += dark  # dark D1 clicks
-        law[:, 3 if part == 1 else 4] += dark  # dark D2 clicks
+        if last:  # the decay only falls, so once it rounds to 0 it stays 0
+            decay = (cfg.r1 * cfg.r2) ** (2 * np.arange(b0 - d - 1, b1 - d))
+        else:
+            decay = np.zeros(b1 - b0 + 1)
+        clicks, part = decay[1:], int(b0 > n_prime)
+        back += decay[:-1].sum()
+        last = decay[-1]
+        if p_dc == 0.0:
+            kept[part] += clicks.sum()
+            continue
+        keeps, h, later = _block_weights(log_q, b0, b1)
+        kept[part] += clicks @ keeps
+        dark_h[part] += h.sum()
+        dark_c[part] += before * h.sum() + clicks @ later
+        before += clicks.sum()
+    scale = cfg.t2**2 * norm  # D2 at bin d + j is scale (r1 r2)^(2j)
+    backward = cfg.t1**2 * cfg.r2**2 * back * norm
+    residual = cfg.r2**2 * last * norm
+    law = np.empty((rows, 5 if p_dc > 0.0 else 3))
+    if p_dc == 0.0:
+        law[:, 0] = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1) + backward
+        law[:, 1] = d2[:, -1] + scale * kept[0]
+        law[:, 2] = scale * kept[1] + residual
+    else:
+        # D1 where OutcomeTable puts it; D2 is before the window but at d
+        no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
+        keeps, h, later = _block_weights(log_q, 1, d + 1)
+        is_d1 = (state.amps != 0) & (cfg.r1 > 0.0)
+        law[:, 0] = upstream @ np.where(is_d1, keeps, no_click_keeps)
+        law[:, 0] += d2[:, :-1] @ keeps[:-1] + backward * no_click_keeps
+        law[:, 1] = d2[:, -1] * keeps[-1] + scale * kept[0]
+        law[:, 2] = scale * kept[1] + residual * no_click_keeps
+        # each detector's dark mass: over bins 1..d, at bin d alone, and
+        # over the later bins inside and after the window
+        clicked = upstream @ is_d1 + d2.sum(axis=1)  # in bins 1..d
+        entry = h.sum() - upstream @ (later * is_d1) - d2 @ later
+        bin_d = 1.0 - clicked + 0.5 * (upstream[:, -1] * is_d1[-1] + d2[:, -1])
+        bin_d *= h[-1]
+        inside, after = (
+            (1.0 - clicked) * weight - scale * taken
+            for weight, taken in zip(dark_h, dark_c)
+        )
+        law[:, 3] = bin_d + inside  # dark D2 clicks inside the window
+        law[:, 4] = 2.0 * (entry + after) + inside - bin_d  # the other dark clicks
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
@@ -334,11 +385,12 @@ def _sample(
     bin_cap: Optional[int],
     prepared_k: Optional[int] = None,
 ) -> EmpiricalStats:
-    """Sample frames from one stacked table; every entry point runs here.
+    """Sample frames from each row's exact law; every entry point runs here.
 
-    Without ``prepared_k`` the table has one row, ``state`` at the config's
-    phase. With it the input is Fourier state ``prepared_k``, the table has
-    one row per setting phase, and each frame draws its setting uniformly.
+    Without ``prepared_k`` there is one row, ``state`` at the config's
+    phase, drawn from its outcome table. With it the input is Fourier
+    state ``prepared_k``, there is one row per setting phase, drawn from
+    :func:`_range_law`, and each frame draws its setting uniformly.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**63 - 1], got {n_trials}")
@@ -347,16 +399,16 @@ def _sample(
     check_window_size(d, cap)  # before anything that grows with d
     if prepared_k is None:
         thetas = [cfg.theta]
+        table = _outcome_table(cfg, state, thetas, cap)
     else:
         state = mub_state(d, prepared_k)
         thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
-    table = _outcome_table(cfg, state, thetas, cap)
+        law = _range_law(cfg, state, thetas, dark.p_dc, cap)
     rng = _generator(master_seed)
 
     frames = rng.multinomial(n_trials, np.full(len(thetas), 1.0 / len(thetas)))
     stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, prepared_k)
     if prepared_k is not None:
-        law = _range_law(table, dark.p_dc, cap, d, cfg.n_prime)
         counts = rng.multinomial(frames, law)
         # photon accepted (column 1), then with dark counts dark accepted (3)
         stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)

@@ -585,6 +585,29 @@ class TestD2TotalProbability:
         tail = values[peak:]
         assert all(b < a for a, b in zip(tail, tail[1:]))
 
+    @given(
+        d=st.sampled_from([2, 3, 5, 16, 64]),
+        u1=st.floats(0.0, 1.0),
+        u2=st.floats(0.0, 1.0),
+        extra=st.integers(0, 256),
+    )
+    @example(d=64, u1=1.0, u2=1.0, extra=192)
+    @settings(max_examples=30, deadline=None)
+    def test_time_bin_inputs_click_alike_in_every_setting(self, d, u1, u2, extra):
+        # The arrival-time half of unbiasedness: a time-bin input |n> gives
+        # the same windowed D2 probability in every setting m. Each splitter
+        # keeps r_i^(2(d - 1)) >= 0.01, so the slot that waits longest keeps
+        # a tenth of its amplitude; far below that the FFT's absolute
+        # rounding, about one ulp of the largest amplitude, outgrows any
+        # relative bound. The widest spread measured there was 2.5e-14.
+        lowest = 0.01 ** (1 / (d - 1))
+        r1_sq, r2_sq = (lowest + u * (0.999999 - lowest) for u in (u1, u2))
+        cfg = CavityConfig(d, r1_sq, r2_sq, 0.0, d + extra)
+        for n in range(1, d + 1):
+            state = basis_state(d, n)
+            probs = [d2_total_probability(cfg.for_outcome(m), state) for m in range(d)]
+            assert max(probs) - min(probs) <= 1e-13 * max(probs)
+
     def test_agrees_with_reference_for_superpositions(self):
         rng = np.random.default_rng(11)
         state = random_normalized_state(rng, 5)

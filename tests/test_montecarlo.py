@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 
@@ -31,7 +32,7 @@ from timebin_cavity import (
     theta_for_outcome,
     total_error,
 )
-from timebin_cavity.cavity import TABLE_PORTS
+from timebin_cavity.cavity import TABLE_PORTS, entry_bin_masses, outcome_table
 
 NO_DARK = DarkCountModel(0.0)
 
@@ -328,18 +329,21 @@ class TestRunDiscrimination:
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
     def test_law_is_clamped_to_one_near_unit_reflectivity(self, p_dc):
-        # At r^2 = 1 - 2**-53 and d = 6 two rows' CDF at the window's lower
-        # edge rounds to 1.0000000000000002, which numpy's multinomial
-        # rejects as a probability.
-        r_sq = 1.0 - 2.0**-53
+        # At r^2 = 1 - 1e-7 and d = 3 nearly every photon reflects at D1. In
+        # settings 1 and 2 the entry bins' upstream and early D2 masses, the
+        # mass before the window, sum to 1.0000000000000004, which numpy's
+        # multinomial rejects as a probability.
+        r_sq = 0.9999999
         dark = DarkCountModel(p_dc)
-        stats = run_discrimination(6, r_sq, r_sq, 24, 0, dark, 1000, 1)
+        stats = run_discrimination(3, r_sq, r_sq, 3, 0, dark, 1000, 1)
         assert stats.setting_frames.sum() == 1000
-        cfg = CavityConfig(dim=6, r1_sq=r_sq, r2_sq=r_sq, theta=0.0, n_prime=24)
-        thetas = [theta_for_outcome(6, m) for m in range(6)]
-        table = montecarlo._outcome_table(cfg, mub_state(6, 0), thetas, 24)
-        assert table.cdf[:, 28].max() > 1.0  # the rounding this guards against
-        law = montecarlo._range_law(table, p_dc, 24, 6, 24)
+        cfg = CavityConfig(dim=3, r1_sq=r_sq, r2_sq=r_sq, theta=0.0, n_prime=3)
+        thetas = [theta_for_outcome(3, m) for m in range(3)]
+        upstream, d2 = np.empty((3, 3)), np.empty((3, 3))
+        entry_bin_masses(cfg, mub_state(3, 0), thetas, upstream, d2)
+        early = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1)
+        assert early.max() > 1.0  # the rounding this guards against
+        law = montecarlo._range_law(cfg, mub_state(3, 0), thetas, p_dc, 3)
         assert ((0.0 <= law) & (law <= 1.0)).all()
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
@@ -493,7 +497,7 @@ def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
     cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
     table = montecarlo._outcome_table(cfg, state, thetas, cap)
     columns = montecarlo._column_law(table, p_dc, cap)
-    ranges = montecarlo._range_law(table, p_dc, cap, d, n_prime)
+    ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
     lo, hi = cap + d - 1, cap + n_prime  # accepted columns
     for m, theta in enumerate(thetas):
         law = reference.frame_law(d, r1_sq, r2_sq, theta, list(state.amps), cap, p_dc)
@@ -534,25 +538,32 @@ class TestExactFrameLaw:
         k = window_data.draw(st.integers(0, d - 1), label="k")
         assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc)
 
-    @pytest.mark.parametrize("cells", [1, 6, 12, 21])
+    @pytest.mark.parametrize("cells", [1, 2, 4, 7])
     @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
     def test_blocked_dark_law_matches_enumeration(self, monkeypatch, cells, p_dc):
-        # Three rows take blocks of 1, 2, 4 and 7 bins, split again at the
-        # window's edges and after the last entry bin; the clicked mass
+        # The 11 bins after the last entry bin go in blocks of 1, 2, 4 and
+        # 7 bins, split again at the window's upper edge; the clicking decay
         # carries from block to block.
         monkeypatch.setattr(montecarlo, "BLOCK_CELLS", cells)
         assert_laws_match_enumeration(3, 14, 9, 1, 0.9, 0.8, p_dc)
 
+    @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
+    def test_transparent_first_splitter_leaks_back(self, p_dc):
+        # At r1 = 0 no slot reflects at D1: the upstream exits of the entry
+        # bins are BACK leakage, which clicks no detector.
+        assert_laws_match_enumeration(3, 8, 5, 1, 0.0, 0.8, p_dc)
+
     def test_residual_has_its_own_mass(self):
-        # The (NONE, 0) mass is far below the pinned CDF's rounding; both
-        # laws take it from the table, not as a difference of the CDF.
+        # The (NONE, 0) mass is far below the pinned CDF's rounding; the
+        # column law takes it from the table, not as a difference of the
+        # CDF, and the range law as r2^2 |c_d|^2 times the decay.
         d, cap, p_dc = 4, 40, 1e-3
         cfg = symmetric_config(d, 0.5, cap)
         state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
         table = montecarlo._outcome_table(cfg, state, thetas, cap)
         columns = montecarlo._column_law(table, p_dc, cap)
-        ranges = montecarlo._range_law(table, p_dc, cap, d, cap)
+        ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
         for m, theta in enumerate(thetas):
             law = reference.frame_law(d, 0.5, 0.5, theta, list(state.amps), cap, p_dc)
             residual = law[("NONE", 0, False)]
@@ -561,16 +572,21 @@ class TestExactFrameLaw:
             assert ranges[m, 2] == pytest.approx(residual, rel=1e-12, abs=0)
 
     def test_law_without_dark_counts_is_the_table(self):
+        # The column law is the table row; the range law sums the same
+        # masses over the columns before, inside and after the window.
         d, cap = 4, 12
         cfg = symmetric_config(d, 0.7, 8)
+        state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
-        table = montecarlo._outcome_table(cfg, mub_state(d, 1), thetas, cap)
+        table = montecarlo._outcome_table(cfg, state, thetas, cap)
         masses = np.diff(table.cdf, axis=1, prepend=0.0)
         assert np.array_equal(montecarlo._column_law(table, 0.0, cap), masses)
-        ranges = montecarlo._range_law(table, 0.0, cap, d, 8)
+        ranges = montecarlo._range_law(cfg, state, thetas, 0.0, cap)
         assert ranges.shape == (d, 3)
-        edges = table.cdf[:, [cap + d - 2, cap + 7, -1]]
-        assert np.array_equal(ranges, np.diff(edges, axis=1, prepend=0.0))
+        exact = outcome_table(cfg, state, thetas, cap).masses
+        lo, hi = cap + d - 1, cap + 8  # accepted columns
+        want = [exact[:, :lo].sum(1), exact[:, lo:hi].sum(1), exact[:, hi:].sum(1)]
+        np.testing.assert_allclose(ranges, np.transpose(want), rtol=0, atol=1e-15)
 
 
 class TestCost:
@@ -579,7 +595,7 @@ class TestCost:
     @pytest.mark.parametrize("n_trials", [2**63, 10**30])
     def test_trials_beyond_int64_are_rejected(self, monkeypatch, n_trials):
         # numpy counts in int64; such a run used to go on without end
-        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        _forbid_building(monkeypatch)
         cfg = symmetric_config(2, 0.5, 4)
         with pytest.raises(ValueError, match="n_trials"):
             run_trials(cfg, mub_state(2, 0), NO_DARK, n_trials, 1)
@@ -631,17 +647,10 @@ class TestCost:
         run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(p_dc), 10**6, 7)
         assert sizes == [(d,), (d, categories)]
 
-    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+    def test_memory_does_not_grow_with_trials(self):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
         # have a dark click inside the cap, and none is simulated alone.
         d, cap, base = 2, 2**16, 4_096
-        table = montecarlo._outcome_table(
-            symmetric_config(d, 0.9, 8),
-            mub_state(d, 0),
-            [theta_for_outcome(d, m) for m in range(d)],
-            cap,
-        )
-        monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
 
         def peak(n_trials):
             tracemalloc.start()
@@ -657,38 +666,64 @@ class TestCost:
         assert peak(40 * base) <= 1.2 * peak(4 * base)
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-7])
-    def test_discrimination_run_allocates_nothing_per_column(self, monkeypatch, p_dc):
-        # The table of d = 2, n' = 2**20 has 2**21 + 1 columns: an int64 or
-        # bool array over them would take 16 or 2 MiB. The run keeps only
-        # per-setting counts and tests acceptance as a column range; at
-        # p_dc = 1e-7 its law sums the D2 columns in blocks.
-        d, n_prime = 2, 2**20
-        table = montecarlo._outcome_table(
-            symmetric_config(d, 0.9, n_prime),
-            mub_state(d, 0),
-            [theta_for_outcome(d, m) for m in range(d)],
-            n_prime,
-        )
-        monkeypatch.setattr(montecarlo, "_outcome_table", lambda *_: table)
+    def test_discrimination_run_allocates_nothing_per_column(self, p_dc):
+        # The table of d = 2, n' = 2**20 would have 2**21 + 1 columns: an
+        # int64 or bool array over them would take 16 or 2 MiB. The run
+        # builds no table and keeps only per-setting counts; its law sums
+        # the bins after d in 1-D blocks of at most BLOCK_CELLS bins, so from
+        # two blocks on its peak no longer grows with the window.
+        run_discrimination(2, 0.9, 0.9, 8, 0, DarkCountModel(p_dc), 10, 1)
+        peaks = []
+        for n_prime in (2 * montecarlo.BLOCK_CELLS, 2**20):
+            tracemalloc.start()
+            try:
+                stats = run_discrimination(
+                    2, 0.9, 0.9, n_prime, 0, DarkCountModel(p_dc), 10**5, 1
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stats.accepted_total > 0
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 2**21
 
-        def run():
-            return run_discrimination(
-                d, 0.9, 0.9, n_prime, 0, DarkCountModel(p_dc), 10**5, 1
-            )
-
-        run()  # the first run imports numpy's seeding modules
+    def test_long_window_at_d_64_stays_small(self):
+        # The largest window the cell cap lets through at d = 64, near r = 1
+        # where the photon circulates for about 1 / (1 - r^2) bins. A
+        # (64, 2 n' + 1) table and its CDF took 66 MiB here.
+        d, n_prime = 64, montecarlo.MAX_WINDOW_CELLS // 64 - 64
+        dark = DarkCountModel(1e-5)
+        run_discrimination(d, 0.999, 0.999, 256, 0, dark, 10, 1)
         tracemalloc.start()
         try:
-            stats = run()
+            stats = run_discrimination(d, 0.999, 0.999, n_prime, 0, dark, 10**6, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert n_prime == 65_472
         assert stats.accepted_total > 0
-        assert peak < 2**20
+        assert peak < 2**21
 
 
 def _must_not_allocate(*args, **kwargs):
-    raise AssertionError("oversized window reached the table build")
+    raise AssertionError("oversized window reached the table or law build")
+
+
+def _forbid_building(monkeypatch):
+    """Fail a run that reaches a fixed-phase run's table or a
+    discrimination run's law."""
+    monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+    monkeypatch.setattr(montecarlo, "_range_law", _must_not_allocate)
+
+
+# Both entry points at d = 4 and n' = 8, with the cap as the argument.
+ENTRIES_AT_D4_N8 = [
+    lambda cap: run_trials(
+        symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 10, 1, bin_cap=cap
+    ),
+    lambda cap: run_discrimination(4, 0.5, 0.5, 8, 0, NO_DARK, 10, 1, bin_cap=cap),
+]
+ENTRY_IDS = ["run_trials", "run_discrimination"]
 
 
 class TestWindowCap:
@@ -697,29 +732,25 @@ class TestWindowCap:
 
         assert cli.MAX_WINDOW_CELLS is montecarlo.MAX_WINDOW_CELLS
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda cap: run_trials(
-                symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 10, 1,
-                bin_cap=cap,
-            ),
-            lambda cap: run_discrimination(
-                4, 0.5, 0.5, 8, 0, NO_DARK, 10, 1, bin_cap=cap
-            ),
-        ],
-        ids=["run_trials", "run_discrimination"],
-    )  # fmt: skip
+    @pytest.mark.parametrize("entry", ENTRIES_AT_D4_N8, ids=ENTRY_IDS)
     def test_oversized_bin_cap_is_rejected_before_allocation(self, monkeypatch, entry):
-        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        _forbid_building(monkeypatch)
         one_bin_over = montecarlo.MAX_WINDOW_CELLS // 4 - 4 + 1  # d = 4
         with pytest.raises(ValueError, match="size cap"):
             entry(one_bin_over)
         with pytest.raises(ValueError, match="size cap"):
             entry(10**12)
 
+    @pytest.mark.parametrize("cap", [7, 0, -1])
+    @pytest.mark.parametrize("entry", ENTRIES_AT_D4_N8, ids=ENTRY_IDS)
+    def test_bin_cap_must_cover_the_window(self, entry, cap):
+        # The discrimination run builds no table, so it checks the cap itself
+        message = f"bin_cap ({cap}) must cover the accepted window (n_prime = 8)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(cap)
+
     def test_oversized_dimension_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+        _forbid_building(monkeypatch)
         with pytest.raises(ValueError, match="size cap"):
             run_discrimination(4096, 0.5, 0.5, 4096, 0, NO_DARK, 10, 1)
         monkeypatch.setattr(montecarlo, "mub_state", _must_not_allocate)
