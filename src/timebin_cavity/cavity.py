@@ -426,7 +426,6 @@ def outcome_table(
     return OutcomeTable(ports=ports, bins=bins, masses=masses)
 
 
-# Not called in the package; bound for the benchmark's traced run.
 def full_outcome_distribution(
     cfg: CavityConfig, state: TimeBinState, bin_cap: int
 ) -> OutcomeTable:

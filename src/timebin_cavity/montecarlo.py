@@ -8,9 +8,9 @@ the statistics pipeline against the analytic module.
 Both kinds of run scan the loop amplitude over the d entry bins for every
 phase setting at once (:func:`cavity.entry_bin_masses`). After bin d
 nothing enters, so every later bin's mass is |c_d|^2 times a power of
-(r1 r2)^2. A fixed-phase run writes those masses into a one-row table,
-the cumulative exit masses over one column layout
-(:func:`cavity.outcome_table`) in bin order, zero-mass columns included.
+(r1 r2)^2. A fixed-phase run writes those masses into a one-row table
+over one column layout (:func:`cavity.full_outcome_distribution`) in bin
+order, zero-mass columns included, and draws the table's own masses.
 A discrimination run builds no table: its law takes the entry bins'
 masses and 1-D sums of the decay vector, summed bin by bin in blocks.
 Neither reuses the acceptance kernel, so the report's Monte Carlo vs
@@ -62,9 +62,10 @@ from .cavity import (
     D2,
     TWO_PI,
     CavityConfig,
+    OutcomeTable,
     check_window,
     entry_bin_masses,
-    full_outcome_distribution,  # noqa: F401  (bound for the benchmark's traced run)
+    full_outcome_distribution,
     outcome_table,
 )
 from .imperfections import DarkCountModel
@@ -139,26 +140,8 @@ class EmpiricalStats:
         return (self.accepted_total - matched) / self.accepted_total
 
 
-@dataclass(frozen=True)
-class _OutcomeTable:
-    """Stacked outcome CDF rows over one column layout, and each row's
-    residual mass: the last CDF entry is pinned to 1, so its difference
-    from the one before is rounding, not that mass."""
-
-    ports: np.ndarray  # (K,) cavity.TABLE_PORTS index of each column
-    bins: np.ndarray  # (K,) time bin of each column
-    cdf: np.ndarray  # (rows, K)
-    none: np.ndarray  # (rows,) mass of the (NONE, 0) column
-
-
-def _outcome_table(
-    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float], bin_cap: int
-) -> _OutcomeTable:
-    table = outcome_table(cfg, state, thetas, bin_cap)
-    none = table.masses[:, -1].copy()
-    cdf = np.cumsum(table.masses, axis=1, out=table.masses)
-    cdf[:, -1] = 1.0  # total mass is 1 to ~1e-15; pin it so lookups stay in range
-    return _OutcomeTable(ports=table.ports, bins=table.bins, cdf=cdf, none=none)
+# Not called in the package; bound for the benchmark's traced run.
+_outcome_table = outcome_table
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -172,15 +155,14 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 # Not called in the package; bound for the benchmark's traced run.
-def _sample_photon(
-    table: _OutcomeTable, settings: np.ndarray, u_outcome: np.ndarray
-) -> np.ndarray:
+def _sample_photon(table, settings: np.ndarray, u_outcome: np.ndarray) -> np.ndarray:
     """The table column of each frame's photon exit, by inverse CDF.
 
-    ``settings`` is sorted, so each setting's frames are one slice, looked
-    up in that row with ``searchsorted(row, u, side="right")``: the first
-    column whose CDF exceeds u, never a zero-mass column, and never past
-    the last column, which is pinned to 1.
+    ``table.cdf`` holds one CDF row per setting; no table the package
+    builds has one. ``settings`` is sorted, so each setting's frames are
+    one slice, looked up in that row with ``searchsorted(row, u,
+    side="right")``: the first column whose CDF exceeds u, never a
+    zero-mass column, and never past the last, which is pinned to 1.
     """
     cols = np.empty(settings.size, dtype=np.int64)
     starts = np.flatnonzero(np.diff(settings, prepend=-1)).tolist()
@@ -193,7 +175,7 @@ def _sample_photon(
 # Not called in the package; bound for the benchmark's traced run.
 def _merge_dark(
     cols: np.ndarray,
-    table: _OutcomeTable,
+    table: OutcomeTable,
     u: np.ndarray,
     p_dc: float,
     bin_cap: int,
@@ -247,25 +229,23 @@ def _block_weights(
     return keeps, h, np.cumsum(h[::-1])[::-1] - 0.5 * h
 
 
-def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
+def _column_law(table: OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     """Each row's one-frame law over a fixed-phase run's columns.
 
-    The table's masses, (rows, K), without dark counts. With them,
+    The table's own masses, (rows, K), without dark counts. With them,
     (rows, K + 2 bin_cap): the share of each table column no dark click
-    takes, then dark D1 and dark D2 clicks at bins 1..bin_cap. An entry
-    below the CDF's rounding can be a little negative.
+    takes, then dark D1 and dark D2 clicks at bins 1..bin_cap. A dark
+    entry can round a little below 0.
     """
-    cdf = table.cdf
-    rows, n_table = cdf.shape
-    law = np.empty((rows, n_table + (2 * bin_cap if p_dc > 0.0 else 0)))
-    law[:, 0] = cdf[:, 0]
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=law[:, 1:n_table])
+    masses = table.masses
     if p_dc == 0.0:
-        return law
+        return masses
+    rows, n_table = masses.shape
+    law = np.empty((rows, n_table + 2 * bin_cap))
     log_q = 2.0 * math.log1p(-p_dc)
     click_keeps, h = _bin_shares(log_q, 1, bin_cap + 1)
     no_click_keeps = math.exp(bin_cap * log_q)
-    up, d2 = law[:, :bin_cap], law[:, bin_cap : n_table - 1]
+    up, d2 = masses[:, :bin_cap], masses[:, bin_cap : n_table - 1]
     d1 = table.ports[:bin_cap] == D1
     clicks = d2 + up * d1
     dark = law[:, n_table : n_table + bin_cap]
@@ -274,9 +254,9 @@ def _column_law(table: _OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     dark += 0.5 * clicks
     dark *= h
     law[:, n_table + bin_cap :] = dark
-    up *= np.where(d1, click_keeps, no_click_keeps)
-    d2 *= click_keeps
-    law[:, n_table - 1] = table.none * no_click_keeps
+    np.multiply(up, np.where(d1, click_keeps, no_click_keeps), out=law[:, :bin_cap])
+    np.multiply(d2, click_keeps, out=law[:, bin_cap : n_table - 1])
+    law[:, n_table - 1] = masses[:, -1] * no_click_keeps
     return law
 
 
@@ -388,7 +368,7 @@ def _sample(
     """Sample frames from each row's exact law; every entry point runs here.
 
     Without ``prepared_k`` there is one row, ``state`` at the config's
-    phase, drawn from its outcome table. With it the input is Fourier
+    phase, drawn from :func:`_column_law`. With it the input is Fourier
     state ``prepared_k``, there is one row per setting phase, drawn from
     :func:`_range_law`, and each frame draws its setting uniformly.
     """
@@ -398,15 +378,17 @@ def _sample(
     cap = cfg.n_prime if bin_cap is None else bin_cap
     check_window_size(d, cap)  # before anything that grows with d
     if prepared_k is None:
-        thetas = [cfg.theta]
-        table = _outcome_table(cfg, state, thetas, cap)
+        table = full_outcome_distribution(cfg, state, cap)
+        law = _column_law(table, dark.p_dc, cap)
+        ports, bins = table.ports, table.bins
+        del table  # the masses live no longer than the law
     else:
         state = mub_state(d, prepared_k)
         thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
         law = _range_law(cfg, state, thetas, dark.p_dc, cap)
     rng = _generator(master_seed)
 
-    frames = rng.multinomial(n_trials, np.full(len(thetas), 1.0 / len(thetas)))
+    frames = rng.multinomial(n_trials, np.full(len(law), 1.0 / len(law)))
     stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, prepared_k)
     if prepared_k is not None:
         counts = rng.multinomial(frames, law)
@@ -420,21 +402,21 @@ def _sample(
     # Drawn up to the last column a frame can reach: numpy's multinomial
     # gives what is left to its last category. A zero entry draws nothing
     # and reads nothing from the stream.
-    law = _column_law(table, dark.p_dc, cap)[0]
+    law = law[0]
     np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
     n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
     drawn = rng.multinomial(frames[0], law[:reach])
     del law  # the law and the histogram never coexist
     counts = np.zeros(n_law, dtype=np.int64)
     counts[:reach] = drawn
-    n_table = table.ports.size
+    n_table = ports.size
     n_dark = cap if dark.p_dc > 0.0 else 0
     stats.dark_clicks = int(counts[n_table:].sum())
     if n_dark:
         counts[cap : 2 * cap] += counts[n_table + cap :]  # dark D2 clicks
     stats.counts = counts[: n_table + n_dark]
-    stats.ports = np.append(table.ports, np.full(n_dark, D1, np.int8))
-    stats.bins = np.append(table.bins, np.arange(1, n_dark + 1))
+    stats.ports = np.append(ports, np.full(n_dark, D1, np.int8))
+    stats.bins = np.append(bins, np.arange(1, n_dark + 1))
     stats.accepted_total = int(stats.counts[cap + d - 1 : cap + cfg.n_prime].sum())
     return stats
 
@@ -449,9 +431,10 @@ def run_trials(
 ) -> EmpiricalStats:
     """Sample many frames at the config's fixed phase setting.
 
-    The photon branch is drawn from the exact outcome distribution, then
-    merged with per-bin dark clicks on both detectors: the earliest click
-    is the one counted, with a fair tie break. One frame is
+    The counts are one multinomial over the exact one-frame law
+    (:func:`_column_law`): the photon's exit masses, and with dark counts
+    on both detectors the earliest click is the one counted, with a fair
+    tie break. One frame is
     ``run_trials(..., n_trials=1, master_seed=seed)``: the one nonzero
     column of ``counts`` is the click, (NONE, 0) for none, and
     ``dark_clicks`` says whether a dark count won it.

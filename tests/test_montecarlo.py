@@ -495,7 +495,7 @@ def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
     state = mub_state(d, k)
     thetas = [theta_for_outcome(d, m) for m in range(d)]
     cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
-    table = montecarlo._outcome_table(cfg, state, thetas, cap)
+    table = outcome_table(cfg, state, thetas, cap)
     columns = montecarlo._column_law(table, p_dc, cap)
     ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
     lo, hi = cap + d - 1, cap + n_prime  # accepted columns
@@ -554,14 +554,14 @@ class TestExactFrameLaw:
         assert_laws_match_enumeration(3, 8, 5, 1, 0.0, 0.8, p_dc)
 
     def test_residual_has_its_own_mass(self):
-        # The (NONE, 0) mass is far below the pinned CDF's rounding; the
-        # column law takes it from the table, not as a difference of the
-        # CDF, and the range law as r2^2 |c_d|^2 times the decay.
+        # The (NONE, 0) mass is far below the rounding of the masses before
+        # it; the column law takes it from the table, not as a difference
+        # of running sums, and the range law as r2^2 |c_d|^2 times the decay.
         d, cap, p_dc = 4, 40, 1e-3
         cfg = symmetric_config(d, 0.5, cap)
         state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
-        table = montecarlo._outcome_table(cfg, state, thetas, cap)
+        table = outcome_table(cfg, state, thetas, cap)
         columns = montecarlo._column_law(table, p_dc, cap)
         ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
         for m, theta in enumerate(thetas):
@@ -578,15 +578,32 @@ class TestExactFrameLaw:
         cfg = symmetric_config(d, 0.7, 8)
         state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
-        table = montecarlo._outcome_table(cfg, state, thetas, cap)
-        masses = np.diff(table.cdf, axis=1, prepend=0.0)
-        assert np.array_equal(montecarlo._column_law(table, 0.0, cap), masses)
+        exact = outcome_table(cfg, state, thetas, cap).masses
+        table = outcome_table(cfg, state, thetas, cap)
+        assert np.array_equal(montecarlo._column_law(table, 0.0, cap), exact)
         ranges = montecarlo._range_law(cfg, state, thetas, 0.0, cap)
         assert ranges.shape == (d, 3)
-        exact = outcome_table(cfg, state, thetas, cap).masses
         lo, hi = cap + d - 1, cap + 8  # accepted columns
         want = [exact[:, :lo].sum(1), exact[:, lo:hi].sum(1), exact[:, hi:].sum(1)]
         np.testing.assert_allclose(ranges, np.transpose(want), rtol=0, atol=1e-15)
+
+    def test_fixed_run_draws_small_masses_exactly(self, monkeypatch):
+        # Near r = 1 the D2 masses after bin d are about 1e-13, far below
+        # the rounding of the masses before them: taken as differences of
+        # running sums they were drawn with relative error up to 1e-3.
+        d, n_prime, r_sq, theta = 4, 16, 1 - 1e-6, 0.3
+        cfg = CavityConfig(dim=d, r1_sq=r_sq, r2_sq=r_sq, theta=theta, n_prime=n_prime)
+        state = mub_state(d, 1)
+        masses = outcome_table(cfg, state, [theta], n_prime).masses[0]
+        d2 = slice(n_prime, 2 * n_prime)
+        assert (masses[d2][d:] < 1e-12).all()
+        draws = _record_multinomials(monkeypatch)
+        run_trials(cfg, state, NO_DARK, 10**6, 1)
+        assert np.array_equal(draws[1], masses)
+        p_dc = 1e-3
+        run_trials(cfg, state, DarkCountModel(p_dc), 10**6, 1)
+        keeps, _ = montecarlo._bin_shares(2.0 * math.log1p(-p_dc), 1, n_prime + 1)
+        np.testing.assert_allclose(draws[3][d2], masses[d2] * keeps, rtol=1e-12, atol=0)
 
 
 class TestCost:
@@ -627,25 +644,9 @@ class TestCost:
     ):
         # the setting counts, then every setting's frame law at once: the
         # photon ranges, and with dark counts the two dark categories
-        sizes = []
-
-        class Counting:
-            def __init__(self, generator):
-                self._generator = generator
-
-            def multinomial(self, n, pvals):
-                sizes.append(np.shape(pvals))
-                return self._generator.multinomial(n, pvals)
-
-            def __getattr__(self, name):
-                return getattr(self._generator, name)
-
-        generator = montecarlo._generator
-        monkeypatch.setattr(
-            montecarlo, "_generator", lambda seed: Counting(generator(seed))
-        )
+        draws = _record_multinomials(monkeypatch)
         run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(p_dc), 10**6, 7)
-        assert sizes == [(d,), (d, categories)]
+        assert [pvals.shape for pvals in draws] == [(d,), (d, categories)]
 
     def test_memory_does_not_grow_with_trials(self):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
@@ -705,6 +706,29 @@ class TestCost:
         assert peak < 2**21
 
 
+def _record_multinomials(monkeypatch):
+    """The list that each of a run's multinomials appends a copy of its
+    pvals to, in draw order."""
+    draws = []
+
+    class Recording:
+        def __init__(self, generator):
+            self._generator = generator
+
+        def multinomial(self, n, pvals):
+            draws.append(np.array(pvals))
+            return self._generator.multinomial(n, pvals)
+
+        def __getattr__(self, name):
+            return getattr(self._generator, name)
+
+    generator = montecarlo._generator
+    monkeypatch.setattr(
+        montecarlo, "_generator", lambda seed: Recording(generator(seed))
+    )
+    return draws
+
+
 def _must_not_allocate(*args, **kwargs):
     raise AssertionError("oversized window reached the table or law build")
 
@@ -712,7 +736,7 @@ def _must_not_allocate(*args, **kwargs):
 def _forbid_building(monkeypatch):
     """Fail a run that reaches a fixed-phase run's table or a
     discrimination run's law."""
-    monkeypatch.setattr(montecarlo, "outcome_table", _must_not_allocate)
+    monkeypatch.setattr(montecarlo, "full_outcome_distribution", _must_not_allocate)
     monkeypatch.setattr(montecarlo, "_range_law", _must_not_allocate)
 
 
@@ -764,12 +788,11 @@ class TestWindowCap:
         thetas = [theta_for_outcome(d, m) for m in range(d)]
         tracemalloc.start()
         try:
-            table = montecarlo._outcome_table(cfg, state, thetas, n_prime)
+            table = outcome_table(cfg, state, thetas, n_prime)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.cdf.shape == (d, 2 * n_prime + 1)
-        assert (table.cdf[:, -1] == 1.0).all()
+        assert table.masses.shape == (d, 2 * n_prime + 1)
         assert peak <= 45 * d * (n_prime + d)
 
     def test_entry_bin_scan_is_blocked(self):
@@ -783,7 +806,7 @@ class TestWindowCap:
         state = mub_state(d, 0)
         tracemalloc.start()
         try:
-            montecarlo._outcome_table(cfg, state, thetas, d)
+            outcome_table(cfg, state, thetas, d)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
