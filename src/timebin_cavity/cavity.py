@@ -58,6 +58,8 @@ class CavityConfig:
         for name, value in (("r1_sq", self.r1_sq), ("r2_sq", self.r2_sq)):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        if not math.isfinite(self.theta):  # every exit mass would be nan
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.n_prime < self.dim:
             raise ValueError(
                 f"n_prime ({self.n_prime}) must be >= dim ({self.dim})"
@@ -140,11 +142,12 @@ def d2_bin_probability(cfg: CavityConfig, state: TimeBinState, N: int) -> float:
 
 
 def d1_bin_probability(cfg: CavityConfig, state: TimeBinState, n: int) -> float:
-    """Probability of the immediate-reflection D1 click at bin n.
+    """The first-reflection term of the D1 click at bin n, for n in 1..d.
 
-    First-reflection model: |R1|^2 |<n|state>|^2 for n in 1..d. Backward
-    leakage on later circulations exits toward the source instead and is
-    accounted as the BACK port of :func:`outcome_table`.
+    That term alone, |R1|^2 |<n|state>|^2. At a bin where light already
+    circulates, :func:`outcome_table` adds the backward leakage coherently
+    to it in the D1 column, so that column's mass differs (for
+    ``mub_state(4, 1)`` at r^2 = 0.8 and theta_1: 0.128 at bin 2, 0.2 here).
     """
     _check_input(cfg, state)
     if not 1 <= n <= cfg.dim:

@@ -31,11 +31,12 @@ entry bins plus O(bin_cap) over 1-D blocks. A call costs that whatever
 ``n_trials`` and ``p_dc`` are.
 
 Randomness comes from one Philox stream keyed by the master seed
-(:func:`_generator`), read in a fixed order: the setting counts, then one
-multinomial over every row's law, its dark categories last. Without dark
-counts the law is the photon's exit masses, and the draws are those of
-the photon alone. Results are a pure function of (config, n_trials,
-master_seed).
+(:func:`_generator`), read in a fixed order, each law's dark categories
+last: :func:`run_trials` draws one multinomial over its one row's law;
+:func:`run_discrimination` draws the setting counts, then one
+multinomial over every setting's law. Without dark counts the law is
+the photon's exit masses, and the draws are those of the photon alone.
+Results are a pure function of (config, n_trials, master_seed).
 
 A fixed-phase run draws over the table's columns, then bin_cap dark D1
 and bin_cap dark D2 columns (:func:`_column_law`), and returns its counts
@@ -356,69 +357,11 @@ def _range_law(
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
-def _sample(
-    cfg: CavityConfig,
-    state: Optional[TimeBinState],
-    dark: DarkCountModel,
-    n_trials: int,
-    master_seed: int,
-    bin_cap: Optional[int],
-    prepared_k: Optional[int] = None,
-) -> EmpiricalStats:
-    """Sample frames from each row's exact law; every entry point runs here.
-
-    Without ``prepared_k`` there is one row, ``state`` at the config's
-    phase, drawn from :func:`_column_law`. With it the input is Fourier
-    state ``prepared_k``, there is one row per setting phase, drawn from
-    :func:`_range_law`, and each frame draws its setting uniformly.
-    """
+def _check_run(n_trials: int, d: int, cap: int) -> None:
+    """The trial cap, then the size cap, before anything that grows with d."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**63 - 1], got {n_trials}")
-    d = cfg.dim
-    cap = cfg.n_prime if bin_cap is None else bin_cap
-    check_window_size(d, cap)  # before anything that grows with d
-    if prepared_k is None:
-        table = full_outcome_distribution(cfg, state, cap)
-        law = _column_law(table, dark.p_dc, cap)
-        ports, bins = table.ports, table.bins
-        del table  # the masses live no longer than the law
-    else:
-        state = mub_state(d, prepared_k)
-        thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
-        law = _range_law(cfg, state, thetas, dark.p_dc, cap)
-    rng = _generator(master_seed)
-
-    frames = rng.multinomial(n_trials, np.full(len(law), 1.0 / len(law)))
-    stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, prepared_k)
-    if prepared_k is not None:
-        counts = rng.multinomial(frames, law)
-        # photon accepted (column 1), then with dark counts dark accepted (3)
-        stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)
-        stats.setting_frames = frames
-        stats.dark_clicks = int(counts[:, 3:].sum())
-        stats.accepted_total = int(stats.setting_accepted.sum())
-        return stats
-
-    # Drawn up to the last column a frame can reach: numpy's multinomial
-    # gives what is left to its last category. A zero entry draws nothing
-    # and reads nothing from the stream.
-    law = law[0]
-    np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
-    n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
-    drawn = rng.multinomial(frames[0], law[:reach])
-    del law  # the law and the histogram never coexist
-    counts = np.zeros(n_law, dtype=np.int64)
-    counts[:reach] = drawn
-    n_table = ports.size
-    n_dark = cap if dark.p_dc > 0.0 else 0
-    stats.dark_clicks = int(counts[n_table:].sum())
-    if n_dark:
-        counts[cap : 2 * cap] += counts[n_table + cap :]  # dark D2 clicks
-    stats.counts = counts[: n_table + n_dark]
-    stats.ports = np.append(ports, np.full(n_dark, D1, np.int8))
-    stats.bins = np.append(bins, np.arange(1, n_dark + 1))
-    stats.accepted_total = int(stats.counts[cap + d - 1 : cap + cfg.n_prime].sum())
-    return stats
+    check_window_size(d, cap)
 
 
 def run_trials(
@@ -439,7 +382,33 @@ def run_trials(
     column of ``counts`` is the click, (NONE, 0) for none, and
     ``dark_clicks`` says whether a dark count won it.
     """
-    return _sample(cfg, state, dark, n_trials, master_seed, bin_cap)
+    d = cfg.dim
+    cap = cfg.n_prime if bin_cap is None else bin_cap
+    _check_run(n_trials, d, cap)
+    table = full_outcome_distribution(cfg, state, cap)
+    law = _column_law(table, dark.p_dc, cap)[0]
+    ports, bins = table.ports, table.bins
+    del table  # the masses live no longer than the law
+    np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
+    # Drawn up to the last column a frame can reach: numpy's multinomial
+    # gives what is left to its last category. A zero entry draws nothing
+    # and reads nothing from the stream.
+    n_law, reach = law.size, law.size - np.argmax(law[::-1] > 0.0)
+    drawn = _generator(master_seed).multinomial(n_trials, law[:reach])
+    del law  # the law and the histogram never coexist
+    counts = np.zeros(n_law, dtype=np.int64)
+    counts[:reach] = drawn
+    n_table = ports.size
+    n_dark = cap if dark.p_dc > 0.0 else 0
+    stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, None)
+    stats.dark_clicks = int(counts[n_table:].sum())
+    if n_dark:
+        counts[cap : 2 * cap] += counts[n_table + cap :]  # dark D2 clicks
+    stats.counts = counts[: n_table + n_dark]
+    stats.ports = np.append(ports, np.full(n_dark, D1, np.int8))
+    stats.bins = np.append(bins, np.arange(1, n_dark + 1))
+    stats.accepted_total = int(stats.counts[cap + d - 1 : cap + cfg.n_prime].sum())
+    return stats
 
 
 def run_discrimination(
@@ -462,6 +431,21 @@ def run_discrimination(
     accepted clicks estimates the discrimination error.
     """
     check_mub_index(d, prepared_k)
-    # theta is unused: the table takes one phase per setting
+    # theta is unused: the law takes one phase per setting, from thetas
     cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
-    return _sample(cfg, None, dark, n_trials, master_seed, bin_cap, prepared_k)
+    cap = n_prime if bin_cap is None else bin_cap
+    _check_run(n_trials, d, cap)
+    state = mub_state(d, prepared_k)
+    thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
+    law = _range_law(cfg, state, thetas, dark.p_dc, cap)
+    rng = _generator(master_seed)
+
+    frames = rng.multinomial(n_trials, np.full(d, 1.0 / d))
+    counts = rng.multinomial(frames, law)
+    stats = EmpiricalStats(n_trials, master_seed, d, n_prime, cap, prepared_k)
+    # photon accepted (column 1), then with dark counts dark accepted (3)
+    stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)
+    stats.setting_frames = frames
+    stats.dark_clicks = int(counts[:, 3:].sum())
+    stats.accepted_total = int(stats.setting_accepted.sum())
+    return stats

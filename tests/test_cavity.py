@@ -73,6 +73,13 @@ class TestCavityConfig:
         with pytest.raises(ValueError, match=field):
             CavityConfig(**kwargs)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_must_be_finite(self, theta):
+        # a non-finite phase made every exit mass nan, and a run failed deep
+        # inside numpy's multinomial
+        with pytest.raises(ValueError, match="theta must be finite"):
+            CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=theta, n_prime=4)
+
     def test_window_must_cover_all_slots(self):
         with pytest.raises(ValueError, match="n_prime"):
             CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=0.0, n_prime=3)
@@ -162,6 +169,16 @@ class TestD1BinProbability:
     def test_no_reflection_no_clicks(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.5, theta=0.0, n_prime=4)
         assert d1_bin_probability(cfg, mub_state(4, 1), 2) == 0.0
+
+    def test_is_the_first_reflection_not_the_table_column(self):
+        # From bin 2 on the table's D1 column adds the backward leakage of
+        # the circulating light coherently; bin 1 has none yet.
+        cfg = symmetric_config(4, 0.8, k=1)
+        state = mub_state(4, 1)
+        d1 = full_outcome_distribution(cfg, state, 16).masses[0, :4]
+        assert d1_bin_probability(cfg, state, 2) == pytest.approx(0.2)
+        assert d1[0] == pytest.approx(0.2)
+        assert d1[1] == pytest.approx(0.128)
 
     def test_bin_out_of_range(self):
         cfg = symmetric_config(4, 0.5)

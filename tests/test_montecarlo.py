@@ -599,11 +599,11 @@ class TestExactFrameLaw:
         assert (masses[d2][d:] < 1e-12).all()
         draws = _record_multinomials(monkeypatch)
         run_trials(cfg, state, NO_DARK, 10**6, 1)
-        assert np.array_equal(draws[1], masses)
+        assert np.array_equal(draws[-1], masses)
         p_dc = 1e-3
         run_trials(cfg, state, DarkCountModel(p_dc), 10**6, 1)
         keeps, _ = montecarlo._bin_shares(2.0 * math.log1p(-p_dc), 1, n_prime + 1)
-        np.testing.assert_allclose(draws[3][d2], masses[d2] * keeps, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(draws[-1][d2], masses[d2] * keeps, rtol=1e-12, atol=0)
 
 
 class TestCost:
@@ -647,6 +647,19 @@ class TestCost:
         draws = _record_multinomials(monkeypatch)
         run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(p_dc), 10**6, 7)
         assert [pvals.shape for pvals in draws] == [(d,), (d, categories)]
+
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
+    def test_each_run_draws_only_its_own_multinomials(self, monkeypatch, p_dc):
+        # a fixed-phase run has one row and no setting draw: its one
+        # multinomial is over that row's law; a discrimination run draws
+        # the setting counts, then every setting's law
+        dark = DarkCountModel(p_dc)
+        draws = _record_multinomials(monkeypatch)
+        run_trials(symmetric_config(4, 0.8, 16), mub_state(4, 1), dark, 10**6, 7)
+        assert [pvals.ndim for pvals in draws] == [1]
+        del draws[:]
+        run_discrimination(4, 0.8, 0.8, 16, 1, dark, 10**6, 7)
+        assert [pvals.shape[0] for pvals in draws] == [4, 4]
 
     def test_memory_does_not_grow_with_trials(self):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
