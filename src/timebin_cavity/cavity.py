@@ -15,6 +15,7 @@ Everything in this module is a pure function of immutable configs/states.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import List, Sequence
 
@@ -38,6 +39,13 @@ TWO_PI = 2.0 * math.pi
 BLOCK_CELLS = 1 << 14
 
 
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)  # numpy integers pass, 4.0 does not
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CavityConfig:
     """Splitter reflectivities, phase setting and accepted detection window.
@@ -54,12 +62,14 @@ class CavityConfig:
     n_prime: int
 
     def __post_init__(self):
+        _check_integer("dim", self.dim)
         check_dimension(self.dim)
         for name, value in (("r1_sq", self.r1_sq), ("r2_sq", self.r2_sq)):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
         if not math.isfinite(self.theta):  # every exit mass would be nan
             raise ValueError(f"theta must be finite, got {self.theta}")
+        _check_integer("n_prime", self.n_prime)
         if self.n_prime < self.dim:
             raise ValueError(
                 f"n_prime ({self.n_prime}) must be >= dim ({self.dim})"
@@ -254,8 +264,12 @@ def total_error_closed_form(r: float, d: int) -> float:
     if r == 0.0:
         return (d - 1) / d
     log_r = math.log(r)
-    terms = (math.expm1(j * log_r) * math.expm1((d - j) * log_r) for j in range(1, d))
-    return math.fsum(terms) / (d * (1.0 + r**d))
+    # term d - j is term j with its factors swapped, the same float: each pair
+    # is summed once, doubled (exact), and an even d's middle term is m * m
+    pairs = range(1, (d + 1) // 2)
+    terms = [2.0 * (math.expm1(j * log_r) * math.expm1((d - j) * log_r)) for j in pairs]
+    middle = math.expm1(d // 2 * log_r) if d % 2 == 0 else 0.0
+    return math.fsum(terms + [middle * middle]) / (d * (1.0 + r**d))
 
 
 def d2_total_probability(

@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .cavity import (
@@ -395,7 +394,8 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "wb") as file:
+            file.write(text.encode())
     except OSError as exc:
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
@@ -525,7 +525,8 @@ def _load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text())
+            with open(args.config, "rb") as file:
+                data = json.loads(file.read().decode("utf-8"))
         except OSError as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         except ValueError as exc:  # malformed JSON or text that is not UTF-8

@@ -77,6 +77,16 @@ def closed_form_error(r, d):
     return 1 - (1 + r) * (1 - r**d) / (d * (1 - r) * (1 + r**d))
 
 
+def closed_form_error_sum(r, d):
+    """The closed form's nonnegative-term sum over every j = 1..d-1,
+    sum_j (1 - r^j)(1 - r^(d-j)) / [d (1 + r^d)] with 1 - r^j =
+    -expm1(j ln r), in floats: each of the d - 1 terms formed on its own
+    and summed by fsum (0 < r < 1)."""
+    log_r = math.log(r)
+    terms = (math.expm1(j * log_r) * math.expm1((d - j) * log_r) for j in range(1, d))
+    return math.fsum(terms) / (d * (1.0 + r**d))
+
+
 def observed_error(d, r_sq, n_prime, p_dc, k=0):
     """First-order dark-count mixing on top of the clean error ratio."""
     probs = [window_probability(d, r_sq, r_sq, n_prime, m, k) for m in range(d)]

@@ -80,6 +80,27 @@ class TestCavityConfig:
         with pytest.raises(ValueError, match="theta must be finite"):
             CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=theta, n_prime=4)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dim", 4.0), ("dim", np.float64(4)), ("n_prime", 6.5)],
+        ids=["dim-float", "dim-numpy-float", "n_prime-float"],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # a float count built, then failed with a TypeError deep inside
+        # mub_state or the sampler's table build
+        kwargs = dict(dim=4, r1_sq=0.5, r2_sq=0.5, theta=0.0, n_prime=8)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CavityConfig(**kwargs)
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = CavityConfig(np.int64(4), 0.5, 0.5, 0.0, np.int32(8))
+        assert (cfg.dim, cfg.n_prime) == (4, 8)
+
+    def test_n_prime_is_checked_after_theta(self):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=math.nan, n_prime=6.5)
+
     def test_window_must_cover_all_slots(self):
         with pytest.raises(ValueError, match="n_prime"):
             CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=0.0, n_prime=3)
@@ -449,6 +470,18 @@ class TestTotalErrorClosedForm:
         assert total_error_closed_form(r, d) == pytest.approx(
             float(exact), rel=1e-14, abs=0
         )
+
+    @given(
+        d=st.integers(2, 2048),
+        r=st.floats(1e-300, 1 - 2**-53),
+    )
+    @example(d=2, r=0.6180837777030738)  # where middle**2 rounds apart
+    @example(d=2048, r=1 - 2**-53)
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_sum_to_the_full_sum_bit_for_bit(self, d, r):
+        # term d - j is term j with its factors swapped; summing each pair
+        # once, doubled, must round to the same float as every term alone
+        assert total_error_closed_form(r, d) == reference.closed_form_error_sum(r, d)
 
     @pytest.mark.parametrize("d", [2, 16, 64])
     @pytest.mark.parametrize("r_sq", [0.9, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9])

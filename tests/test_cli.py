@@ -375,11 +375,16 @@ class TestErrorSweep:
         assert run_cli("error-sweep", "--d", "4", "--r-grid", "0.3") == 2
         assert "invariant" in capsys.readouterr().err
 
-    def test_unwritable_output_path(self, tmp_path):
+    def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "sweep.csv"
         assert run_cli(
             "error-sweep", "--d", "4", "--r-grid", "0.5", "--out", str(target)
         ) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot write output file {target}: "
+            f"[Errno 2] No such file or directory: '{target}'\n",
+        )
 
     def test_stdout_when_no_output_path(self, capsys):
         assert run_cli("error-sweep", "--d", "4", "--r-grid", "0.5") == 0
@@ -797,6 +802,57 @@ class TestDarkModelDomain:
         assert run_cli("tradeoff", *argv, "--n-prime", "2,8") == 0
 
 
+# One invocation of each output kind: sweep and trade-off tables as CSV and
+# JSON, and the discrimination report.
+SWEEP_RUN = ["error-sweep", "--d", "16", "--r-grid", "0.5:0.99:0.1"]
+TRADEOFF_RUN = [
+    "tradeoff", "--d", "16", "--r-grid", "0.99", "--p-dc", "1e-5",
+    "--n-prime", "21,36,66",
+]  # fmt: skip
+OUTPUT_RUNS = [
+    SWEEP_RUN,
+    SWEEP_RUN + ["--format", "json"],
+    TRADEOFF_RUN,
+    TRADEOFF_RUN + ["--format", "json"],
+    ["discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "10000", "--seed", "42"],
+]  # fmt: skip
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", OUTPUT_RUNS, ids=lambda argv: " ".join(argv))
+    def test_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        # the file is written as bytes, stdout through the text stream
+        assert run_cli(*argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert capsys.readouterr().out.startswith("wrote ")
+
+
+class TestCost:
+    """A call opens its config and output files itself: pathlib's path
+    parsing and a text stream stay off the per-call path."""
+
+    @pytest.mark.parametrize("command", cli._WINDOWS)
+    def test_window_commands_do_not_use_pathlib(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"d": 4, "r_grid": [0.5], "n_trials": 1000}))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pathlib on the per-call path")
+
+        with monkeypatch.context() as patch:
+            for name in ("open", "read_text", "write_text"):
+                patch.setattr(Path, name, forbidden)
+            rc = run_cli(command, "--config", str(config), "--out", str(out))
+        assert rc == 0
+        assert capsys.readouterr().out.endswith(f" to {out}\n")
+        assert out.read_bytes()
+
+
 class TestDefaults:
     def test_prints_every_config_key(self, capsys):
         assert run_cli("defaults") == 0
@@ -955,8 +1011,45 @@ class TestConfigFile:
         assert run_cli("error-sweep", "--config", str(path)) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_missing_file_rejected(self):
-        assert run_cli("error-sweep", "--config", "/nonexistent.json") == 1
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.json"
+        assert run_cli("error-sweep", "--config", str(path)) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot read config file {path}: "
+            f"[Errno 2] No such file or directory: '{path}'\n",
+        )
+
+    def test_directory_rejected(self, tmp_path, capsys):
+        assert run_cli("error-sweep", "--config", str(tmp_path)) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot read config file {tmp_path}: "
+            f"[Errno 21] Is a directory: '{tmp_path}'\n",
+        )
+
+    def test_utf8_bom_rejected(self, tmp_path, capsys):
+        # json.loads would take the bytes with their BOM; the file is
+        # decoded as UTF-8 first, so the BOM stays an error
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"d": 4}).encode())
+        assert run_cli("error-sweep", "--config", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {path} is not valid JSON: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        )
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_utf16_and_utf32_rejected(self, tmp_path, capsys, encoding):
+        # json.loads would detect either encoding in bytes
+        data = json.dumps({"d": 4}).encode(encoding)  # BOM first
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert run_cli("error-sweep", "--config", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {path} is not valid JSON: 'utf-8' codec can't "
+            f"decode byte {data[0]:#x} in position 0: invalid start byte\n"
+        )
 
     def test_bad_flag_exits_one(self):
         assert run_cli("error-sweep", "--bogus") == 1
