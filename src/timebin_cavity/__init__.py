@@ -24,7 +24,6 @@ from .cavity import (
     total_error_closed_form,
 )
 from .imperfections import (
-    DarkCountModel,
     TradeoffPoint,
     accepted_event_probability,
     cutoff_tradeoff_scan,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CavityConfig",
-    "DarkCountModel",
     "EmpiricalStats",
     "TimeBinState",
     "TradeoffPoint",

@@ -15,7 +15,6 @@ Everything in this module is a pure function of immutable configs/states.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import List, Sequence
 
@@ -24,6 +23,7 @@ import numpy as np
 from .states import (
     TimeBinState,
     check_dimension,
+    check_integer,
     check_mub_index,
     fidelity,
     inner_product,
@@ -39,20 +39,15 @@ TWO_PI = 2.0 * math.pi
 BLOCK_CELLS = 1 << 14
 
 
-def _check_integer(name: str, value) -> None:
-    try:
-        operator.index(value)  # numpy integers pass, 4.0 does not
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class CavityConfig:
-    """Splitter reflectivities, phase setting and accepted detection window.
+    """One run's physics: reflectivities, phase, window and dark counts.
 
     ``r1_sq`` / ``r2_sq`` are intensity reflectivities in [0, 1); the
     splitters are lossless, so |T_i|^2 = 1 - |R_i|^2. ``n_prime`` is the
     last time bin in which a D2 click still counts as a basis measurement.
+    ``p_dc``, the dark-click probability per detector per bin, is read only
+    by the dark-count layer (:mod:`imperfections`) and the sampler.
     """
 
     dim: int
@@ -60,19 +55,24 @@ class CavityConfig:
     r2_sq: float
     theta: float
     n_prime: int
+    p_dc: float = 0.0
 
     def __post_init__(self):
-        _check_integer("dim", self.dim)
+        check_integer("dim", self.dim)
         check_dimension(self.dim)
         for name, value in (("r1_sq", self.r1_sq), ("r2_sq", self.r2_sq)):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
         if not math.isfinite(self.theta):  # every exit mass would be nan
             raise ValueError(f"theta must be finite, got {self.theta}")
-        _check_integer("n_prime", self.n_prime)
+        check_integer("n_prime", self.n_prime)
         if self.n_prime < self.dim:
             raise ValueError(
                 f"n_prime ({self.n_prime}) must be >= dim ({self.dim})"
+            )
+        if not 0.0 <= self.p_dc < 1.0:
+            raise ValueError(
+                f"dark-count probability must lie in [0, 1), got {self.p_dc}"
             )
 
     @property
@@ -341,16 +341,6 @@ class OutcomeTable:
     masses: np.ndarray
 
 
-def check_window(cfg: CavityConfig, state: TimeBinState, bin_cap: int) -> None:
-    """Reject an input the table cannot take, or a cap below the window."""
-    _check_input(cfg, state)
-    if bin_cap < cfg.n_prime:
-        raise ValueError(
-            f"bin_cap ({bin_cap}) must cover the accepted window "
-            f"(n_prime = {cfg.n_prime})"
-        )
-
-
 def entry_bin_masses(
     cfg: CavityConfig,
     state: TimeBinState,
@@ -370,7 +360,7 @@ def entry_bin_masses(
     recurrence, bins along axis 0, in log2 doubling steps and blocks of at
     most :data:`BLOCK_CELLS` rows x bins, each block starting from the last
     one's c; nothing is stepped bin by bin in Python. The caller checks
-    the input first (:func:`check_window`).
+    the input first.
     """
     d = cfg.dim
     thetas = np.asarray(thetas, dtype=float)
@@ -426,7 +416,12 @@ def outcome_table(
     checks something only while the two are different algorithms. The
     config's own ``theta`` is ignored.
     """
-    check_window(cfg, state, bin_cap)
+    _check_input(cfg, state)
+    if bin_cap < cfg.n_prime:
+        raise ValueError(
+            f"bin_cap ({bin_cap}) must cover the accepted window "
+            f"(n_prime = {cfg.n_prime})"
+        )
     masses = np.empty((len(thetas), 2 * bin_cap + 1))
     upstream, d2 = masses[:, :bin_cap], masses[:, bin_cap:-1]  # bin b in column b - 1
     norm = entry_bin_masses(cfg, state, thetas, upstream, d2)

@@ -31,7 +31,6 @@ from .cavity import (
     total_error_closed_form,
 )
 from .imperfections import (
-    DarkCountModel,
     TradeoffPoint,
     accepted_probability,
     cutoff_tradeoff_scan,  # noqa: F401  (bound for the benchmark's traced run)
@@ -170,8 +169,8 @@ class ExperimentConfig:
         return cfg
 
     def cavity_config(self, r_sq: float, n_prime: int) -> CavityConfig:
-        """Cavity for grid value r_sq: both reflectivities r_sq * eta, and the
-        explicit theta, else the phase dialled to outcome k.
+        """Cavity for grid value r_sq: both reflectivities r_sq * eta, the
+        explicit theta, else the phase dialled to outcome k, and p_dc.
 
         eta is the per-circulation mode overlap of incoming and circulating
         light (1 perfect alignment, 0 no interference left). The amplitude
@@ -180,7 +179,7 @@ class ExperimentConfig:
         """
         r_eff = r_sq * self.eta
         theta = theta_for_outcome(self.d, self.k) if self.theta is None else self.theta
-        return CavityConfig(self.d, r_eff, r_eff, theta, n_prime)
+        return CavityConfig(self.d, r_eff, r_eff, theta, n_prime, self.p_dc)
 
 
 @dataclass
@@ -271,7 +270,7 @@ def _accepted_rows(config: ExperimentConfig, r_sq: float, cutoffs: Sequence[int]
     setting's P(m|k) + W p_dc exceeds 1."""
     cfg = config.cavity_config(r_sq, max(cutoffs))
     probs = cutoff_acceptances(cfg, config.k, cutoffs)
-    rows = dark_acceptances(probs, config.d, cutoffs, config.p_dc)
+    rows = dark_acceptances(cfg, probs, cutoffs)
     for n_prime, row in zip(cutoffs, rows.tolist()):
         if max(row) > 1.0:
             raise UsageError(
@@ -341,16 +340,7 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     r_sq, (n_prime,) = config.r_grid[0], config.n_prime
     cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, config.n_prime)
     p_analytic = p_analytic.tolist()
-    stats = run_discrimination(
-        d=config.d,
-        r1_sq=cfg.r1_sq,
-        r2_sq=cfg.r2_sq,
-        n_prime=n_prime,
-        prepared_k=config.k,
-        dark=DarkCountModel(config.p_dc),
-        n_trials=config.n_trials,
-        master_seed=config.master_seed,
-    )
+    stats = run_discrimination(cfg, config.k, config.n_trials, config.master_seed)
     settings = []
     counts = zip(stats.setting_frames.tolist(), stats.setting_accepted.tolist())
     for m, ((frames, accepted), p) in enumerate(zip(counts, p_analytic)):

@@ -18,8 +18,9 @@ analytic z-scores compare two independent computations.
 
 Frames are iid, so a run samples counts, not frames: each row's counts
 are one multinomial over that row's exact one-frame outcome law. The dark
-process does not depend on the photon, and the earliest click inside
-bin_cap wins a frame, a photon/dark tie by a fair coin. With
+process does not depend on the photon, and the earliest click inside the
+cap wins a frame, a photon/dark tie by a fair coin. The cap is a
+fixed-phase run's bin_cap and a discrimination run's n_prime. With
 q = (1 - p_dc)^2 per bin, a photon click at bin b keeps its frame with
 probability q^b + q^(b-1)(1 - q)/2 and a photon that clicks nothing
 (BACK, NONE) with q^bin_cap; a dark click at bin f wins with probability
@@ -27,7 +28,7 @@ q^(f-1)(1 - q) times the photon mass that clicks after f or never plus
 half the mass that clicks at f, and is D1 or D2 with probability 1/2
 each. A fixed-phase law is a few passes over the table, O(K) with
 K = 2 bin_cap + 1 columns; a discrimination law is O(d^2 log d) over the
-entry bins plus O(bin_cap) over 1-D blocks. A call costs that whatever
+entry bins plus O(n_prime) over 1-D blocks. A call costs that whatever
 ``n_trials`` and ``p_dc`` are.
 
 Randomness comes from one Philox stream keyed by the master seed
@@ -64,22 +65,21 @@ from .cavity import (
     TWO_PI,
     CavityConfig,
     OutcomeTable,
-    check_window,
     entry_bin_masses,
     full_outcome_distribution,
     outcome_table,
 )
-from .imperfections import DarkCountModel
 from .states import TimeBinState, check_mub_index, mub_state
 
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
-# Size cap on d * (bin_cap + d) cells, checked before anything is allocated.
+# Size cap on d * (cap + d) cells, checked before anything is allocated; the
+# cap is a fixed-phase run's bin_cap and a discrimination run's n_prime.
 # A fixed-phase table takes 8 B per row and column and has 2 bin_cap + 1
 # columns, about 16 B per cell, so 2**22 cells keep it under 100 MiB; a
 # discrimination run holds 16 B per setting and entry bin, and 1-D blocks.
 # The acceptance kernel allocates nothing per cell.
-# The default window bin_cap = 4 d passes up to d = 915.
+# The default window n_prime = 4 d passes up to d = 915.
 MAX_WINDOW_CELLS = 1 << 22
 
 
@@ -262,20 +262,20 @@ def _column_law(table: OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
 
 
 def _range_law(
-    cfg: CavityConfig,
-    state: TimeBinState,
-    thetas: Sequence[float],
-    p_dc: float,
-    bin_cap: int,
+    cfg: CavityConfig, state: TimeBinState, thetas: Sequence[float]
 ) -> np.ndarray:
-    """Each row's one-frame law over a discrimination run's categories.
+    """Each row's one-frame law over a discrimination run's categories,
+    simulated up to the window's last bin n_prime.
 
-    Without dark counts, (rows, 3): the photon's exit mass before, inside
-    and after the accepted window (D2 bins d..n_prime). With them,
-    (rows, 5): the column law of :func:`_column_law` summed over those
-    three ranges, that is their kept photon mass, then dark D2 clicks
-    inside the window, then every other dark click. Clamped to [0, 1]:
-    near r = 1 a sum of masses that is all but 1 can round above it.
+    Without dark counts, (rows, 3): the photon's exit mass before and
+    inside the accepted window (D2 bins d..n_prime), and the mass still
+    circulating after it. With them (``cfg.p_dc`` > 0), (rows, 5): the
+    column law of :func:`_column_law` at bin_cap = n_prime summed over
+    those three ranges, that is their kept photon mass, then dark D2
+    clicks inside the window, then every other dark click. Clamped to
+    [0, 1]: near r = 1 a sum of masses that is all but 1 can round above
+    it. ``state`` is not checked: :func:`run_discrimination` passes a
+    Fourier state of the config's dimension.
 
     Built without the outcome table, from the d entry bins' masses
     (:func:`cavity.entry_bin_masses`, two (rows, d) arrays, each sum over
@@ -285,7 +285,7 @@ def _range_law(
     later bins enter as 1-D sums of that vector against the
     :func:`_bin_shares` weights, summed bin by bin (never in closed form,
     so the law stays apart from the acceptance kernel) in blocks of at
-    most :data:`BLOCK_CELLS` bins split at n_prime + 1.
+    most :data:`BLOCK_CELLS` bins.
 
     With h_b from :func:`_bin_shares` and C_b the mass that clicks at bin
     b, the kept photon mass is sum_b C_b (q^(b-1) - h_b) and each
@@ -295,35 +295,33 @@ def _range_law(
     that clicks before the span: the entry bins' clicks, and for a block
     after bin d also the decay of the blocks before it.
     """
-    check_window(cfg, state, bin_cap)
-    d, n_prime, rows = cfg.dim, cfg.n_prime, len(thetas)
+    d, n_prime, p_dc, rows = cfg.dim, cfg.n_prime, cfg.p_dc, len(thetas)
     upstream, d2 = np.empty((rows, d)), np.empty((rows, d))
     norm = entry_bin_masses(cfg, state, thetas, upstream, d2)
     log_q = 2.0 * math.log1p(-p_dc)
 
-    # Bins d + 1..bin_cap, in units of |c_d|^2, per part (inside, after the
-    # window): the kept D2 decay, and with dark counts sum_b h_b and the
-    # dark mass the clicking decay takes, ``before`` being the D2 decay of
-    # the blocks before; ``back`` is the BACK decay, ``last`` the residual's.
-    kept, dark_h, dark_c = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    before = back = 0.0
+    # Bins d + 1..n_prime, in units of |c_d|^2: the kept D2 decay, and with
+    # dark counts sum_b h_b and the dark mass the clicking decay takes,
+    # ``before`` being the D2 decay of the blocks before; ``back`` is the
+    # BACK decay, ``last`` the residual's.
+    kept = dark_h = dark_c = before = back = 0.0
     last = 1.0
-    edges = sorted({*range(d + 1, bin_cap + 1, BLOCK_CELLS), n_prime + 1, bin_cap + 1})
-    for b0, b1 in zip(edges, edges[1:]):
+    for b0 in range(d + 1, n_prime + 1, BLOCK_CELLS):
+        b1 = min(b0 + BLOCK_CELLS, n_prime + 1)
         if last:  # the decay only falls, so once it rounds to 0 it stays 0
             decay = (cfg.r1 * cfg.r2) ** (2 * np.arange(b0 - d - 1, b1 - d))
         else:
             decay = np.zeros(b1 - b0 + 1)
-        clicks, part = decay[1:], int(b0 > n_prime)
+        clicks = decay[1:]
         back += decay[:-1].sum()
         last = decay[-1]
         if p_dc == 0.0:
-            kept[part] += clicks.sum()
+            kept += clicks.sum()
             continue
         keeps, h, later = _block_weights(log_q, b0, b1)
-        kept[part] += clicks @ keeps
-        dark_h[part] += h.sum()
-        dark_c[part] += before * h.sum() + clicks @ later
+        kept += clicks @ keeps
+        dark_h += h.sum()
+        dark_c += before * h.sum() + clicks @ later
         before += clicks.sum()
     scale = cfg.t2**2 * norm  # D2 at bin d + j is scale (r1 r2)^(2j)
     backward = cfg.t1**2 * cfg.r2**2 * back * norm
@@ -331,29 +329,25 @@ def _range_law(
     law = np.empty((rows, 5 if p_dc > 0.0 else 3))
     if p_dc == 0.0:
         law[:, 0] = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1) + backward
-        law[:, 1] = d2[:, -1] + scale * kept[0]
-        law[:, 2] = scale * kept[1] + residual
+        law[:, 1] = d2[:, -1] + scale * kept
+        law[:, 2] = residual
     else:
         # D1 where OutcomeTable puts it; D2 is before the window but at d
-        no_click_keeps = math.exp(bin_cap * log_q)  # BACK and NONE
+        no_click_keeps = math.exp(n_prime * log_q)  # BACK and NONE
         keeps, h, later = _block_weights(log_q, 1, d + 1)
         is_d1 = (state.amps != 0) & (cfg.r1 > 0.0)
         law[:, 0] = upstream @ np.where(is_d1, keeps, no_click_keeps)
         law[:, 0] += d2[:, :-1] @ keeps[:-1] + backward * no_click_keeps
-        law[:, 1] = d2[:, -1] * keeps[-1] + scale * kept[0]
-        law[:, 2] = scale * kept[1] + residual * no_click_keeps
-        # each detector's dark mass: over bins 1..d, at bin d alone, and
-        # over the later bins inside and after the window
+        law[:, 1] = d2[:, -1] * keeps[-1] + scale * kept
+        law[:, 2] = residual * no_click_keeps
+        # each detector's dark mass over bins 1..d, at bin d alone, and later
         clicked = upstream @ is_d1 + d2.sum(axis=1)  # in bins 1..d
         entry = h.sum() - upstream @ (later * is_d1) - d2 @ later
         bin_d = 1.0 - clicked + 0.5 * (upstream[:, -1] * is_d1[-1] + d2[:, -1])
         bin_d *= h[-1]
-        inside, after = (
-            (1.0 - clicked) * weight - scale * taken
-            for weight, taken in zip(dark_h, dark_c)
-        )
+        inside = (1.0 - clicked) * dark_h - scale * dark_c
         law[:, 3] = bin_d + inside  # dark D2 clicks inside the window
-        law[:, 4] = 2.0 * (entry + after) + inside - bin_d  # the other dark clicks
+        law[:, 4] = 2.0 * entry + inside - bin_d  # the other dark clicks
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
@@ -367,7 +361,6 @@ def _check_run(n_trials: int, d: int, cap: int) -> None:
 def run_trials(
     cfg: CavityConfig,
     state: TimeBinState,
-    dark: DarkCountModel,
     n_trials: int,
     master_seed: int,
     bin_cap: Optional[int] = None,
@@ -375,9 +368,10 @@ def run_trials(
     """Sample many frames at the config's fixed phase setting.
 
     The counts are one multinomial over the exact one-frame law
-    (:func:`_column_law`): the photon's exit masses, and with dark counts
-    on both detectors the earliest click is the one counted, with a fair
-    tie break. One frame is
+    (:func:`_column_law`) up to ``bin_cap``, by default ``cfg.n_prime``:
+    the photon's exit masses, and with dark counts (``cfg.p_dc``) on both
+    detectors the earliest click is the one counted, with a fair tie
+    break. One frame is
     ``run_trials(..., n_trials=1, master_seed=seed)``: the one nonzero
     column of ``counts`` is the click, (NONE, 0) for none, and
     ``dark_clicks`` says whether a dark count won it.
@@ -386,7 +380,7 @@ def run_trials(
     cap = cfg.n_prime if bin_cap is None else bin_cap
     _check_run(n_trials, d, cap)
     table = full_outcome_distribution(cfg, state, cap)
-    law = _column_law(table, dark.p_dc, cap)[0]
+    law = _column_law(table, cfg.p_dc, cap)[0]
     ports, bins = table.ports, table.bins
     del table  # the masses live no longer than the law
     np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
@@ -399,7 +393,7 @@ def run_trials(
     counts = np.zeros(n_law, dtype=np.int64)
     counts[:reach] = drawn
     n_table = ports.size
-    n_dark = cap if dark.p_dc > 0.0 else 0
+    n_dark = cap if cfg.p_dc > 0.0 else 0
     stats = EmpiricalStats(n_trials, master_seed, d, cfg.n_prime, cap, None)
     stats.dark_clicks = int(counts[n_table:].sum())
     if n_dark:
@@ -412,37 +406,33 @@ def run_trials(
 
 
 def run_discrimination(
-    d: int,
-    r1_sq: float,
-    r2_sq: float,
-    n_prime: int,
-    prepared_k: int,
-    dark: DarkCountModel,
-    n_trials: int,
-    master_seed: int,
-    bin_cap: Optional[int] = None,
+    cfg: CavityConfig, prepared_k: int, n_trials: int, master_seed: int
 ) -> EmpiricalStats:
     """Simulate the state-discrimination experiment.
 
     Each frame carries one photon prepared in Fourier state ``prepared_k``;
-    the receiver dials a uniformly random setting m and accepts the frame
-    when D2 fires inside [d, n_prime]. The per-setting acceptance counts
-    estimate the windowed click probabilities, and the mismatched share of
-    accepted clicks estimates the discrimination error.
+    the receiver dials a uniformly random setting m, and ``cfg.theta`` is
+    not read. Dark clicks (``cfg.p_dc``) fire on both detectors, and the
+    frame is accepted when its earliest click, photon or dark, on either
+    detector, is D2 inside the window [d, n_prime]; nothing after n_prime
+    is simulated. The per-setting acceptance counts estimate the windowed
+    click probabilities, and the mismatched share of accepted clicks
+    estimates the discrimination error. The analytic side
+    (:func:`imperfections.dark_acceptances`) accepts any D2 click in the
+    window, to first order: at ``discriminate --d 64 --r-grid 0.9 --p-dc
+    1e-4`` it gives ``p_e_analytic`` 0.933 against an empirical 0.707.
     """
+    d, n_prime = cfg.dim, cfg.n_prime
     check_mub_index(d, prepared_k)
-    # theta is unused: the law takes one phase per setting, from thetas
-    cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
-    cap = n_prime if bin_cap is None else bin_cap
-    _check_run(n_trials, d, cap)
+    _check_run(n_trials, d, n_prime)
     state = mub_state(d, prepared_k)
     thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
-    law = _range_law(cfg, state, thetas, dark.p_dc, cap)
+    law = _range_law(cfg, state, thetas)
     rng = _generator(master_seed)
 
     frames = rng.multinomial(n_trials, np.full(d, 1.0 / d))
     counts = rng.multinomial(frames, law)
-    stats = EmpiricalStats(n_trials, master_seed, d, n_prime, cap, prepared_k)
+    stats = EmpiricalStats(n_trials, master_seed, d, n_prime, n_prime, prepared_k)
     # photon accepted (column 1), then with dark counts dark accepted (3)
     stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)
     stats.setting_frames = frames

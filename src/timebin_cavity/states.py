@@ -10,6 +10,7 @@ inner-product operations everything else is built on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,15 @@ import numpy as np
 NORMALIZATION_ATOL = 1e-12
 
 
+def check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)  # numpy integers pass, 4.0 does not
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_dimension(d: int) -> None:
+    check_integer("dimension", d)
     if d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
 

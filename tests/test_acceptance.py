@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
+import dataclasses
 import math
 import time
 
@@ -9,7 +10,6 @@ import numpy as np
 from conftest import random_normalized_state
 from timebin_cavity import (
     CavityConfig,
-    DarkCountModel,
     basis_state,
     cutoff_tradeoff_scan,
     d2_total_probability,
@@ -165,9 +165,8 @@ def test_criterion_06_spot_values():
 
 
 def _discrimination_agrees(d, r_sq, n_prime, n_trials, seed):
-    stats = run_discrimination(
-        d, r_sq, r_sq, n_prime, 0, DarkCountModel(0.0), n_trials, seed
-    )
+    cfg = symmetric_config(d, r_sq, n_prime=n_prime)
+    stats = run_discrimination(cfg, 0, n_trials, seed)
     for m in range(d):
         frames = stats.setting_frames[m]
         p = p_m_given_k(symmetric_config(d, r_sq, n_prime=n_prime).for_outcome(m), 0)
@@ -182,7 +181,7 @@ def _discrimination_agrees(d, r_sq, n_prime, n_trials, seed):
 def _fixed_run_agrees(d, r_sq, n_prime, n_trials, seed):
     cfg = symmetric_config(d, r_sq, n_prime=n_prime)
     prepared = mub_state(d, 0)
-    stats = run_trials(cfg, prepared, DarkCountModel(0.0), n_trials, seed)
+    stats = run_trials(cfg, prepared, n_trials, seed)
     p = d2_total_probability(cfg, prepared)
     sigma = math.sqrt(p * (1.0 - p) / n_trials)
     return abs(stats.d2_window_frequency() - p) <= 5.0 * sigma
@@ -221,8 +220,8 @@ def test_criterion_08_mismatch_model():
 
 
 def test_criterion_09_dark_count_tradeoff():
-    cfg = symmetric_config(16, 0.99, n_prime=66)
-    points = cutoff_tradeoff_scan(cfg, DarkCountModel(1e-5), [21, 36, 66])
+    cfg = dataclasses.replace(symmetric_config(16, 0.99, n_prime=66), p_dc=1e-5)
+    points = cutoff_tradeoff_scan(cfg, [21, 36, 66])
     errors = [p.observed_error for p in points]
     accepted = [p.accepted_probability for p in points]
     ok = errors[0] < errors[1] < errors[2] and accepted[0] < accepted[1] < accepted[2]

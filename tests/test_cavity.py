@@ -105,6 +105,21 @@ class TestCavityConfig:
         with pytest.raises(ValueError, match="n_prime"):
             CavityConfig(dim=4, r1_sq=0.5, r2_sq=0.5, theta=0.0, n_prime=3)
 
+    @pytest.mark.parametrize("p_dc", [-1e-9, 1.0, math.nan])
+    def test_dark_count_rate_bounds(self, p_dc):
+        with pytest.raises(ValueError, match=r"dark-count probability .* \[0, 1\)"):
+            CavityConfig(4, 0.5, 0.5, 0.0, 8, p_dc)
+
+    def test_dark_count_rate_is_checked_after_n_prime(self):
+        with pytest.raises(ValueError, match="n_prime"):
+            CavityConfig(4, 0.5, 0.5, 0.0, 3, p_dc=1.0)
+
+    def test_copies_keep_the_dark_count_rate(self):
+        assert symmetric_config(4, 0.5).p_dc == 0.0
+        cfg = CavityConfig(4, 0.5, 0.5, 0.0, 8, p_dc=1e-4)
+        assert replace(cfg, theta=1.0, n_prime=12).p_dc == 1e-4
+        assert [cfg.for_outcome(m).p_dc for m in range(4)] == [1e-4] * 4
+
     def test_lossless_splitters(self):
         cfg = symmetric_config(4, 0.3)
         assert cfg.t1**2 + cfg.r1**2 == pytest.approx(1.0)

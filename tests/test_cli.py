@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import parse_sweep, parse_tradeoff
 from timebin_cavity import (
     CavityConfig,
-    DarkCountModel,
     cavity,
     cli,
     montecarlo,
@@ -260,11 +259,10 @@ class TestOneKernelPass:
             p_dc=1e-4,
             n_prime=[n_prime],
         ).resolved("error-sweep")
-        dark = DarkCountModel(config.p_dc)
         prepared = mub_state(d, k)
         for row in compute_sweep(config):
             r_eff = row.r_sq * config.eta
-            cfg = CavityConfig(d, r_eff, r_eff, 0.0, n_prime)
+            cfg = CavityConfig(d, r_eff, r_eff, 0.0, n_prime, config.p_dc)
             actual = CavityConfig(
                 d, row.r_sq, row.r_sq, theta_for_outcome(d, k), n_prime
             )
@@ -273,10 +271,8 @@ class TestOneKernelPass:
             assert row.p_d2 == cli.d2_total_probability(
                 actual, prepared, include_early=True
             )
-            assert row.p_e_observed == observed_error_with_dark_counts(cfg, dark, k)
-            assert row.accepted_probability == accepted_event_probability(
-                cfg, dark, k
-            )
+            assert row.p_e_observed == observed_error_with_dark_counts(cfg, k)
+            assert row.accepted_probability == accepted_event_probability(cfg, k)
 
 
 class TestMubVerify:

@@ -21,7 +21,6 @@ from conftest import (
 from timebin_cavity import montecarlo
 from timebin_cavity import (
     CavityConfig,
-    DarkCountModel,
     basis_state,
     cutoff_acceptances,
     d2_total_probability,
@@ -34,12 +33,15 @@ from timebin_cavity import (
 )
 from timebin_cavity.cavity import TABLE_PORTS, entry_bin_masses, outcome_table
 
-NO_DARK = DarkCountModel(0.0)
 
-
-def symmetric_config(d, r_sq, n_prime):
+def symmetric_config(d, r_sq, n_prime, p_dc=0.0):
     return CavityConfig(
-        dim=d, r1_sq=r_sq, r2_sq=r_sq, theta=theta_for_outcome(d, 0), n_prime=n_prime
+        dim=d,
+        r1_sq=r_sq,
+        r2_sq=r_sq,
+        theta=theta_for_outcome(d, 0),
+        n_prime=n_prime,
+        p_dc=p_dc,
     )
 
 
@@ -74,19 +76,18 @@ class TestSampleFrame:
 
     def test_transparent_splitters_always_click_input_bin(self):
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.1, n_prime=8)
-        stats = run_trials(cfg, basis_state(4, 3), NO_DARK, 25, master_seed=0)
+        stats = run_trials(cfg, basis_state(4, 3), 25, master_seed=0)
         assert clicks(stats) == {("D2", 3): 25}
         assert stats.dark_clicks == 0
 
     def test_certain_dark_rate_is_rejected_by_model(self):
         with pytest.raises(ValueError, match="dark-count"):
-            DarkCountModel(1.0)
+            symmetric_config(4, 0.5, 8, p_dc=1.0)
 
     def test_bins_stay_under_cap(self):
-        cfg = symmetric_config(3, 0.9, 9)
+        cfg = symmetric_config(3, 0.9, 9, p_dc=0.05)
         state = mub_state(3, 1)
-        dark = DarkCountModel(0.05)
-        stats = run_trials(cfg, state, dark, 60, master_seed=0, bin_cap=12)
+        stats = run_trials(cfg, state, 60, master_seed=0, bin_cap=12)
         # every column, the cap dark D1 ones included, clicked or not
         assert stats.counts.shape == stats.ports.shape == stats.bins.shape == (37,)
         none = stats.ports == TABLE_PORTS.index("NONE")
@@ -98,36 +99,36 @@ class TestRunTrials:
     def test_identical_seeds_give_identical_stats(self):
         cfg = symmetric_config(2, 0.5, 6)
         state = mub_state(2, 0)
-        a = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
-        b = run_trials(cfg, state, NO_DARK, 20_000, master_seed=314)
+        a = run_trials(cfg, state, 20_000, master_seed=314)
+        b = run_trials(cfg, state, 20_000, master_seed=314)
         assert_same_stats(a, b)
 
     def test_requires_at_least_one_trial(self):
         cfg = symmetric_config(2, 0.5, 4)
         with pytest.raises(ValueError, match="n_trials"):
-            run_trials(cfg, mub_state(2, 0), NO_DARK, 0, 1)
+            run_trials(cfg, mub_state(2, 0), 0, 1)
 
     def test_counts_add_up_to_trials(self):
-        cfg = symmetric_config(4, 0.5, 12)
-        stats = run_trials(cfg, mub_state(4, 0), DarkCountModel(0.002), 50_000, 5)
+        cfg = symmetric_config(4, 0.5, 12, p_dc=0.002)
+        stats = run_trials(cfg, mub_state(4, 0), 50_000, 5)
         assert stats.counts.dtype == np.int64
         assert stats.counts.sum() == 50_000
 
     def test_error_estimator_requires_discrimination_run(self):
         cfg = symmetric_config(2, 0.5, 4)
-        stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 1_000, 1)
+        stats = run_trials(cfg, mub_state(2, 0), 1_000, 1)
         with pytest.raises(ValueError, match="discrimination"):
             stats.p_e_hat()
 
     def test_acceptance_estimator_requires_discrimination_run(self):
         cfg = symmetric_config(2, 0.5, 4)
-        stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 1_000, 1)
+        stats = run_trials(cfg, mub_state(2, 0), 1_000, 1)
         with pytest.raises(ValueError, match="discrimination"):
             stats.p_hat(0)
 
     @pytest.mark.parametrize("m", [-1, 4])
     def test_acceptance_estimator_rejects_a_setting_out_of_range(self, m):
-        stats = run_discrimination(4, 0.5, 0.5, 16, 0, NO_DARK, 1_000, 1)
+        stats = run_discrimination(symmetric_config(4, 0.5, 16), 0, 1_000, 1)
         with pytest.raises(ValueError, match="out of range"):
             stats.p_hat(m)
 
@@ -138,7 +139,7 @@ class TestRunTrials:
         n = 200_000
 
         def check(seed):
-            stats = run_trials(cfg, state, NO_DARK, n, seed)
+            stats = run_trials(cfg, state, n, seed)
             # without dark counts the histogram is the table's layout
             assert np.array_equal(stats.ports, table.ports)
             assert np.array_equal(stats.bins, table.bins)
@@ -154,7 +155,7 @@ class TestRunTrials:
         state = mub_state(4, 0)
         table = full_outcome_distribution(cfg, state, 12)
         n = 300_000
-        stats = run_trials(cfg, state, NO_DARK, n, master_seed=4242)
+        stats = run_trials(cfg, state, n, master_seed=4242)
 
         observed, expected = [], []
         small_obs, small_exp = 0, 0.0
@@ -187,7 +188,7 @@ class TestDarkCounts:
         n = 150_000
 
         def check(seed):
-            stats = run_trials(cfg, state, DarkCountModel(p_dc), n, seed)
+            stats = run_trials(dataclasses.replace(cfg, p_dc=p_dc), state, n, seed)
             return within_binomial_error(stats.dark_clicks / n, p_dark_wins, n)
 
         assert retry_once(check, seeds=(11, 12))
@@ -199,7 +200,9 @@ class TestDarkCounts:
         state = mub_state(2, 0)
         # at p_dc = 0.5 both detectors fire in a third of the dark bins
         for p_dc in (0.01, 0.5):
-            stats = run_trials(cfg, state, DarkCountModel(p_dc), 100_000, 21)
+            stats = run_trials(
+                dataclasses.replace(cfg, p_dc=p_dc), state, 100_000, 21
+            )
             late = stats.bins > 2
             d1 = stats.ports == TABLE_PORTS.index("D1")
             d2 = stats.ports == TABLE_PORTS.index("D2")
@@ -222,13 +225,13 @@ class TestDarkCounts:
         cfg = CavityConfig(dim=4, r1_sq=0.0, r2_sq=0.0, theta=0.0, n_prime=8)
         state = basis_state(4, 3)
         n = 20_000
-        stats = run_trials(cfg, state, DarkCountModel(p_dc), n, 17)
+        stats = run_trials(dataclasses.replace(cfg, p_dc=p_dc), state, n, 17)
         assert stats.counts.sum() == n
         q = math.exp(2.0 * math.log1p(-p_dc))
         p_dark_wins = (1.0 - q**2) + q**2 * (1.0 - q) / 2.0
         assert within_binomial_error(stats.dark_clicks / n, p_dark_wins, n)
         if p_dc < 1e-6:
-            clean = run_trials(cfg, state, NO_DARK, n, 17)
+            clean = run_trials(cfg, state, n, 17)
             assert clicks(stats) == clicks(clean)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -237,29 +240,29 @@ class TestDarkCounts:
         # the per-bin log survival is subnormal: the first-dark quotient
         # overflows to inf, which means no dark click inside the cap, as
         # at a tiny normal p_dc with the same variates per trial
-        stats = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(p_dc), 1000, 1)
-        tiny = run_discrimination(2, 0.5, 0.5, 8, 0, DarkCountModel(1e-300), 1000, 1)
+        stats = run_discrimination(symmetric_config(2, 0.5, 8, p_dc), 0, 1000, 1)
+        tiny = run_discrimination(symmetric_config(2, 0.5, 8, 1e-300), 0, 1000, 1)
         assert stats.dark_clicks == tiny.dark_clicks == 0
         assert stats.counts is tiny.counts is None
         assert np.array_equal(stats.setting_accepted, tiny.setting_accepted)
 
     def test_zero_dark_rate_never_flags_dark(self):
         cfg = symmetric_config(2, 0.5, 6)
-        stats = run_trials(cfg, mub_state(2, 0), NO_DARK, 10_000, 3)
+        stats = run_trials(cfg, mub_state(2, 0), 10_000, 3)
         assert stats.dark_clicks == 0
 
 
 class TestRunDiscrimination:
     def test_reproducible(self):
-        a = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, 25_000, 777)
-        b = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, 25_000, 777)
+        a = run_discrimination(symmetric_config(2, 0.5, 4), 0, 25_000, 777)
+        b = run_discrimination(symmetric_config(2, 0.5, 4), 0, 25_000, 777)
         assert_same_stats(a, b)
 
     def test_frozen_counts_without_dark_counts(self):
         # setting counts, then one multinomial over every setting's three
         # column ranges; the pin also depends on numpy's binomial and
         # multinomial algorithms
-        stats = run_discrimination(16, 0.8, 0.8, 64, 3, NO_DARK, 60_000, 2024)
+        stats = run_discrimination(symmetric_config(16, 0.8, 64), 3, 60_000, 2024)
         assert stats.accepted_total == 1169
         assert stats.dark_clicks == 0
         assert stats.setting_accepted.tolist() == [
@@ -272,7 +275,7 @@ class TestRunDiscrimination:
         assert stats.counts is None  # a discrimination run keeps no bin counts
 
     def test_settings_cover_all_outcomes(self):
-        stats = run_discrimination(4, 0.5, 0.5, 8, 0, NO_DARK, 40_000, 13)
+        stats = run_discrimination(symmetric_config(4, 0.5, 8), 0, 40_000, 13)
         assert stats.setting_frames.shape == (4,)
         assert (stats.setting_frames > 0).all()
         assert stats.setting_frames.sum() == 40_000
@@ -283,7 +286,7 @@ class TestRunDiscrimination:
         n = 150_000
 
         def check(seed):
-            stats = run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, n, seed)
+            stats = run_discrimination(symmetric_config(2, 0.5, 4), 0, n, seed)
             sigma = math.sqrt(expected * (1 - expected) / stats.accepted_total)
             return abs(stats.p_e_hat() - expected) <= 5 * sigma
 
@@ -300,26 +303,25 @@ class TestRunDiscrimination:
         n = 150_000
 
         def check(seed):
-            stats = run_discrimination(d, r_sq, r_sq, n_prime, 0, NO_DARK, n, seed)
+            cfg = symmetric_config(d, r_sq, n_prime)
+            stats = run_discrimination(cfg, 0, n, seed)
             return within_binomial_error(
                 stats.d2_window_frequency(), mean_acceptance, n
             )
 
         assert retry_once(check, seeds=(51, 52))
 
-    @pytest.mark.parametrize("d, n_prime, bin_cap", [(2, 2, 9), (4, 4, 12), (4, 7, 20)])
-    def test_window_edges_inside_a_longer_cap(self, d, n_prime, bin_cap):
-        # The window is the D2 bins d..n_prime, not the whole cap; n_prime = d
-        # is a one-bin window. Moving either edge by one bin shifts some
-        # setting's acceptance by many sigma at these sizes.
+    @pytest.mark.parametrize("d, n_prime", [(2, 2), (4, 4), (4, 7)])
+    def test_window_edges_at_the_cap(self, d, n_prime):
+        # The window is the D2 bins d..n_prime, and the run stops at n_prime;
+        # n_prime = d is a one-bin window. Moving either edge by one bin
+        # shifts some setting's acceptance by many sigma at these sizes.
         r_sq, k, n = 0.9, 1, 400_000
         cfg = symmetric_config(d, r_sq, n_prime)
         (expected,) = cutoff_acceptances(cfg, k, [n_prime])
 
         def check(seed):
-            stats = run_discrimination(
-                d, r_sq, r_sq, n_prime, k, NO_DARK, n, seed, bin_cap=bin_cap
-            )
+            stats = run_discrimination(cfg, k, n, seed)
             return all(
                 within_binomial_error(stats.p_hat(m), p, stats.setting_frames[m])
                 for m, p in enumerate(expected.tolist())
@@ -334,28 +336,40 @@ class TestRunDiscrimination:
         # mass before the window, sum to 1.0000000000000004, which numpy's
         # multinomial rejects as a probability.
         r_sq = 0.9999999
-        dark = DarkCountModel(p_dc)
-        stats = run_discrimination(3, r_sq, r_sq, 3, 0, dark, 1000, 1)
+        cfg = CavityConfig(
+            dim=3, r1_sq=r_sq, r2_sq=r_sq, theta=0.0, n_prime=3, p_dc=p_dc
+        )
+        stats = run_discrimination(cfg, 0, 1000, 1)
         assert stats.setting_frames.sum() == 1000
-        cfg = CavityConfig(dim=3, r1_sq=r_sq, r2_sq=r_sq, theta=0.0, n_prime=3)
         thetas = [theta_for_outcome(3, m) for m in range(3)]
         upstream, d2 = np.empty((3, 3)), np.empty((3, 3))
         entry_bin_masses(cfg, mub_state(3, 0), thetas, upstream, d2)
         early = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1)
         assert early.max() > 1.0  # the rounding this guards against
-        law = montecarlo._range_law(cfg, mub_state(3, 0), thetas, p_dc, 3)
+        law = montecarlo._range_law(cfg, mub_state(3, 0), thetas)
         assert ((0.0 <= law) & (law <= 1.0)).all()
+
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
+    def test_counts_do_not_depend_on_theta(self, p_dc):
+        # the run dials every setting's phase itself
+        cfg = symmetric_config(8, 0.8, 24, p_dc)
+        runs = [
+            run_discrimination(dataclasses.replace(cfg, theta=theta), 2, 10**5, 5)
+            for theta in (cfg.theta, 0.0, 1.3, -40.0)
+        ]
+        for other in runs[1:]:
+            assert_same_stats(runs[0], other)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 1])
     def test_seed_outside_key_range_is_rejected(self, seed):
         # The seed is the Philox key, not reduced onto it: 2**128 + 1 must
         # not run the stream of seed 1.
         with pytest.raises(ValueError, match="2\\*\\*128"):
-            run_discrimination(2, 0.5, 0.5, 4, 0, DarkCountModel(0.0), 100, seed)
+            run_discrimination(symmetric_config(2, 0.5, 4), 0, 100, seed)
 
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
-            run_discrimination(4, 0.5, 0.5, 8, 4, NO_DARK, 100, 1)
+            run_discrimination(symmetric_config(4, 0.5, 8), 4, 100, 1)
 
 
 class TestFixedRunAgainstAnalyticD2:
@@ -366,7 +380,7 @@ class TestFixedRunAgainstAnalyticD2:
         n = 200_000
 
         def check(seed):
-            stats = run_trials(cfg, state, NO_DARK, n, seed)
+            stats = run_trials(cfg, state, n, seed)
             return within_binomial_error(stats.d2_window_frequency(), expected, n)
 
         assert retry_once(check, seeds=(61, 62))
@@ -377,9 +391,8 @@ class TestFrozenCounts:
         # setting counts, then one multinomial over every setting's five
         # categories; the pin also depends on numpy's binomial and
         # multinomial algorithms
-        stats = run_discrimination(
-            16, 0.8, 0.8, 64, 3, DarkCountModel(1e-3), 60_000, 2024
-        )
+        cfg = symmetric_config(16, 0.8, 64, p_dc=1e-3)
+        stats = run_discrimination(cfg, 3, 60_000, 2024)
         assert stats.accepted_total == 1198
         assert stats.dark_clicks == 1103
         assert stats.setting_accepted.tolist() == [
@@ -392,24 +405,22 @@ class TestFrozenCounts:
         assert stats.counts is stats.ports is stats.bins is None
 
     def test_frozen_counts_of_a_multi_block_dark_law(self):
-        # Two rows take blocks of at most 8192 D2 bins, split at the window's
-        # edges 2 and 20001: the law sums bins before, inside and after the
-        # window over several blocks each side of its upper edge.
-        stats = run_discrimination(
-            2, 0.999, 0.999, 20_000, 0, DarkCountModel(1e-4), 10**6, 2024,
-            bin_cap=2**15,
-        )  # fmt: skip
-        assert stats.accepted_total == 763
-        assert stats.dark_clicks == 714
-        assert stats.setting_accepted.tolist() == [753, 10]
+        # Two rows take the window's 19 998 bins after the entry bins in two
+        # blocks of at most BLOCK_CELLS = 16384: the law carries the clicking
+        # decay and the dark weights from the first block to the second.
+        cfg = symmetric_config(2, 0.999, 20_000, p_dc=1e-4)
+        stats = run_discrimination(cfg, 0, 10**6, 2024)
+        assert stats.accepted_total == 762
+        assert stats.dark_clicks == 707
+        assert stats.setting_accepted.tolist() == [752, 10]
         assert stats.setting_frames.tolist() == [500377, 499623]
 
     def test_frozen_counts_of_dark_d1_clicks(self):
         # Basis input 1 has its D1 column at bin 1 and BACK columns at bins
         # 2..16, so dark D1 wins land on both kinds. The pin also depends on
         # numpy's multinomial algorithm.
-        cfg = symmetric_config(4, 0.6, 16)
-        stats = run_trials(cfg, basis_state(4, 1), DarkCountModel(0.02), 20_000, 2024)
+        cfg = symmetric_config(4, 0.6, 16, p_dc=0.02)
+        stats = run_trials(cfg, basis_state(4, 1), 20_000, 2024)
         assert stats.accepted_total == 766
         assert stats.dark_clicks == 1915
         assert stats.setting_frames is stats.setting_accepted is None
@@ -436,18 +447,15 @@ class TestAgainstPerFrameOracle:
     @pytest.mark.parametrize("entry", ["run_trials", "run_discrimination"])
     def test_same_law_as_per_frame_sampler(self, entry, d, p_dc):
         r_sq, n_prime, k, n = 0.6, 4 * d, d // 2, 100_000
-        dark = DarkCountModel(p_dc)
+        cfg = symmetric_config(d, r_sq, n_prime, p_dc)
         if entry == "run_trials":
-            cfg = symmetric_config(d, r_sq, n_prime)
             state = random_normalized_state(np.random.default_rng(d), d)
             thetas = [cfg.theta]
-            run = lambda seed: run_trials(cfg, state, dark, n, seed)
+            run = lambda seed: run_trials(cfg, state, n, seed)
         else:
             state = mub_state(d, k)
             thetas = [theta_for_outcome(d, m) for m in range(d)]
-            run = lambda seed: run_discrimination(
-                d, r_sq, r_sq, n_prime, k, dark, n, seed
-            )
+            run = lambda seed: run_discrimination(cfg, k, n, seed)
         amps = list(state.amps)
 
         def check(seed):
@@ -490,27 +498,33 @@ def _reference_columns(law, cap):
 
 
 def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
-    """Both of a table's laws, row by row, equal :func:`reference.frame_law`
+    """A table's column law at ``cap``, and the range law, which stops at
+    the window's end n_prime, equal :func:`reference.frame_law` row by row
     within 1e-14."""
     state = mub_state(d, k)
     thetas = [theta_for_outcome(d, m) for m in range(d)]
-    cfg = CavityConfig(dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime)
+    cfg = CavityConfig(
+        dim=d, r1_sq=r1_sq, r2_sq=r2_sq, theta=0.0, n_prime=n_prime, p_dc=p_dc
+    )
     table = outcome_table(cfg, state, thetas, cap)
     columns = montecarlo._column_law(table, p_dc, cap)
-    ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
-    lo, hi = cap + d - 1, cap + n_prime  # accepted columns
+    ranges = montecarlo._range_law(cfg, state, thetas)
+    lo, hi = n_prime + d - 1, 2 * n_prime  # accepted columns at cap n_prime
     for m, theta in enumerate(thetas):
-        law = reference.frame_law(d, r1_sq, r2_sq, theta, list(state.amps), cap, p_dc)
+        amps = list(state.amps)
+        law = reference.frame_law(d, r1_sq, r2_sq, theta, amps, cap, p_dc)
         want = _reference_columns(law, cap)
         np.testing.assert_allclose(columns[m], want, rtol=0, atol=1e-14)
-        photon, dark_d2 = want[: 2 * cap + 1], want[2 * cap + 1 + cap :]
+        law = reference.frame_law(d, r1_sq, r2_sq, theta, amps, n_prime, p_dc)
+        want = _reference_columns(law, n_prime)
+        photon, dark_d2 = want[: 2 * n_prime + 1], want[3 * n_prime + 1 :]
         window = dark_d2[d - 1 : n_prime].sum()
         want_ranges = [
             photon[:lo].sum(),
             photon[lo:hi].sum(),
             photon[hi:].sum(),
             window,
-            want[2 * cap + 1 :].sum() - window,
+            want[2 * n_prime + 1 :].sum() - window,
         ]
         np.testing.assert_allclose(ranges[m], want_ranges, rtol=0, atol=1e-14)
         assert abs(columns[m].sum() - 1.0) <= 1e-14
@@ -541,11 +555,10 @@ class TestExactFrameLaw:
     @pytest.mark.parametrize("cells", [1, 2, 4, 7])
     @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
     def test_blocked_dark_law_matches_enumeration(self, monkeypatch, cells, p_dc):
-        # The 11 bins after the last entry bin go in blocks of 1, 2, 4 and
-        # 7 bins, split again at the window's upper edge; the clicking decay
-        # carries from block to block.
+        # The range law's 11 bins after the last entry bin go in blocks of
+        # 1, 2, 4 and 7 bins; the clicking decay carries from block to block.
         monkeypatch.setattr(montecarlo, "BLOCK_CELLS", cells)
-        assert_laws_match_enumeration(3, 14, 9, 1, 0.9, 0.8, p_dc)
+        assert_laws_match_enumeration(3, 14, 14, 1, 0.9, 0.8, p_dc)
 
     @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
     def test_transparent_first_splitter_leaks_back(self, p_dc):
@@ -558,12 +571,12 @@ class TestExactFrameLaw:
         # it; the column law takes it from the table, not as a difference
         # of running sums, and the range law as r2^2 |c_d|^2 times the decay.
         d, cap, p_dc = 4, 40, 1e-3
-        cfg = symmetric_config(d, 0.5, cap)
+        cfg = symmetric_config(d, 0.5, cap, p_dc)
         state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
         table = outcome_table(cfg, state, thetas, cap)
         columns = montecarlo._column_law(table, p_dc, cap)
-        ranges = montecarlo._range_law(cfg, state, thetas, p_dc, cap)
+        ranges = montecarlo._range_law(cfg, state, thetas)
         for m, theta in enumerate(thetas):
             law = reference.frame_law(d, 0.5, 0.5, theta, list(state.amps), cap, p_dc)
             residual = law[("NONE", 0, False)]
@@ -572,18 +585,20 @@ class TestExactFrameLaw:
             assert ranges[m, 2] == pytest.approx(residual, rel=1e-12, abs=0)
 
     def test_law_without_dark_counts_is_the_table(self):
-        # The column law is the table row; the range law sums the same
-        # masses over the columns before, inside and after the window.
-        d, cap = 4, 12
-        cfg = symmetric_config(d, 0.7, 8)
+        # The column law is the table row; the range law sums the masses of
+        # the table at cap n_prime over the columns before, inside and after
+        # the window.
+        d, cap, n_prime = 4, 12, 8
+        cfg = symmetric_config(d, 0.7, n_prime)
         state = mub_state(d, 1)
         thetas = [theta_for_outcome(d, m) for m in range(d)]
         exact = outcome_table(cfg, state, thetas, cap).masses
         table = outcome_table(cfg, state, thetas, cap)
         assert np.array_equal(montecarlo._column_law(table, 0.0, cap), exact)
-        ranges = montecarlo._range_law(cfg, state, thetas, 0.0, cap)
+        ranges = montecarlo._range_law(cfg, state, thetas)
         assert ranges.shape == (d, 3)
-        lo, hi = cap + d - 1, cap + 8  # accepted columns
+        exact = outcome_table(cfg, state, thetas, n_prime).masses
+        lo, hi = n_prime + d - 1, 2 * n_prime  # accepted columns
         want = [exact[:, :lo].sum(1), exact[:, lo:hi].sum(1), exact[:, hi:].sum(1)]
         np.testing.assert_allclose(ranges, np.transpose(want), rtol=0, atol=1e-15)
 
@@ -598,10 +613,10 @@ class TestExactFrameLaw:
         d2 = slice(n_prime, 2 * n_prime)
         assert (masses[d2][d:] < 1e-12).all()
         draws = _record_multinomials(monkeypatch)
-        run_trials(cfg, state, NO_DARK, 10**6, 1)
+        run_trials(cfg, state, 10**6, 1)
         assert np.array_equal(draws[-1], masses)
         p_dc = 1e-3
-        run_trials(cfg, state, DarkCountModel(p_dc), 10**6, 1)
+        run_trials(dataclasses.replace(cfg, p_dc=p_dc), state, 10**6, 1)
         keeps, _ = montecarlo._bin_shares(2.0 * math.log1p(-p_dc), 1, n_prime + 1)
         np.testing.assert_allclose(draws[-1][d2], masses[d2] * keeps, rtol=1e-12, atol=0)
 
@@ -615,21 +630,19 @@ class TestCost:
         _forbid_building(monkeypatch)
         cfg = symmetric_config(2, 0.5, 4)
         with pytest.raises(ValueError, match="n_trials"):
-            run_trials(cfg, mub_state(2, 0), NO_DARK, n_trials, 1)
+            run_trials(cfg, mub_state(2, 0), n_trials, 1)
         with pytest.raises(ValueError, match="n_trials"):
-            run_discrimination(2, 0.5, 0.5, 4, 0, NO_DARK, n_trials, 1)
+            run_discrimination(symmetric_config(2, 0.5, 4), 0, n_trials, 1)
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-4])
     @pytest.mark.parametrize("n_trials", [10**15, montecarlo.MAX_TRIALS])
     def test_cost_does_not_grow_with_trials(self, n_trials, p_dc):
         # no frame is simulated on its own, with dark counts or without:
         # the run is two multinomials, whatever n_trials is
-        dark = DarkCountModel(p_dc)
+        cfg = symmetric_config(16, 0.8, 64, p_dc)
         start = time.perf_counter()
-        stats = run_discrimination(16, 0.8, 0.8, 64, 3, dark, n_trials, 7)
-        fixed = run_trials(
-            symmetric_config(16, 0.8, 64), mub_state(16, 3), dark, n_trials, 7
-        )
+        stats = run_discrimination(cfg, 3, n_trials, 7)
+        fixed = run_trials(cfg, mub_state(16, 3), n_trials, 7)
         assert time.perf_counter() - start < 5.0
         assert stats.setting_frames.sum() == n_trials
         assert fixed.counts.sum() == n_trials
@@ -645,7 +658,7 @@ class TestCost:
         # the setting counts, then every setting's frame law at once: the
         # photon ranges, and with dark counts the two dark categories
         draws = _record_multinomials(monkeypatch)
-        run_discrimination(d, 0.8, 0.8, 4 * d, 0, DarkCountModel(p_dc), 10**6, 7)
+        run_discrimination(symmetric_config(d, 0.8, 4 * d, p_dc), 0, 10**6, 7)
         assert [pvals.shape for pvals in draws] == [(d,), (d, categories)]
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-3])
@@ -653,26 +666,23 @@ class TestCost:
         # a fixed-phase run has one row and no setting draw: its one
         # multinomial is over that row's law; a discrimination run draws
         # the setting counts, then every setting's law
-        dark = DarkCountModel(p_dc)
+        cfg = symmetric_config(4, 0.8, 16, p_dc)
         draws = _record_multinomials(monkeypatch)
-        run_trials(symmetric_config(4, 0.8, 16), mub_state(4, 1), dark, 10**6, 7)
+        run_trials(cfg, mub_state(4, 1), 10**6, 7)
         assert [pvals.ndim for pvals in draws] == [1]
         del draws[:]
-        run_discrimination(4, 0.8, 0.8, 16, 1, dark, 10**6, 7)
+        run_discrimination(cfg, 1, 10**6, 7)
         assert [pvals.shape[0] for pvals in draws] == [4, 4]
 
     def test_memory_does_not_grow_with_trials(self):
         # p_dc = 1e-3 over 2**16 bins: all but a share e**-131 of the frames
-        # have a dark click inside the cap, and none is simulated alone.
-        d, cap, base = 2, 2**16, 4_096
+        # have a dark click inside the window, and none is simulated alone.
+        cfg, base = symmetric_config(2, 0.9, 2**16, p_dc=1e-3), 4_096
 
         def peak(n_trials):
             tracemalloc.start()
             try:
-                run_discrimination(
-                    d, 0.9, 0.9, 8, 0, DarkCountModel(1e-3), n_trials, 3,
-                    bin_cap=cap,
-                )  # fmt: skip
+                run_discrimination(cfg, 0, n_trials, 3)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -686,14 +696,13 @@ class TestCost:
         # builds no table and keeps only per-setting counts; its law sums
         # the bins after d in 1-D blocks of at most BLOCK_CELLS bins, so from
         # two blocks on its peak no longer grows with the window.
-        run_discrimination(2, 0.9, 0.9, 8, 0, DarkCountModel(p_dc), 10, 1)
+        run_discrimination(symmetric_config(2, 0.9, 8, p_dc), 0, 10, 1)
         peaks = []
         for n_prime in (2 * montecarlo.BLOCK_CELLS, 2**20):
             tracemalloc.start()
             try:
-                stats = run_discrimination(
-                    2, 0.9, 0.9, n_prime, 0, DarkCountModel(p_dc), 10**5, 1
-                )
+                cfg = symmetric_config(2, 0.9, n_prime, p_dc)
+                stats = run_discrimination(cfg, 0, 10**5, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -706,11 +715,11 @@ class TestCost:
         # where the photon circulates for about 1 / (1 - r^2) bins. A
         # (64, 2 n' + 1) table and its CDF took 66 MiB here.
         d, n_prime = 64, montecarlo.MAX_WINDOW_CELLS // 64 - 64
-        dark = DarkCountModel(1e-5)
-        run_discrimination(d, 0.999, 0.999, 256, 0, dark, 10, 1)
+        run_discrimination(symmetric_config(d, 0.999, 256, 1e-5), 0, 10, 1)
+        cfg = symmetric_config(d, 0.999, n_prime, 1e-5)
         tracemalloc.start()
         try:
-            stats = run_discrimination(d, 0.999, 0.999, n_prime, 0, dark, 10**6, 7)
+            stats = run_discrimination(cfg, 0, 10**6, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -753,12 +762,13 @@ def _forbid_building(monkeypatch):
     monkeypatch.setattr(montecarlo, "_range_law", _must_not_allocate)
 
 
-# Both entry points at d = 4 and n' = 8, with the cap as the argument.
-ENTRIES_AT_D4_N8 = [
+# Both entry points at d = 4 with the cap as the argument: a fixed-phase
+# run's bin_cap at n' = 8, and a discrimination run's n', its cap.
+ENTRIES_AT_D4 = [
     lambda cap: run_trials(
-        symmetric_config(4, 0.5, 8), mub_state(4, 0), NO_DARK, 10, 1, bin_cap=cap
+        symmetric_config(4, 0.5, 8), mub_state(4, 0), 10, 1, bin_cap=cap
     ),
-    lambda cap: run_discrimination(4, 0.5, 0.5, 8, 0, NO_DARK, 10, 1, bin_cap=cap),
+    lambda cap: run_discrimination(symmetric_config(4, 0.5, cap), 0, 10, 1),
 ]
 ENTRY_IDS = ["run_trials", "run_discrimination"]
 
@@ -769,7 +779,7 @@ class TestWindowCap:
 
         assert cli.MAX_WINDOW_CELLS is montecarlo.MAX_WINDOW_CELLS
 
-    @pytest.mark.parametrize("entry", ENTRIES_AT_D4_N8, ids=ENTRY_IDS)
+    @pytest.mark.parametrize("entry", ENTRIES_AT_D4, ids=ENTRY_IDS)
     def test_oversized_bin_cap_is_rejected_before_allocation(self, monkeypatch, entry):
         _forbid_building(monkeypatch)
         one_bin_over = montecarlo.MAX_WINDOW_CELLS // 4 - 4 + 1  # d = 4
@@ -779,9 +789,9 @@ class TestWindowCap:
             entry(10**12)
 
     @pytest.mark.parametrize("cap", [7, 0, -1])
-    @pytest.mark.parametrize("entry", ENTRIES_AT_D4_N8, ids=ENTRY_IDS)
+    @pytest.mark.parametrize("entry", ENTRIES_AT_D4[:1], ids=ENTRY_IDS[:1])
     def test_bin_cap_must_cover_the_window(self, entry, cap):
-        # The discrimination run builds no table, so it checks the cap itself
+        # a discrimination run's cap is its window's end
         message = f"bin_cap ({cap}) must cover the accepted window (n_prime = 8)"
         with pytest.raises(ValueError, match=re.escape(message)):
             entry(cap)
@@ -789,10 +799,10 @@ class TestWindowCap:
     def test_oversized_dimension_is_rejected(self, monkeypatch):
         _forbid_building(monkeypatch)
         with pytest.raises(ValueError, match="size cap"):
-            run_discrimination(4096, 0.5, 0.5, 4096, 0, NO_DARK, 10, 1)
+            run_discrimination(symmetric_config(4096, 0.5, 4096), 0, 10, 1)
         monkeypatch.setattr(montecarlo, "mub_state", _must_not_allocate)
         with pytest.raises(ValueError, match="size cap"):
-            run_discrimination(10**9, 0.5, 0.5, 10**9, 0, NO_DARK, 10, 1)
+            run_discrimination(symmetric_config(10**9, 0.5, 10**9), 0, 10, 1)
 
     def test_table_build_stays_under_45_bytes_per_cell(self):
         d, n_prime = 256, 1024

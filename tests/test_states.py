@@ -12,6 +12,7 @@ from timebin_cavity import (
     fidelity,
     inner_product,
     mub_state,
+    total_error_closed_form,
     verify_mub,
 )
 
@@ -160,6 +161,30 @@ class TestVerifyMub:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             verify_mub(0)
+
+
+# Every library function that takes d without a CavityConfig.
+DIMENSION_CALLS = {
+    "mub_state": lambda d: mub_state(d, 1).amps.tolist(),
+    "basis_state": lambda d: basis_state(d, 2).amps.tolist(),
+    "verify_mub": verify_mub,
+    "total_error_closed_form": lambda d: total_error_closed_form(0.5, d),
+}
+
+
+@pytest.mark.parametrize("value", [4.0, np.float64(4)], ids=["float", "numpy-float"])
+@pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
+def test_dimension_must_be_an_integer(name, value):
+    # a float d got past the positivity check and failed with numpy's or
+    # range's TypeError
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        DIMENSION_CALLS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
+def test_numpy_integer_dimension_passes(name):
+    call = DIMENSION_CALLS[name]
+    assert call(np.int64(4)) == call(4)
 
 
 def test_fourier_basis_is_orthonormal_up_to_128():
