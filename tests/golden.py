@@ -54,6 +54,13 @@ CASES = {
     "--p-dc 0.01 --n-prime 9 --trials 50000 --seed 3 --format json",
     # a usage error: nothing on stdout, exit 1
     "error-sweep-bad-grid": "error-sweep --r-grid 0:inf:1",
+    # the parser's exits: no command, an unknown one, a flag of another
+    # command, a bad int, and a flag on defaults, which takes none
+    "no-command": "",
+    "unknown-command": "bogus",
+    "error-sweep-foreign-flag": "error-sweep --trials 9",
+    "error-sweep-bad-int": "error-sweep --d x",
+    "defaults-extra-flag": "defaults --d 32",
 }
 
 
