@@ -181,9 +181,9 @@ def _window_sums(cfg: CavityConfig, widths) -> np.ndarray:
 
 
 def cutoff_acceptances(
-    cfg: CavityConfig, k: int, cutoffs: Sequence[int]
+    cfg: CavityConfig, state: TimeBinState, cutoffs: Sequence[int]
 ) -> np.ndarray:
-    """P(m|k) for every setting m at every window cutoff, shape (len, d).
+    """P(m | state) for every setting m at every window cutoff, shape (len, d).
 
     From bin d on every input slot is inside the loop, so the D2 amplitude
     at bin N is t1 t2 (r e^{-i phi})^(N-d) A(phi), with
@@ -192,8 +192,10 @@ def cutoff_acceptances(
     setting, and row j is the bin-d probability (t1 t2)^2 |A|^2 times the
     window sum over the bins d..cutoffs[j] (:func:`_window_sums`). The cost
     is O(d log d) however wide the window is. ``cfg.n_prime`` and the
-    config's own ``theta`` are not used.
+    config's own ``theta`` are not used. It takes any normalized input;
+    Fourier state k, whose rows are P(m|k), is one caller.
     """
+    _check_input(cfg, state)
     d = cfg.dim
     for cutoff in cutoffs:
         if cutoff < d:
@@ -201,7 +203,7 @@ def cutoff_acceptances(
                 f"cutoff {cutoff} precedes the measurement window "
                 f"(first accepted bin is {d})"
             )
-    amp = np.fft.fft(cfg.r ** np.arange(d, dtype=float) * mub_state(d, k).amps[::-1])
+    amp = np.fft.fft(cfg.r ** np.arange(d, dtype=float) * state.amps[::-1])
     first_bin = (1.0 - cfg.r1_sq) * (1.0 - cfg.r2_sq) * (amp.real**2 + amp.imag**2)
     widths = np.asarray(cutoffs, dtype=float) - d + 1
     return np.multiply.outer(_window_sums(cfg, widths), first_bin)
@@ -209,7 +211,7 @@ def cutoff_acceptances(
 
 def setting_acceptances(cfg: CavityConfig, k: int) -> List[float]:
     """P(m|k) over the window [d, n_prime] for every setting m = 0..d-1."""
-    return cutoff_acceptances(cfg, k, [cfg.n_prime])[0].tolist()
+    return cutoff_acceptances(cfg, mub_state(cfg.dim, k), [cfg.n_prime])[0].tolist()
 
 
 # Not called in the package; bound for the benchmark's traced run.

@@ -264,14 +264,14 @@ def emit_json(value, columns: Optional[Sequence[str]] = None) -> str:
     return _indented(value) + "\n"
 
 
-def _accepted_rows(config: ExperimentConfig, r_sq: float, cutoffs: Sequence[int]):
-    """The cavity at grid value r_sq, and its P(m|k) and P(m|k) + W p_dc,
-    one row per cutoff, from one kernel pass. Rejects the input if any
-    setting's P(m|k) + W p_dc exceeds 1."""
-    cfg = config.cavity_config(r_sq, max(cutoffs))
-    probs = cutoff_acceptances(cfg, config.k, cutoffs)
-    rows = dark_acceptances(cfg, probs, cutoffs)
-    for n_prime, row in zip(cutoffs, rows.tolist()):
+def _accepted_rows(config: ExperimentConfig, prepared, r_sq: float):
+    """The cavity at grid value r_sq, and the prepared state's P(m|k) and
+    P(m|k) + W p_dc, one row per cutoff n_prime, from one kernel pass.
+    Rejects the input if any setting's P(m|k) + W p_dc exceeds 1."""
+    cfg = config.cavity_config(r_sq, max(config.n_prime))
+    probs = cutoff_acceptances(cfg, prepared, config.n_prime)
+    rows = dark_acceptances(cfg, probs, config.n_prime)
+    for n_prime, row in zip(config.n_prime, rows.tolist()):
         if max(row) > 1.0:
             raise UsageError(
                 f"largest P(m|k) + W p_dc over settings at r_sq={r_sq!r}, "
@@ -298,7 +298,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
     prepared = mub_state(config.d, k)
     rows = []
     for r_sq in config.r_grid:
-        cfg, (probs,), (dark_probs,) = _accepted_rows(config, r_sq, config.n_prime)
+        cfg, (probs,), (dark_probs,) = _accepted_rows(config, prepared, r_sq)
         p_e = error_ratio(probs.tolist(), k)
         p_e_closed = total_error_closed_form(cfg.r1_sq, config.d)
         if abs(p_e - p_e_closed) > CLOSED_FORM_TOLERANCE:
@@ -324,7 +324,7 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
     """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value,
     for a config resolved for tradeoff."""
-    _, _, rows = _accepted_rows(config, config.r_grid[0], config.n_prime)
+    _, _, rows = _accepted_rows(config, mub_state(config.d, config.k), config.r_grid[0])
     return tradeoff_points(rows, config.n_prime, config.k)
 
 
@@ -338,7 +338,7 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     """Empirical vs analytic statistics as a JSON-ready dict, for a config
     resolved for discriminate; one kernel pass."""
     r_sq, (n_prime,) = config.r_grid[0], config.n_prime
-    cfg, _, (p_analytic,) = _accepted_rows(config, r_sq, config.n_prime)
+    cfg, _, (p_analytic,) = _accepted_rows(config, mub_state(config.d, config.k), r_sq)
     p_analytic = p_analytic.tolist()
     stats = run_discrimination(cfg, config.k, config.n_trials, config.master_seed)
     settings = []
@@ -570,13 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
         for command in commands if flag is not None else ():
             option, parse, text = flag
             sub.choices[command].add_argument(option, dest=name, type=parse, help=text)
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
 def main(argv=None) -> int:
+    """Run ``argv`` (default ``sys.argv[1:]``) in one argparse pass: a leading
+    command's own parser reads the rest, and the top-level parser all else."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.commands:
+            namespace = argparse.Namespace(command=argv[0])
+            args = parser.commands[argv[0]].parse_args(argv[1:], namespace)
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from typing import Iterable, List, NamedTuple, Sequence
 import numpy as np
 
 from .cavity import CavityConfig, cutoff_acceptances, error_ratio
+from .states import mub_state
 
 
 def dark_acceptances(
@@ -83,7 +84,8 @@ def cutoff_tradeoff_scan(
     :func:`dark_acceptances` adds each window's dark mass to its row.
     """
     cutoffs = [int(n_prime) for n_prime in n_prime_values]
-    rows = dark_acceptances(cfg, cutoff_acceptances(cfg, k, cutoffs), cutoffs)
+    probs = cutoff_acceptances(cfg, mub_state(cfg.dim, k), cutoffs)
+    rows = dark_acceptances(cfg, probs, cutoffs)
     return tradeoff_points(rows, cutoffs, k)
 
 

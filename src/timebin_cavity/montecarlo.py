@@ -100,9 +100,10 @@ class EmpiricalStats:
     fixed-phase run fills ``counts``, the frames per column, labelled like
     :class:`cavity.OutcomeTable` by ``ports`` (cavity.TABLE_PORTS codes) and
     ``bins``; a discrimination run leaves those None and fills the (d,)
-    int64 arrays ``setting_frames`` and ``setting_accepted``. Array fields
-    have no single truth value, so == is identity; compare two runs field
-    by field.
+    int64 arrays ``setting_frames`` and ``setting_accepted``. ``bin_cap``
+    is the last bin the run simulated: ``n_prime`` for a discrimination
+    run, and :func:`run_trials`' own cap otherwise. Array fields have no
+    single truth value, so == is identity; compare two runs field by field.
     """
 
     n_trials: int

@@ -250,7 +250,8 @@ class TestWindowedAcceptance:
 def per_bin_acceptances(cfg, k):
     """Per-bin D2 probabilities over [d, n_prime], shape (W, d), as the
     differences of the kernel's acceptances at every cutoff."""
-    sums = cutoff_acceptances(cfg, k, range(cfg.dim, cfg.n_prime + 1))
+    state = mub_state(cfg.dim, k)
+    sums = cutoff_acceptances(cfg, state, range(cfg.dim, cfg.n_prime + 1))
     return np.diff(sums, axis=0, prepend=0.0)
 
 
@@ -303,7 +304,7 @@ class TestWindowedAcceptanceKernel:
         # Near r = 1 every P(m|k) is small, so the gap is measured against
         # the row's total over settings rather than in absolute terms.
         d, r_sq, cutoffs, k = case
-        sums = cutoff_acceptances(symmetric_config(d, r_sq), k, cutoffs)
+        sums = cutoff_acceptances(symmetric_config(d, r_sq), mub_state(d, k), cutoffs)
         for row, cutoff in zip(sums, cutoffs):
             oracle = [
                 reference.window_probability(d, r_sq, r_sq, cutoff, m, k)
@@ -324,7 +325,8 @@ class TestWindowedAcceptanceKernel:
         # the long-window tolerance: near r = 1 every P(m|k) is small
         k = data.draw(st.integers(0, d - 1)) if data else d // 3
         cutoff = d + extra
-        (row,) = cutoff_acceptances(symmetric_config(d, r_sq), k, [cutoff])
+        cfg = symmetric_config(d, r_sq)
+        (row,) = cutoff_acceptances(cfg, mub_state(d, k), [cutoff])
         oracle = [
             reference.window_probability(d, r_sq, r_sq, cutoff, m, k)
             for m in range(d)
@@ -337,7 +339,7 @@ class TestWindowedAcceptanceKernel:
         # the one-bin and W-bin rows is that sum, at the d = 2 size cap.
         width = 2097149
         cfg = symmetric_config(2, r_sq)
-        one_bin, window = cutoff_acceptances(cfg, 0, [2, 2 + width - 1])
+        one_bin, window = cutoff_acceptances(cfg, mub_state(2, 0), [2, 2 + width - 1])
         expected = reference.window_sum(r_sq, r_sq, width)
         assert window[0] / one_bin[0] == pytest.approx(expected, rel=1e-14)
 
@@ -349,7 +351,8 @@ class TestWindowedAcceptanceKernel:
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_single_bin_window(self, d):
-        acceptance = cutoff_acceptances(symmetric_config(d, 0.8, n_prime=d), d - 1, [d])
+        cfg = symmetric_config(d, 0.8, n_prime=d)
+        acceptance = cutoff_acceptances(cfg, mub_state(d, d - 1), [d])
         assert acceptance.shape == (1, d)
         for m in range(d):
             assert acceptance[0, m] == pytest.approx(
@@ -365,16 +368,16 @@ class TestWindowedAcceptanceKernel:
 
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
-            cutoff_acceptances(symmetric_config(4, 0.5), 4, [8])
+            setting_acceptances(symmetric_config(4, 0.5), 4)
 
 
 class TestCutoffAcceptances:
     def test_each_row_depends_only_on_its_cutoff(self):
         d = 3
         cfg = symmetric_config(d, 0.995)
-        every = cutoff_acceptances(cfg, 1, range(d, d + 701))
+        every = cutoff_acceptances(cfg, mub_state(d, 1), range(d, d + 701))
         cutoffs = [d + 700, d, d + 255, d + 256, d + 257, d + 511, d + 512, d + 255]
-        sums = cutoff_acceptances(cfg, 1, cutoffs)
+        sums = cutoff_acceptances(cfg, mub_state(d, 1), cutoffs)
         assert sums.shape == (len(cutoffs), d)
         np.testing.assert_array_equal(sums, every[np.array(cutoffs) - d])
 
@@ -392,12 +395,47 @@ class TestCutoffAcceptances:
                 setting_acceptances(cfg, k), rows, rtol=0, atol=1e-13
             )
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 16),
+        r1_sq=st.floats(0.0, 0.999),
+        r2_sq=st.floats(0.0, 0.999),
+        widths=st.lists(st.integers(0, 80), min_size=1, max_size=3),
+    )
+    @example(seed=0, d=2, r1_sq=0.0, r2_sq=0.0, widths=[0])
+    @settings(max_examples=40, deadline=None)
+    def test_any_state_matches_reference_mass(self, seed, d, r1_sq, r2_sq, widths):
+        # The kernel transforms whatever amplitudes it is given: for a
+        # random superposition, each row is the D2 mass over the bins
+        # d..cutoff at phase 2 pi m / d, to the Fourier-input tolerance.
+        state = random_normalized_state(np.random.default_rng(seed), d)
+        cutoffs = [d + width for width in widths]
+        cfg = CavityConfig(d, r1_sq, r2_sq, 0.0, max(cutoffs))
+        rows = cutoff_acceptances(cfg, state, cutoffs)
+        assert rows.shape == (len(cutoffs), d)
+        amps = list(state.amps)
+        for row, cutoff in zip(rows, cutoffs):
+            expected = [
+                reference.d2_mass(d, r1_sq, r2_sq, 2 * math.pi * m / d, amps, d, cutoff)
+                for m in range(d)
+            ]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
+
+    def test_input_must_be_normalized_and_of_the_config_dimension(self):
+        cfg = symmetric_config(4, 0.5)
+        unnormalized = TimeBinState(np.ones(4), normalized=False)
+        with pytest.raises(ValueError, match="must be normalized"):
+            cutoff_acceptances(cfg, unnormalized, [8])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cutoff_acceptances(cfg, mub_state(3, 0), [8])
+
     def test_cutoff_before_the_window_is_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
-            cutoff_acceptances(symmetric_config(4, 0.5), 0, [8, 3])
+            cutoff_acceptances(symmetric_config(4, 0.5), mub_state(4, 0), [8, 3])
 
     def test_no_cutoffs(self):
-        assert cutoff_acceptances(symmetric_config(4, 0.5), 0, []).shape == (0, 4)
+        cfg = symmetric_config(4, 0.5)
+        assert cutoff_acceptances(cfg, mub_state(4, 0), []).shape == (0, 4)
 
     def test_temporaries_do_not_grow_with_the_window(self):
         d = 32

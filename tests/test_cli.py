@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -92,6 +94,51 @@ class TestParsing:
             assert table == reads, command
             args = cli.build_parser().parse_args([command])
             assert set(fields) & set(vars(args)) == flags, command
+
+
+class TestOneParse:
+    """A command line is walked once, by its command's own parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mub-verify", "--d", "4"],
+            ["error-sweep", "--d", "4", "--r-grid", "0.5,0.9"],
+            ["discriminate", "--d", "2", "--r-grid", "0.5", "--trials", "100"],
+            ["tradeoff", "--d", "4", "--r-grid", "0.5"],
+            ["defaults"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_is_parsed_once(self, monkeypatch, capsys, argv):
+        parsers = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            parsers.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert main(argv) == 0
+        assert parsers == [f"timebin-cavity {argv[0]}"]
+        printed = capsys.readouterr()
+        # no argv reads the process's own arguments, and any sequence or
+        # iterator of arguments reads as the list
+        monkeypatch.setattr(sys, "argv", ["timebin-cavity", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == printed
+        for same in (tuple(argv), iter(argv)):
+            assert main(same) == 0
+            assert capsys.readouterr() == printed
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["tradeoff", "--help"]], ids=["top", "tradeoff"]
+    )
+    def test_help_exits_0_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: timebin-cavity")
 
 
 class TestConfigResolution:

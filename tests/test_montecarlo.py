@@ -318,7 +318,7 @@ class TestRunDiscrimination:
         # shifts some setting's acceptance by many sigma at these sizes.
         r_sq, k, n = 0.9, 1, 400_000
         cfg = symmetric_config(d, r_sq, n_prime)
-        (expected,) = cutoff_acceptances(cfg, k, [n_prime])
+        (expected,) = cutoff_acceptances(cfg, mub_state(d, k), [n_prime])
 
         def check(seed):
             stats = run_discrimination(cfg, k, n, seed)
