@@ -266,20 +266,11 @@ def emit_json(value, columns: Optional[Sequence[str]] = None) -> str:
 
 def _accepted_rows(config: ExperimentConfig, prepared, r_sq: float):
     """The cavity at grid value r_sq, and the prepared state's P(m|k) and
-    P(m|k) + W p_dc, one row per cutoff n_prime, from one kernel pass.
-    Rejects the input if any setting's P(m|k) + W p_dc exceeds 1."""
+    accepted-click rows (:func:`imperfections.dark_acceptances`), one row
+    per cutoff n_prime, from one kernel pass."""
     cfg = config.cavity_config(r_sq, max(config.n_prime))
     probs = cutoff_acceptances(cfg, prepared, config.n_prime)
-    rows = dark_acceptances(cfg, probs, config.n_prime)
-    for n_prime, row in zip(config.n_prime, rows.tolist()):
-        if max(row) > 1.0:
-            raise UsageError(
-                f"largest P(m|k) + W p_dc over settings at r_sq={r_sq!r}, "
-                f"n_prime={n_prime} = {max(row)!r} exceeds 1: the first-order "
-                "dark-count model holds only while W p_dc, W = n_prime - d + 1 "
-                "accepted bins, stays well below 1; lower p_dc or n_prime"
-            )
-    return cfg, probs, rows
+    return cfg, probs, dark_acceptances(cfg, probs, config.n_prime)
 
 
 def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:

@@ -2,12 +2,15 @@
 
 Detector dark counts inside the accepted window masquerade as basis
 measurements, which couples the error rate to the window cutoff and
-creates a count-rate / error-rate trade-off. The first-order model is one
-function, :func:`dark_acceptances`, from per-setting acceptance rows to
-per-setting accepted-click rows; every error and count figure here is
-:func:`cavity.error_ratio` or :func:`accepted_probability` of such a row.
-(Path mismatch is no model of its own: it scales the reflectivities, see
-the CLI's ``ExperimentConfig.cavity_config``.)
+creates a count-rate / error-rate trade-off. A frame is accepted when D2
+fires at least once in the window [d, n_prime], photon or dark, whatever
+else clicks; the dark process does not depend on the photon, so each
+setting's accepted probability is exactly 1 - (1 - P(m|k)) (1 - p_dc)^W.
+That is one function, :func:`dark_acceptances`, from per-setting
+acceptance rows to per-setting accepted-click rows; every error and count
+figure here is :func:`cavity.error_ratio` or :func:`accepted_probability`
+of such a row. (Path mismatch is no model of its own: it scales the
+reflectivities, see the CLI's ``ExperimentConfig.cavity_config``.)
 """
 
 from __future__ import annotations
@@ -21,31 +24,32 @@ from .cavity import CavityConfig, cutoff_acceptances, error_ratio
 from .states import mub_state
 
 
+def window_dark_probability(cfg: CavityConfig, cutoffs) -> np.ndarray:
+    """The probability 1 - (1 - p_dc)^W that D2 fires dark at least once
+    in the W = cutoff - d + 1 accepted bins of each cutoff, p_dc =
+    ``cfg.p_dc``; 0.0 at p_dc = 0, and accurate down to the smallest
+    p_dc."""
+    widths = np.asarray(cutoffs, dtype=float) - cfg.dim + 1
+    return -np.expm1(widths * math.log1p(-cfg.p_dc))
+
+
 def dark_acceptances(
     cfg: CavityConfig, acceptances, cutoffs: Sequence[int]
 ) -> np.ndarray:
     """Each setting's accepted-click probability with dark counts.
 
     ``acceptances`` holds one row of P(m|k) per window cutoff, as
-    :func:`cavity.cutoff_acceptances` returns them for ``cfg``; row j
-    gains the dark mass W p_dc of its W = cutoffs[j] - d + 1 accepted
-    bins, p_dc = ``cfg.p_dc``. Model: one photon per frame, and each
-    accepted bin can fire D2 spuriously with probability p_dc. A frame
-    counts when D2 clicks anywhere in the window, whatever else clicks:
-    this row is that rule to first order, signal-dark coincidences
-    neglected, and reduces to P(m|k) at p_dc = 0. The sampler
-    (:func:`montecarlo.run_discrimination`) accepts a frame only when its
-    earliest click is D2 inside the window, so with many dark clicks the
-    two part: at ``discriminate --d 64 --r-grid 0.9 --p-dc 1e-4`` these
-    rows give ``p_e_analytic`` 0.933 against an empirical 0.707.
-
-    Domain: P(m|k) + W p_dc is a probability only while it stays at most
-    1 for every m; the model is meant for W p_dc << 1, where the neglected
-    coincidences are second order. Outside that domain the rows are still
-    returned but describe no experiment; the CLI rejects such inputs.
+    :func:`cavity.cutoff_acceptances` returns them for ``cfg``. Model: one
+    photon per frame, each accepted bin can fire D2 spuriously with
+    probability p_dc, and a frame counts when D2 clicks anywhere in the
+    window, whatever else clicks. Row j is then exactly P + (1 - P) p_w,
+    p_w = :func:`window_dark_probability` of cutoffs[j]: a probability for
+    every p_dc in [0, 1), and P(m|k) bit for bit at p_dc = 0.
+    :func:`montecarlo.run_discrimination` samples frames under the same
+    rule.
     """
-    widths = np.asarray(cutoffs, dtype=float) - cfg.dim + 1
-    return np.asarray(acceptances, dtype=float) + (widths * cfg.p_dc)[:, None]
+    probs = np.asarray(acceptances, dtype=float)
+    return probs + (1.0 - probs) * window_dark_probability(cfg, cutoffs)[:, None]
 
 
 def accepted_probability(row: Sequence[float]) -> float:
@@ -56,7 +60,7 @@ def accepted_probability(row: Sequence[float]) -> float:
 
 def observed_error_with_dark_counts(cfg: CavityConfig, k: int = 0) -> float:
     """Discrimination error when windowed dark clicks dilute the signal
-    (first order, :func:`dark_acceptances`)."""
+    (:func:`dark_acceptances`)."""
     return cutoff_tradeoff_scan(cfg, [cfg.n_prime], k)[0].observed_error
 
 
@@ -81,7 +85,7 @@ def cutoff_tradeoff_scan(
     lowering the observed error at the cost of accepted events. One
     kernel call gives every cutoff's per-setting acceptances, the bin-d
     probabilities times each window's geometric sum;
-    :func:`dark_acceptances` adds each window's dark mass to its row.
+    :func:`dark_acceptances` folds each window's dark clicks into its row.
     """
     cutoffs = [int(n_prime) for n_prime in n_prime_values]
     probs = cutoff_acceptances(cfg, mub_state(cfg.dim, k), cutoffs)

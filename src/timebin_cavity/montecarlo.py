@@ -18,18 +18,22 @@ analytic z-scores compare two independent computations.
 
 Frames are iid, so a run samples counts, not frames: each row's counts
 are one multinomial over that row's exact one-frame outcome law. The dark
-process does not depend on the photon, and the earliest click inside the
-cap wins a frame, a photon/dark tie by a fair coin. The cap is a
-fixed-phase run's bin_cap and a discrimination run's n_prime. With
-q = (1 - p_dc)^2 per bin, a photon click at bin b keeps its frame with
-probability q^b + q^(b-1)(1 - q)/2 and a photon that clicks nothing
-(BACK, NONE) with q^bin_cap; a dark click at bin f wins with probability
-q^(f-1)(1 - q) times the photon mass that clicks after f or never plus
-half the mass that clicks at f, and is D1 or D2 with probability 1/2
-each. A fixed-phase law is a few passes over the table, O(K) with
-K = 2 bin_cap + 1 columns; a discrimination law is O(d^2 log d) over the
-entry bins plus O(n_prime) over 1-D blocks. A call costs that whatever
-``n_trials`` and ``p_dc`` are.
+process does not depend on the photon. The two runs count different
+things. A fixed-phase run reports which (port, bin) clicked first: the
+earliest click inside its bin_cap wins a frame, a photon/dark tie by a
+fair coin. With q = (1 - p_dc)^2 per bin, a photon click at bin b keeps
+its frame with probability q^b + q^(b-1)(1 - q)/2 and a photon that
+clicks nothing (BACK, NONE) with q^bin_cap; a dark click at bin f wins
+with probability q^(f-1)(1 - q) times the photon mass that clicks after
+f or never plus half the mass that clicks at f, and is D1 or D2 with
+probability 1/2 each. A discrimination run accepts a frame when D2
+clicks at least once in the window [d, n_prime], photon or dark, as the
+analytic side does (:func:`imperfections.dark_acceptances`): a frame
+whose photon misses the window is accepted with probability
+1 - (1 - p_dc)^W, W = n_prime - d + 1. A fixed-phase law is a few passes
+over the table, O(K) with K = 2 bin_cap + 1 columns; a discrimination
+law is O(d^2 log d) over the entry bins plus O(n_prime) over 1-D
+blocks. A call costs that whatever ``n_trials`` and ``p_dc`` are.
 
 Randomness comes from one Philox stream keyed by the master seed
 (:func:`_generator`), read in a fixed order, each law's dark categories
@@ -44,10 +48,11 @@ and bin_cap dark D2 columns (:func:`_column_law`), and returns its counts
 in the table's own layout: an int64 histogram over the table's
 2 bin_cap + 1 columns (a dark D2 click adds to its bin's D2 column), then,
 with dark counts, bin_cap columns (D1, 1..bin_cap) for frames a dark D1
-click won. A discrimination run draws over five categories per setting
-(:func:`_range_law`), keeps only its per-setting counts, (d,) arrays, and
-allocates nothing per column: what it holds over bins is the (d, d) entry
-masses and 1-D blocks of at most :data:`cavity.BLOCK_CELLS` bins.
+click won. A discrimination run draws over three categories per
+setting, four with dark counts (:func:`_range_law`), keeps only its
+per-setting counts, (d,) arrays, and allocates nothing per column: what
+it holds over bins is the (d, d) entry masses and 1-D blocks of at most
+:data:`cavity.BLOCK_CELLS` bins.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .cavity import (
     full_outcome_distribution,
     outcome_table,
 )
+from .imperfections import window_dark_probability
 from .states import TimeBinState, check_mub_index, mub_state
 
 # numpy's binomial and multinomial count in int64.
@@ -96,8 +102,11 @@ def check_window_size(d: int, last_bin: int) -> None:
 class EmpiricalStats:
     """Aggregated frame counts plus the derived empirical estimators.
 
-    Both kinds of run fill ``dark_clicks`` and ``accepted_total``. A
-    fixed-phase run fills ``counts``, the frames per column, labelled like
+    Both kinds of run fill ``dark_clicks`` and ``accepted_total``.
+    ``dark_clicks`` counts the frames a dark click won in a fixed-phase
+    run, whose first click is counted, and the frames a dark D2 click
+    alone accepted in a discrimination run. A fixed-phase run fills
+    ``counts``, the frames per column, labelled like
     :class:`cavity.OutcomeTable` by ``ports`` (cavity.TABLE_PORTS codes) and
     ``bins``; a discrimination run leaves those None and fills the (d,)
     int64 arrays ``setting_frames`` and ``setting_accepted``. ``bin_cap``
@@ -121,7 +130,8 @@ class EmpiricalStats:
     setting_accepted: Optional[np.ndarray] = None
 
     def d2_window_frequency(self) -> float:
-        """Fraction of frames with a D2 click inside the accepted window."""
+        """Fraction of frames with a D2 click inside the accepted window; in
+        a fixed-phase run, of frames whose first click is that D2 click."""
         return self.accepted_total / self.n_trials
 
     def p_hat(self, m: int) -> float:
@@ -221,16 +231,6 @@ def _bin_shares(log_q: float, b0: int, b1: int) -> Tuple[np.ndarray, np.ndarray]
     return before - h, h
 
 
-def _block_weights(
-    log_q: float, b0: int, b1: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_bin_shares` over bins b0..b1 - 1, and the weight
-    sum_{f >= b} h_f - h_b/2 of a click at b against each detector's dark
-    clicks in the block."""
-    keeps, h = _bin_shares(log_q, b0, b1)
-    return keeps, h, np.cumsum(h[::-1])[::-1] - 0.5 * h
-
-
 def _column_law(table: OutcomeTable, p_dc: float, bin_cap: int) -> np.ndarray:
     """Each row's one-frame law over a fixed-phase run's columns.
 
@@ -270,42 +270,29 @@ def _range_law(
 
     Without dark counts, (rows, 3): the photon's exit mass before and
     inside the accepted window (D2 bins d..n_prime), and the mass still
-    circulating after it. With them (``cfg.p_dc`` > 0), (rows, 5): the
-    column law of :func:`_column_law` at bin_cap = n_prime summed over
-    those three ranges, that is their kept photon mass, then dark D2
-    clicks inside the window, then every other dark click. Clamped to
-    [0, 1]: near r = 1 a sum of masses that is all but 1 can round above
-    it. ``state`` is not checked: :func:`run_discrimination` passes a
-    Fourier state of the config's dimension.
+    circulating after it. With them (``cfg.p_dc`` > 0), (rows, 4): the
+    first and third scaled by 1 - p_w, the chance that D2 fires dark
+    nowhere in the window (:func:`imperfections.window_dark_probability`),
+    then their p_w share, the frames that a dark D2 click alone accepts.
+    Clamped to [0, 1]: near r = 1 a sum of masses that is all but 1 can
+    round above it. ``state`` is not checked: :func:`run_discrimination`
+    passes a Fourier state of the config's dimension.
 
     Built without the outcome table, from the d entry bins' masses
-    (:func:`cavity.entry_bin_masses`, two (rows, d) arrays, each sum over
-    them a product with a weight vector) and |c_d|^2: after bin d every
-    mass is |c_d|^2 times the table's decay vector (r1 r2)^(2j), scaled by
-    t2^2 for D2, t1^2 r2^2 for BACK and r2^2 for the residual. So the
-    later bins enter as 1-D sums of that vector against the
-    :func:`_bin_shares` weights, summed bin by bin (never in closed form,
-    so the law stays apart from the acceptance kernel) in blocks of at
-    most :data:`BLOCK_CELLS` bins.
-
-    With h_b from :func:`_bin_shares` and C_b the mass that clicks at bin
-    b, the kept photon mass is sum_b C_b (q^(b-1) - h_b) and each
-    detector's dark mass over a span of bins sum_b h_b (S_b + C_b/2), S_b
-    the mass that clicks after b or never; that is (1 - clicked) sum_b h_b
-    less sum_b C_b (sum_{f >= b} h_f - h_b/2), with ``clicked`` the mass
-    that clicks before the span: the entry bins' clicks, and for a block
-    after bin d also the decay of the blocks before it.
+    (:func:`cavity.entry_bin_masses`, two (rows, d) arrays) and |c_d|^2:
+    after bin d every mass is |c_d|^2 times the table's decay vector
+    (r1 r2)^(2j), scaled by t2^2 for D2, t1^2 r2^2 for BACK and r2^2 for
+    the residual. So the later bins enter as sums of that vector, summed
+    bin by bin (never in closed form, so the law stays apart from the
+    acceptance kernel) in blocks of at most :data:`BLOCK_CELLS` bins.
     """
-    d, n_prime, p_dc, rows = cfg.dim, cfg.n_prime, cfg.p_dc, len(thetas)
+    d, n_prime, rows = cfg.dim, cfg.n_prime, len(thetas)
     upstream, d2 = np.empty((rows, d)), np.empty((rows, d))
     norm = entry_bin_masses(cfg, state, thetas, upstream, d2)
-    log_q = 2.0 * math.log1p(-p_dc)
 
-    # Bins d + 1..n_prime, in units of |c_d|^2: the kept D2 decay, and with
-    # dark counts sum_b h_b and the dark mass the clicking decay takes,
-    # ``before`` being the D2 decay of the blocks before; ``back`` is the
-    # BACK decay, ``last`` the residual's.
-    kept = dark_h = dark_c = before = back = 0.0
+    # Bins d + 1..n_prime, in units of |c_d|^2: ``clicks`` the D2 decay,
+    # ``back`` the BACK decay, ``last`` the residual's.
+    clicks = back = 0.0
     last = 1.0
     for b0 in range(d + 1, n_prime + 1, BLOCK_CELLS):
         b1 = min(b0 + BLOCK_CELLS, n_prime + 1)
@@ -313,42 +300,19 @@ def _range_law(
             decay = (cfg.r1 * cfg.r2) ** (2 * np.arange(b0 - d - 1, b1 - d))
         else:
             decay = np.zeros(b1 - b0 + 1)
-        clicks = decay[1:]
+        clicks += decay[1:].sum()
         back += decay[:-1].sum()
         last = decay[-1]
-        if p_dc == 0.0:
-            kept += clicks.sum()
-            continue
-        keeps, h, later = _block_weights(log_q, b0, b1)
-        kept += clicks @ keeps
-        dark_h += h.sum()
-        dark_c += before * h.sum() + clicks @ later
-        before += clicks.sum()
     scale = cfg.t2**2 * norm  # D2 at bin d + j is scale (r1 r2)^(2j)
     backward = cfg.t1**2 * cfg.r2**2 * back * norm
-    residual = cfg.r2**2 * last * norm
-    law = np.empty((rows, 5 if p_dc > 0.0 else 3))
-    if p_dc == 0.0:
-        law[:, 0] = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1) + backward
-        law[:, 1] = d2[:, -1] + scale * kept
-        law[:, 2] = residual
-    else:
-        # D1 where OutcomeTable puts it; D2 is before the window but at d
-        no_click_keeps = math.exp(n_prime * log_q)  # BACK and NONE
-        keeps, h, later = _block_weights(log_q, 1, d + 1)
-        is_d1 = (state.amps != 0) & (cfg.r1 > 0.0)
-        law[:, 0] = upstream @ np.where(is_d1, keeps, no_click_keeps)
-        law[:, 0] += d2[:, :-1] @ keeps[:-1] + backward * no_click_keeps
-        law[:, 1] = d2[:, -1] * keeps[-1] + scale * kept
-        law[:, 2] = residual * no_click_keeps
-        # each detector's dark mass over bins 1..d, at bin d alone, and later
-        clicked = upstream @ is_d1 + d2.sum(axis=1)  # in bins 1..d
-        entry = h.sum() - upstream @ (later * is_d1) - d2 @ later
-        bin_d = 1.0 - clicked + 0.5 * (upstream[:, -1] * is_d1[-1] + d2[:, -1])
-        bin_d *= h[-1]
-        inside = (1.0 - clicked) * dark_h - scale * dark_c
-        law[:, 3] = bin_d + inside  # dark D2 clicks inside the window
-        law[:, 4] = 2.0 * entry + inside - bin_d  # the other dark clicks
+    law = np.empty((rows, 3 if cfg.p_dc == 0.0 else 4))
+    law[:, 0] = upstream.sum(axis=1) + d2[:, :-1].sum(axis=1) + backward
+    law[:, 1] = d2[:, -1] + scale * clicks
+    law[:, 2] = cfg.r2**2 * last * norm
+    if cfg.p_dc > 0.0:
+        p_w = window_dark_probability(cfg, n_prime)
+        law[:, 3] = (law[:, 0] + law[:, 2]) * p_w
+        law[:, 0:3:2] *= 1.0 - p_w  # columns 0 and 2
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
@@ -372,9 +336,11 @@ def run_trials(
     (:func:`_column_law`) up to ``bin_cap``, by default ``cfg.n_prime``:
     the photon's exit masses, and with dark counts (``cfg.p_dc``) on both
     detectors the earliest click is the one counted, with a fair tie
-    break. One frame is
-    ``run_trials(..., n_trials=1, master_seed=seed)``: the one nonzero
-    column of ``counts`` is the click, (NONE, 0) for none, and
+    break. The run reports which (port, bin) clicked first, so its
+    ``accepted_total`` counts frames whose first click is D2 in the
+    window, not the discrimination run's frames with any D2 click there.
+    One frame is ``run_trials(..., n_trials=1, master_seed=seed)``: the
+    one nonzero column of ``counts`` is the click, (NONE, 0) for none, and
     ``dark_clicks`` says whether a dark count won it.
     """
     d = cfg.dim
@@ -413,15 +379,14 @@ def run_discrimination(
 
     Each frame carries one photon prepared in Fourier state ``prepared_k``;
     the receiver dials a uniformly random setting m, and ``cfg.theta`` is
-    not read. Dark clicks (``cfg.p_dc``) fire on both detectors, and the
-    frame is accepted when its earliest click, photon or dark, on either
-    detector, is D2 inside the window [d, n_prime]; nothing after n_prime
-    is simulated. The per-setting acceptance counts estimate the windowed
-    click probabilities, and the mismatched share of accepted clicks
-    estimates the discrimination error. The analytic side
-    (:func:`imperfections.dark_acceptances`) accepts any D2 click in the
-    window, to first order: at ``discriminate --d 64 --r-grid 0.9 --p-dc
-    1e-4`` it gives ``p_e_analytic`` 0.933 against an empirical 0.707.
+    not read. Dark clicks (``cfg.p_dc``) fire on each detector in every
+    bin, and the frame is accepted when D2 clicks at least once inside the
+    window [d, n_prime], photon or dark, whatever else clicks: the rule of
+    the analytic side (:func:`imperfections.dark_acceptances`). Nothing
+    after n_prime is simulated. The per-setting acceptance counts estimate
+    those accepted-click probabilities, the mismatched share of accepted
+    clicks estimates the discrimination error, and ``dark_clicks`` counts
+    the frames that a dark click alone accepted.
     """
     d, n_prime = cfg.dim, cfg.n_prime
     check_mub_index(d, prepared_k)
@@ -434,9 +399,9 @@ def run_discrimination(
     frames = rng.multinomial(n_trials, np.full(d, 1.0 / d))
     counts = rng.multinomial(frames, law)
     stats = EmpiricalStats(n_trials, master_seed, d, n_prime, n_prime, prepared_k)
-    # photon accepted (column 1), then with dark counts dark accepted (3)
-    stats.setting_accepted = counts[:, 1] + counts[:, 3:4].sum(axis=1)
+    dark = counts[:, 3:].sum(axis=1)  # with dark counts, the dark-only column
+    stats.setting_accepted = counts[:, 1] + dark
     stats.setting_frames = frames
-    stats.dark_clicks = int(counts[:, 3:].sum())
+    stats.dark_clicks = int(dark.sum())
     stats.accepted_total = int(stats.setting_accepted.sum())
     return stats

@@ -35,7 +35,7 @@ CASES = {
     "error-sweep-d16-json": "error-sweep --d 16 --r-grid 0.5:0.99:0.1 --format json",
     "tradeoff-d16": "tradeoff --d 16 --r-grid 0.99 --p-dc 1e-5 --n-prime 21,36,66",
     "discriminate-d2": "discriminate --d 2 --r-grid 0.5 --trials 10000 --seed 42",
-    # dark counts, and the run where the analytic and sampled p_e disagree
+    # dark counts, at d = 16 and d = 64
     "discriminate-d16-dark": "discriminate --d 16 --r-grid 0.9 --p-dc 1e-3 "
     "--trials 200000 --seed 5 --format json",
     "discriminate-d64-dark": "discriminate --d 64 --r-grid 0.9 --p-dc 1e-4 "
@@ -52,6 +52,9 @@ CASES = {
     "--trials 1000 --seed 1",
     "discriminate-eta-dark": "discriminate --d 5 --r-grid 0.7 --eta 0.97 "
     "--p-dc 0.01 --n-prime 9 --trials 50000 --seed 3 --format json",
+    # an input whose first-order dark rows P(m|k) + W p_dc exceeded 1, which
+    # the CLI rejected before dark counts were modelled exactly
+    "error-sweep-dark-high": "error-sweep --d 2 --r-grid 0.1 --p-dc 0.55 --n-prime 2",
     # a usage error: nothing on stdout, exit 1
     "error-sweep-bad-grid": "error-sweep --r-grid 0:inf:1",
     # the parser's exits: no command, an unknown one, a flag of another

@@ -3,9 +3,12 @@
 Everything here is written with plain-Python cmath loops, straight from the
 model definitions, and deliberately imports nothing from the package under
 test. Expected values frozen into tests were produced by these functions.
-The sampler's oracle, :func:`sample_frames`, simulates every frame one by
-one in law (vectorized over frames with numpy), the algorithm the
-count-based sampler replaced.
+The sampler's per-frame oracles simulate every frame one by one in law
+(vectorized over frames with numpy), the algorithm the count-based sampler
+replaced: :func:`sample_frames` under a fixed-phase run's rule, the
+earliest click wins, and :func:`sample_window_frames` under a
+discrimination run's, any D2 click in the window accepts. Their exact
+laws are :func:`frame_law` and :func:`window_law`.
 """
 
 import cmath
@@ -87,18 +90,35 @@ def closed_form_error_sum(r, d):
     return math.fsum(terms) / (d * (1.0 + r**d))
 
 
-def observed_error(d, r_sq, n_prime, p_dc, k=0):
-    """First-order dark-count mixing on top of the clean error ratio."""
+def window_dark(p_dc, width):
+    """The chance that D2 fires dark nowhere in a window of ``width`` bins,
+    the product of (1 - p_dc) over its bins, in exact rational arithmetic
+    from the float p_dc; a Fraction."""
+    no_dark = Fraction(1)
+    for _ in range(width):
+        no_dark *= 1 - Fraction(p_dc)
+    return no_dark
+
+
+def accepted_row(d, r_sq, n_prime, p_dc, k=0):
+    """Each setting's probability that D2 clicks at least once in the
+    window [d, n_prime], photon or dark: P(m|k) + (1 - P(m|k)) p_w, with
+    p_w = 1 - :func:`window_dark` the window's dark D2 probability."""
+    p_w = float(1 - window_dark(p_dc, n_prime - d + 1))
     probs = [window_probability(d, r_sq, r_sq, n_prime, m, k) for m in range(d)]
-    dark = (n_prime - d + 1) * p_dc
-    return ((sum(probs) - probs[k]) + (d - 1) * dark) / (sum(probs) + d * dark)
+    return [p + (1 - p) * p_w for p in probs]
+
+
+def observed_error(d, r_sq, n_prime, p_dc, k=0):
+    """Mismatched share of the accepted clicks of :func:`accepted_row`."""
+    row = accepted_row(d, r_sq, n_prime, p_dc, k)
+    return (sum(row) - row[k]) / sum(row)
 
 
 def accepted_probability(d, r_sq, n_prime, p_dc, k=0):
-    """Per-frame accepted-event probability: the mean over settings of the
-    windowed acceptance plus the first-order dark mass of the window."""
-    probs = [window_probability(d, r_sq, r_sq, n_prime, m, k) for m in range(d)]
-    return sum(probs) / d + (n_prime - d + 1) * p_dc
+    """Per-frame accepted-event probability: the mean over settings of
+    :func:`accepted_row`."""
+    return sum(accepted_row(d, r_sq, n_prime, p_dc, k)) / d
 
 
 def outcome_masses(d, r1_sq, r2_sq, theta, amps, bin_cap):
@@ -137,26 +157,19 @@ PORTS = ("D1", "D2", "BACK", "NONE")
 
 @dataclass
 class SampledFrames:
-    """Tallies of :func:`sample_frames`; accepted: D2 inside [d, n_prime]."""
+    """Tallies of :func:`sample_frames` and :func:`sample_window_frames`;
+    accepted: a D2 click inside [d, n_prime]."""
 
     counts: dict  # (port name, bin) -> frames; ("NONE", 0) for no click
     dark_clicks: int
     setting_accepted: list
 
 
-def sample_frames(d, r1_sq, r2_sq, thetas, amps, bin_cap, n_prime, p_dc, n, seed):
-    """Per-frame oracle of the Monte Carlo sampler, over n frames.
-
-    Each frame draws its setting uniformly over ``thetas``, then its photon
-    exit by inverse CDF over that setting's :func:`outcome_masses` (one
-    masked ``searchsorted`` per setting), then its first dark bin, a
-    geometric variate whose per-bin success is a click on either detector,
-    (1 - (1 - p_dc)**2). In that bin one detector fires alone, or both do
-    and a fair pick chooses. The earliest click inside ``bin_cap`` wins the
-    frame, a photon/dark tie by a fair coin; a photon that reaches no
-    detector always loses to a dark click.
-    """
-    rng = np.random.default_rng(seed)
+def _sample_photons(rng, d, r1_sq, r2_sq, thetas, amps, bin_cap, n):
+    """Each of n frames' setting, drawn uniformly over ``thetas``, and its
+    photon exit, by inverse CDF over that setting's :func:`outcome_masses`
+    (one masked ``searchsorted`` per setting): (settings, ports, bins),
+    ports as indices into :data:`PORTS`."""
     settings = rng.integers(0, len(thetas), size=n)
     ports = np.empty(n, dtype=np.int64)
     bins = np.empty(n, dtype=np.int64)
@@ -169,6 +182,24 @@ def sample_frames(d, r1_sq, r2_sq, thetas, amps, bin_cap, n_prime, p_dc, n, seed
         cols = np.minimum(np.searchsorted(cdf, u, side="right"), len(keys) - 1)
         ports[mask] = np.array([PORTS.index(port) for port, _ in keys])[cols]
         bins[mask] = np.array([time_bin for _, time_bin in keys])[cols]
+    return settings, ports, bins
+
+
+def sample_frames(d, r1_sq, r2_sq, thetas, amps, bin_cap, n_prime, p_dc, n, seed):
+    """Per-frame oracle of the Monte Carlo sampler's earliest-click rule
+    (a fixed-phase run), over n frames.
+
+    Each frame draws its setting and photon exit (:func:`_sample_photons`),
+    then its first dark bin, a geometric variate whose per-bin success is
+    a click on either detector, (1 - (1 - p_dc)**2). In that bin one
+    detector fires alone, or both do and a fair pick chooses. The earliest
+    click inside ``bin_cap`` wins the frame, a photon/dark tie by a fair
+    coin; a photon that reaches no detector always loses to a dark click.
+    """
+    rng = np.random.default_rng(seed)
+    settings, ports, bins = _sample_photons(
+        rng, d, r1_sq, r2_sq, thetas, amps, bin_cap, n
+    )
 
     dark_wins = np.zeros(n, dtype=bool)
     if p_dc > 0.0:
@@ -198,6 +229,32 @@ def sample_frames(d, r1_sq, r2_sq, thetas, amps, bin_cap, n_prime, p_dc, n, seed
         dark_clicks=int(dark_wins.sum()),
         setting_accepted=np.bincount(
             settings[accepted], minlength=len(thetas)
+        ).tolist(),
+    )
+
+
+def sample_window_frames(d, r1_sq, r2_sq, thetas, amps, n_prime, p_dc, n, seed):
+    """Per-frame oracle of a discrimination run, over n frames: a frame is
+    accepted when D2 clicks at least once in the window [d, n_prime].
+
+    Each frame draws its setting and photon exit up to n_prime
+    (:func:`_sample_photons`), then its number of dark D2 clicks in the
+    window, a binomial over the window's n_prime - d + 1 bins. The frame
+    is accepted when its photon clicks D2 in the window or a dark D2 click
+    falls there; ``dark_clicks`` counts the frames that only a dark click
+    accepted, and ``counts`` is left empty.
+    """
+    rng = np.random.default_rng(seed)
+    settings, ports, bins = _sample_photons(
+        rng, d, r1_sq, r2_sq, thetas, amps, n_prime, n
+    )
+    photon = (ports == PORTS.index("D2")) & (bins >= d)
+    dark = rng.binomial(n_prime - d + 1, p_dc, size=n) > 0
+    return SampledFrames(
+        counts={},
+        dark_clicks=int((dark & ~photon).sum()),
+        setting_accepted=np.bincount(
+            settings[photon | dark], minlength=len(thetas)
         ).tolist(),
     )
 
@@ -275,4 +332,31 @@ def frame_law(d, r1_sq, r2_sq, theta, amps, bin_cap, p_dc):
                     )
                     key = (port, b, False) if photon_wins else (detector, f, True)
                     law[key] = law.get(key, 0.0) + mass * p_first / 4.0
+    return law
+
+
+def window_law(d, r1_sq, r2_sq, theta, amps, n_prime, p_dc):
+    """Exact one-frame law of a discrimination run, by enumeration: a
+    frame is accepted when D2 clicks at least once in the window
+    [d, n_prime], photon or dark.
+
+    Every photon exit of :func:`outcome_masses` up to n_prime, and the
+    residual still circulating after it, meets the window's dark D2
+    clicks: none, with probability :func:`window_dark`, or at least one.
+    Returns [before, inside, after, dark]: the photon's exits at bins up to
+    n_prime other than D2 in the window, with no dark D2 click in the
+    window; its D2 clicks in the window, whatever the dark clicks; its
+    residual, with no dark D2 click in the window; and the frames whose
+    photon misses the window and that a dark D2 click accepts.
+    """
+    entries, residual = outcome_masses(d, r1_sq, r2_sq, theta, amps, n_prime)
+    no_dark = window_dark(p_dc, n_prime - d + 1)
+    keep, dark = float(no_dark), float(1 - no_dark)
+    law = [0.0] * 4
+    for (port, b), mass in list(entries.items()) + [(("NONE", 0), residual)]:
+        if port == "D2" and b >= d:
+            law[1] += mass
+        else:
+            law[2 if port == "NONE" else 0] += mass * keep
+            law[3] += mass * dark
     return law

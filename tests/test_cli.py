@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import parse_sweep, parse_tradeoff
 from timebin_cavity import (
     CavityConfig,
@@ -797,52 +798,78 @@ class TestSizeCaps:
         assert "bad r-grid spec" in err and match in err
 
 
-class TestDarkModelDomain:
-    """W p_dc = 7 * 0.5 puts the first-order dark model above probability 1."""
+# The six inputs where the first-order dark model P(m|k) + W p_dc exceeded 1
+# for some setting (W p_dc = 7 * 0.5, and P(0|0) + W p_dc = 1.04005 at
+# r_sq = 0.1, n' = 2), and which the CLI then rejected: (command, r_sq,
+# p_dc, flags).
+DARK_DOMAIN_CASES = [
+    ("discriminate", "0.5", "0.5", ["--trials", "100000", "--seed", "1"]),
+    ("error-sweep", "0.5", "0.5", []),
+    ("tradeoff", "0.5", "0.5", ["--n-prime", "2,8"]),
+    ("discriminate", "0.1", "0.55", ["--n-prime", "2", "--trials", "100000",
+                                     "--seed", "1"]),
+    ("error-sweep", "0.1", "0.55", ["--n-prime", "2"]),
+    ("tradeoff", "0.1", "0.55", ["--n-prime", "2,2"]),
+]  # fmt: skip
 
-    @pytest.mark.parametrize(
-        "command,flags,stage",
-        [
-            ("discriminate", ["--trials", "1000"], "run_discrimination"),
-            ("error-sweep", [], "emit_csv"),
-            ("tradeoff", ["--n-prime", "2,8"], "emit_csv"),
-        ],
-    )
-    def test_rejected_before_any_output(
-        self, monkeypatch, capsys, tmp_path, command, flags, stage
-    ):
-        monkeypatch.setattr(cli, stage, _must_not_run)
-        out = tmp_path / "out.txt"
-        argv = [command, "--d", "2", "--p-dc", "0.5", "--r-grid", "0.5"]
-        assert run_cli(*argv, *flags, "--out", str(out)) == 1
+
+class TestDarkCountsAtAnyRate:
+    """A frame counts when D2 clicks anywhere in the window, photon or
+    dark: each setting's 1 - (1 - P(m|k)) (1 - p_dc)^W is a probability at
+    every p_dc, so inputs with W p_dc above 1 run like any other."""
+
+    @pytest.mark.parametrize("command,r_sq,p_dc,flags", DARK_DOMAIN_CASES)
+    def test_every_value_is_the_exact_row(self, capsys, command, r_sq, p_dc, flags):
+        argv = [command, "--d", "2", "--r-grid", r_sq, "--p-dc", p_dc, *flags]
+        assert run_cli(*argv, "--format", "json") == 0
         captured = capsys.readouterr()
-        assert "exceeds 1" in captured.err and "dark-count model" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        assert captured.err == ""
+        for key, value in probability_values(command, captured.out):
+            assert 0.0 <= value <= 1.0, (key, value)
+        r_sq, p_dc = float(r_sq), float(p_dc)
+        cutoffs = [8]  # 4 d when unset
+        if "--n-prime" in flags:
+            cutoffs = [int(n) for n in flags[flags.index("--n-prime") + 1].split(",")]
+        out = json.loads(captured.out)
+        if command == "discriminate":
+            want = reference.accepted_row(2, r_sq, cutoffs[0], p_dc)
+            got = [setting["p_analytic"] for setting in out["settings"]]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            # the sampler accepts under the same rule
+            assert abs(out["p_e_z_score"]) <= 5.0
+            assert all(abs(setting["z"]) <= 5.0 for setting in out["settings"])
+            points = [(out["p_e_analytic"], None)]
+        elif command == "error-sweep":
+            points = [(row["p_e_observed"], row["accepted_probability"]) for row in out]
+        else:
+            assert [row["n_prime"] for row in out] == cutoffs
+            points = [
+                (row["observed_error"], row["accepted_probability"]) for row in out
+            ]
+        assert len(points) == len(cutoffs)
+        for n_prime, (error, accepted) in zip(cutoffs, points):
+            want = reference.observed_error(2, r_sq, n_prime, p_dc)
+            assert abs(error - want) <= 1e-13
+            if accepted is not None:
+                want = reference.accepted_probability(2, r_sq, n_prime, p_dc)
+                assert abs(accepted - want) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "command,flags",
-        [
-            ("discriminate", ["--n-prime", "2", "--trials", "100", "--seed", "1"]),
-            ("error-sweep", ["--n-prime", "2"]),
-            ("tradeoff", ["--n-prime", "2,2"]),
-        ],
-    )
-    def test_largest_setting_is_checked(self, capsys, command, flags):
-        # Here P(0|0) + W p_dc = 1.04005 although the mean over the two
-        # settings, the accepted probability, is 0.959.
-        argv = [command, "--d", "2", "--r-grid", "0.1", "--p-dc", "0.55", *flags]
-        assert run_cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert "largest P(m|k) + W p_dc over settings" in captured.err
-        assert "= 1.04005" in captured.err and "exceeds 1" in captured.err
-        assert captured.out == ""
-
-    def test_inputs_inside_the_domain_still_run(self, capsys):
-        argv = ["--d", "2", "--p-dc", "0.01", "--r-grid", "0.5"]
-        assert run_cli("discriminate", *argv, "--trials", "1000") == 0
-        assert run_cli("error-sweep", *argv) == 0
-        assert run_cli("tradeoff", *argv, "--n-prime", "2,8") == 0
+    @pytest.mark.parametrize("p_dc", ["1e-4", "1e-2"])
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_report_agrees_with_its_analytic_side(self, capsys, d, p_dc):
+        # The sampler and the analytic rows count the same frames: under
+        # the first-order model against the earliest-click sampler the d = 64,
+        # p_dc = 1e-4 report read a p_e z-score of -59.
+        assert run_cli(
+            "discriminate", "--d", str(d), "--r-grid", "0.9", "--p-dc", p_dc,
+            "--trials", "1000000", "--seed", "7",
+        ) == 0  # fmt: skip
+        report = json.loads(capsys.readouterr().out)
+        want = reference.observed_error(d, 0.9, 4 * d, float(p_dc))
+        assert abs(report["p_e_analytic"] - want) <= 1e-12
+        assert report["dark_clicks"] > 0
+        assert abs(report["p_e_z_score"]) <= 5.0
+        assert all(abs(s["z"]) <= 5.0 for s in report["settings"])
 
 
 # One invocation of each output kind: sweep and trade-off tables as CSV and

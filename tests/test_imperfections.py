@@ -10,13 +10,16 @@ from conftest import window_cases
 from timebin_cavity import (
     CavityConfig,
     accepted_event_probability,
+    cutoff_acceptances,
     cutoff_tradeoff_scan,
+    mub_state,
     observed_error_with_dark_counts,
     theta_for_outcome,
     total_error,
     total_error_closed_form,
 )
 from timebin_cavity.cli import ExperimentConfig, UsageError
+from timebin_cavity.imperfections import dark_acceptances, window_dark_probability
 
 
 def symmetric_config(d, r_sq, n_prime, p_dc=0.0):
@@ -82,6 +85,33 @@ class TestMismatchWiring:
         assert cfg.r1_sq == cfg.r2_sq
         assert cfg.r1_sq == pytest.approx(0.9 * eta, abs=1e-15)
 
+
+class TestDarkAcceptances:
+    """A frame counts when D2 clicks anywhere in the window, photon or
+    dark: row P becomes P + (1 - P) p_w, p_w = 1 - (1 - p_dc)^W."""
+
+    @given(p_dc=st.floats(0.0, 1.0, exclude_max=True), width=st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_window_dark_probability_is_the_exact_product(self, p_dc, width):
+        cfg = symmetric_config(2, 0.5, 1 + width, p_dc)
+        (got,) = window_dark_probability(cfg, [1 + width]).tolist()
+        want = float(1 - reference.window_dark(p_dc, width))
+        assert abs(got - want) <= 1e-14 * want
+
+    @given(case=window_cases(), p_dc=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_probabilities_at_any_dark_rate(self, case, p_dc):
+        d, r, n_prime, k = case
+        cfg = symmetric_config(d, r, n_prime, p_dc)
+        cutoffs = [d, n_prime]
+        probs = cutoff_acceptances(cfg, mub_state(d, k), cutoffs)
+        rows = dark_acceptances(cfg, probs, cutoffs)
+        assert ((probs <= rows) & (rows <= 1.0)).all()
+        # without dark counts the rows are P(m|k) bit for bit
+        clean = dark_acceptances(replace(cfg, p_dc=0.0), probs, cutoffs)
+        assert clean.tobytes() == probs.tobytes()
+
+
 class TestObservedErrorWithDarkCounts:
     def test_clean_detectors_reduce_to_total_error(self):
         cfg = symmetric_config(4, 0.7, n_prime=12)
@@ -91,7 +121,7 @@ class TestObservedErrorWithDarkCounts:
     def test_frozen_value(self):
         cfg = symmetric_config(16, 0.99, n_prime=16 + 49, p_dc=1e-5)
         observed = observed_error_with_dark_counts(cfg)
-        assert observed == pytest.approx(0.14596605621654632, abs=1e-12)
+        assert observed == pytest.approx(0.14599709641108455, abs=1e-12)
         assert observed == pytest.approx(
             reference.observed_error(16, 0.99, 16 + 49, 1e-5), abs=1e-13
         )
@@ -147,9 +177,12 @@ class TestCutoffTradeoffScan:
         (point,) = cutoff_tradeoff_scan(cfg, [10])
         expected = accepted_event_probability(cfg)
         assert point.accepted_probability == pytest.approx(expected, abs=1e-15)
+        # a frame counts when D2 clicks in the window, photon or dark: the
+        # mean over settings of P + (1 - P) p_w is clean + (1 - clean) p_w
         clean = accepted_event_probability(replace(cfg, p_dc=0.0))
+        p_w = 1.0 - (1.0 - 2e-4) ** (10 - 4 + 1)
         assert point.accepted_probability == pytest.approx(
-            clean + (10 - 4 + 1) * 2e-4, abs=1e-15
+            clean + (1.0 - clean) * p_w, abs=1e-15
         )
 
     def test_empty_cutoff_list(self):

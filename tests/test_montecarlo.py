@@ -237,9 +237,9 @@ class TestDarkCounts:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p_dc", [1e-310, 5e-324])
     def test_subnormal_dark_rate_does_not_overflow(self, p_dc):
-        # the per-bin log survival is subnormal: the first-dark quotient
-        # overflows to inf, which means no dark click inside the cap, as
-        # at a tiny normal p_dc with the same variates per trial
+        # the window's dark probability is subnormal: the dark column
+        # rounds to at most a subnormal, no frame is accepted by a dark
+        # click, and the photon columns draw as at a tiny normal p_dc
         stats = run_discrimination(symmetric_config(2, 0.5, 8, p_dc), 0, 1000, 1)
         tiny = run_discrimination(symmetric_config(2, 0.5, 8, 1e-300), 0, 1000, 1)
         assert stats.dark_clicks == tiny.dark_clicks == 0
@@ -388,15 +388,16 @@ class TestFixedRunAgainstAnalyticD2:
 
 class TestFrozenCounts:
     def test_frozen_counts(self):
-        # setting counts, then one multinomial over every setting's five
+        # setting counts, then one multinomial over every setting's four
         # categories; the pin also depends on numpy's binomial and
         # multinomial algorithms
         cfg = symmetric_config(16, 0.8, 64, p_dc=1e-3)
         stats = run_discrimination(cfg, 3, 60_000, 2024)
-        assert stats.accepted_total == 1198
-        assert stats.dark_clicks == 1103
+        assert stats.accepted_total == 4063
+        assert stats.dark_clicks == 2841
         assert stats.setting_accepted.tolist() == [
-            25, 48, 158, 620, 175, 44, 28, 15, 9, 7, 10, 7, 8, 9, 10, 25
+            205, 255, 326, 802, 380, 216, 197, 186,
+            204, 192, 172, 182, 168, 198, 196, 184,
         ]  # fmt: skip
         assert stats.setting_frames.tolist() == [
             3743, 3784, 3695, 3712, 3805, 3763, 3699, 3753,
@@ -406,13 +407,13 @@ class TestFrozenCounts:
 
     def test_frozen_counts_of_a_multi_block_dark_law(self):
         # Two rows take the window's 19 998 bins after the entry bins in two
-        # blocks of at most BLOCK_CELLS = 16384: the law carries the clicking
-        # decay and the dark weights from the first block to the second.
+        # blocks of at most BLOCK_CELLS = 16384: the law carries the decay
+        # sums from the first block to the second.
         cfg = symmetric_config(2, 0.999, 20_000, p_dc=1e-4)
         stats = run_discrimination(cfg, 0, 10**6, 2024)
-        assert stats.accepted_total == 762
-        assert stats.dark_clicks == 707
-        assert stats.setting_accepted.tolist() == [752, 10]
+        assert stats.accepted_total == 864695
+        assert stats.dark_clicks == 864195
+        assert stats.setting_accepted.tolist() == [432858, 431837]
         assert stats.setting_frames.tolist() == [500377, 499623]
 
     def test_frozen_counts_of_dark_d1_clicks(self):
@@ -440,7 +441,9 @@ class TestFrozenCounts:
 
 
 class TestAgainstPerFrameOracle:
-    """The count-based sampler against frames simulated one by one."""
+    """The count-based sampler against frames simulated one by one: a
+    fixed-phase run under the earliest-click rule, a discrimination run
+    under any D2 click in the window."""
 
     @pytest.mark.parametrize("p_dc", [0.0, 1e-3, 0.05, 0.5])
     @pytest.mark.parametrize("d", [2, 4, 16])
@@ -460,9 +463,14 @@ class TestAgainstPerFrameOracle:
 
         def check(seed):
             got = run(seed)
-            want = reference.sample_frames(
-                d, r_sq, r_sq, thetas, amps, n_prime, n_prime, p_dc, n, seed
-            )
+            if entry == "run_trials":
+                want = reference.sample_frames(
+                    d, r_sq, r_sq, thetas, amps, n_prime, n_prime, p_dc, n, seed
+                )
+            else:
+                want = reference.sample_window_frames(
+                    d, r_sq, r_sq, thetas, amps, n_prime, p_dc, n, seed
+                )
             pairs = [(got.dark_clicks, want.dark_clicks)]
             if entry == "run_trials":
                 for port in TABLE_PORTS:
@@ -498,9 +506,10 @@ def _reference_columns(law, cap):
 
 
 def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
-    """A table's column law at ``cap``, and the range law, which stops at
-    the window's end n_prime, equal :func:`reference.frame_law` row by row
-    within 1e-14."""
+    """A table's column law at ``cap`` equals :func:`reference.frame_law`
+    (the earliest click wins), and the range law, which stops at the
+    window's end n_prime, :func:`reference.window_law` (any D2 click in
+    the window accepts), row by row within 1e-14."""
     state = mub_state(d, k)
     thetas = [theta_for_outcome(d, m) for m in range(d)]
     cfg = CavityConfig(
@@ -509,31 +518,24 @@ def assert_laws_match_enumeration(d, cap, n_prime, k, r1_sq, r2_sq, p_dc):
     table = outcome_table(cfg, state, thetas, cap)
     columns = montecarlo._column_law(table, p_dc, cap)
     ranges = montecarlo._range_law(cfg, state, thetas)
-    lo, hi = n_prime + d - 1, 2 * n_prime  # accepted columns at cap n_prime
+    assert ranges.shape == (d, 4 if p_dc > 0.0 else 3)
     for m, theta in enumerate(thetas):
         amps = list(state.amps)
         law = reference.frame_law(d, r1_sq, r2_sq, theta, amps, cap, p_dc)
         want = _reference_columns(law, cap)
         np.testing.assert_allclose(columns[m], want, rtol=0, atol=1e-14)
-        law = reference.frame_law(d, r1_sq, r2_sq, theta, amps, n_prime, p_dc)
-        want = _reference_columns(law, n_prime)
-        photon, dark_d2 = want[: 2 * n_prime + 1], want[3 * n_prime + 1 :]
-        window = dark_d2[d - 1 : n_prime].sum()
-        want_ranges = [
-            photon[:lo].sum(),
-            photon[lo:hi].sum(),
-            photon[hi:].sum(),
-            window,
-            want[2 * n_prime + 1 :].sum() - window,
-        ]
-        np.testing.assert_allclose(ranges[m], want_ranges, rtol=0, atol=1e-14)
+        want = reference.window_law(d, r1_sq, r2_sq, theta, amps, n_prime, p_dc)
+        want = want if p_dc > 0.0 else want[:3]
+        np.testing.assert_allclose(ranges[m], want, rtol=0, atol=1e-14)
         assert abs(columns[m].sum() - 1.0) <= 1e-14
         assert abs(ranges[m].sum() - 1.0) <= 1e-14
 
 
 class TestExactFrameLaw:
     """The law each row's counts are drawn from, against the enumeration
-    of every photon exit, first dark bin, dark detector and tie coin."""
+    of every photon exit with every first dark bin, dark detector and tie
+    coin (a fixed-phase run) or with the window's dark D2 clicks (a
+    discrimination run)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -556,7 +558,7 @@ class TestExactFrameLaw:
     @pytest.mark.parametrize("p_dc", [1e-3, 0.3])
     def test_blocked_dark_law_matches_enumeration(self, monkeypatch, cells, p_dc):
         # The range law's 11 bins after the last entry bin go in blocks of
-        # 1, 2, 4 and 7 bins; the clicking decay carries from block to block.
+        # 1, 2, 4 and 7 bins; the decay sums carry from block to block.
         monkeypatch.setattr(montecarlo, "BLOCK_CELLS", cells)
         assert_laws_match_enumeration(3, 14, 14, 1, 0.9, 0.8, p_dc)
 
@@ -578,10 +580,13 @@ class TestExactFrameLaw:
         columns = montecarlo._column_law(table, p_dc, cap)
         ranges = montecarlo._range_law(cfg, state, thetas)
         for m, theta in enumerate(thetas):
-            law = reference.frame_law(d, 0.5, 0.5, theta, list(state.amps), cap, p_dc)
+            amps = list(state.amps)
+            law = reference.frame_law(d, 0.5, 0.5, theta, amps, cap, p_dc)
             residual = law[("NONE", 0, False)]
             assert 0.0 < residual < 1e-18
             assert columns[m, 2 * cap] == pytest.approx(residual, rel=1e-12, abs=0)
+            residual = reference.window_law(d, 0.5, 0.5, theta, amps, cap, p_dc)[2]
+            assert 0.0 < residual < 1e-18
             assert ranges[m, 2] == pytest.approx(residual, rel=1e-12, abs=0)
 
     def test_law_without_dark_counts_is_the_table(self):
@@ -650,13 +655,14 @@ class TestCost:
         assert (stats.dark_clicks > 0) == (fixed.dark_clicks > 0) == (p_dc > 0)
 
     @pytest.mark.parametrize(
-        "d, p_dc, categories", [(2, 0.0, 3), (64, 0.0, 3), (2, 1e-3, 5), (64, 1e-3, 5)]
+        "d, p_dc, categories", [(2, 0.0, 3), (64, 0.0, 3), (2, 1e-3, 4), (64, 1e-3, 4)]
     )
     def test_discrimination_run_is_two_multinomials(
         self, monkeypatch, d, p_dc, categories
     ):
         # the setting counts, then every setting's frame law at once: the
-        # photon ranges, and with dark counts the two dark categories
+        # photon ranges, and with dark counts the frames a dark click alone
+        # accepts
         draws = _record_multinomials(monkeypatch)
         run_discrimination(symmetric_config(d, 0.8, 4 * d, p_dc), 0, 10**6, 7)
         assert [pvals.shape for pvals in draws] == [(d,), (d, categories)]
