@@ -126,6 +126,7 @@ def gamma_state(cfg: CavityConfig, N: int) -> TimeBinState:
     must already be inside the loop.
     """
     d = cfg.dim
+    check_integer("bin", N)
     if N < d:
         raise ValueError(
             f"bin {N} precedes the measurement window (first accepted bin is {d})"
@@ -198,6 +199,7 @@ def cutoff_acceptances(
     _check_input(cfg, state)
     d = cfg.dim
     for cutoff in cutoffs:
+        check_integer("cutoff", cutoff)
         if cutoff < d:
             raise ValueError(
                 f"cutoff {cutoff} precedes the measurement window "

@@ -33,9 +33,8 @@ from .cavity import (
 from .imperfections import (
     TradeoffPoint,
     accepted_probability,
-    cutoff_tradeoff_scan,  # noqa: F401  (bound for the benchmark's traced run)
+    cutoff_tradeoff_scan,
     dark_acceptances,
-    tradeoff_points,
 )
 from .montecarlo import (
     MAX_TRIALS,
@@ -315,8 +314,8 @@ def compute_sweep(config: ExperimentConfig) -> List[SweepRow]:
 def compute_tradeoff(config: ExperimentConfig) -> List[TradeoffPoint]:
     """:func:`imperfections.cutoff_tradeoff_scan` at the grid's one value,
     for a config resolved for tradeoff."""
-    _, _, rows = _accepted_rows(config, mub_state(config.d, config.k), config.r_grid[0])
-    return tradeoff_points(rows, config.n_prime, config.k)
+    cfg = config.cavity_config(config.r_grid[0], max(config.n_prime))
+    return cutoff_tradeoff_scan(cfg, config.n_prime, config.k)
 
 
 def _z_score(observed: float, expected: float, n: int) -> float:
@@ -370,25 +369,25 @@ def discrimination_report(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(text: str, config: ExperimentConfig, what: str) -> int:
+    """Print ``text``, or write it to ``config.output_path`` and say that
+    ``what`` was written there; exit code 0."""
+    path = config.output_path
     if path is None:
         sys.stdout.write(text)
-        return
+        return 0
     try:
         with open(path, "wb") as file:
             file.write(text.encode())
     except OSError as exc:
         raise UsageError(f"cannot write output file {path}: {exc}") from exc
+    print(f"wrote {what} to {path}")
+    return 0
 
 
-def _emit_rows(rows, columns, config: ExperimentConfig) -> None:
-    if config.output_format == "csv":
-        text = emit_csv(rows, columns)
-    else:
-        text = emit_json(rows, columns)
-    _write_output(text, config.output_path)
-    if config.output_path is not None:
-        print(f"wrote {len(rows)} rows to {config.output_path}")
+def _emit_rows(rows, columns, config: ExperimentConfig) -> str:
+    emit = emit_csv if config.output_format == "csv" else emit_json
+    return emit(rows, columns)
 
 
 def cmd_mub_verify(args) -> int:
@@ -405,8 +404,9 @@ def cmd_mub_verify(args) -> int:
 def cmd_error_sweep(args) -> int:
     config = _load_config(args)
     rows = compute_sweep(config)
-    _emit_rows(rows, SWEEP_COLUMNS, config)
-    return 0
+    return _write_output(
+        _emit_rows(rows, SWEEP_COLUMNS, config), config, f"{len(rows)} rows"
+    )
 
 
 def cmd_discriminate(args) -> int:
@@ -414,22 +414,20 @@ def cmd_discriminate(args) -> int:
         raise UsageError("discriminate writes a JSON report; it takes no --format csv")
     config = _load_config(args)
     report = discrimination_report(config)
-    _write_output(emit_json(report), config.output_path)
-    if config.output_path is not None:
-        print(f"wrote discrimination report to {config.output_path}")
-    return 0
+    return _write_output(emit_json(report), config, "discrimination report")
 
 
 def cmd_tradeoff(args) -> int:
     config = _load_config(args)
     rows = compute_tradeoff(config)
-    _emit_rows(rows, TRADEOFF_COLUMNS, config)
-    return 0
+    return _write_output(
+        _emit_rows(rows, TRADEOFF_COLUMNS, config), config, f"{len(rows)} rows"
+    )
 
 
 def cmd_defaults(args) -> int:
-    sys.stdout.write(emit_json(dataclasses.asdict(ExperimentConfig())))
-    return 0
+    defaults = ExperimentConfig()  # its output_path is None: printed
+    return _write_output(emit_json(dataclasses.asdict(defaults)), defaults, "defaults")
 
 
 def parse_r_grid(text: str) -> List[float]:

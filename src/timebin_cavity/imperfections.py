@@ -87,18 +87,10 @@ def cutoff_tradeoff_scan(
     probabilities times each window's geometric sum;
     :func:`dark_acceptances` folds each window's dark clicks into its row.
     """
-    cutoffs = [int(n_prime) for n_prime in n_prime_values]
+    cutoffs = list(n_prime_values)
     probs = cutoff_acceptances(cfg, mub_state(cfg.dim, k), cutoffs)
     rows = dark_acceptances(cfg, probs, cutoffs)
-    return tradeoff_points(rows, cutoffs, k)
-
-
-def tradeoff_points(
-    rows: np.ndarray, cutoffs: Sequence[int], k: int
-) -> List[TradeoffPoint]:
-    """One point per cutoff from its row of accepted-click probabilities
-    (:func:`dark_acceptances`)."""
     return [
-        TradeoffPoint(n_prime, error_ratio(row, k), accepted_probability(row))
+        TradeoffPoint(int(n_prime), error_ratio(row, k), accepted_probability(row))
         for n_prime, row in zip(cutoffs, rows.tolist())
     ]

@@ -75,7 +75,7 @@ from .cavity import (
     outcome_table,
 )
 from .imperfections import window_dark_probability
-from .states import TimeBinState, check_mub_index, mub_state
+from .states import TimeBinState, check_integer, check_mub_index, mub_state
 
 # numpy's binomial and multinomial count in int64.
 MAX_TRIALS = 2**63 - 1
@@ -159,9 +159,10 @@ _outcome_table = outcome_table
 def _generator(seed: int) -> np.random.Generator:
     """The Philox stream keyed by ``seed``.
 
-    The seed is the Philox key itself, so it must lie in [0, 2**128); numpy
-    raises ValueError otherwise rather than reducing it onto another seed's
-    stream.
+    The seed is the Philox key itself, so it must be an integer in
+    [0, 2**128). numpy raises ValueError outside that range, but truncates
+    a float key onto another seed's stream (1.5 draws seed 1's), so the
+    runs check the seed is an integer first (:func:`_check_run`).
     """
     return np.random.Generator(np.random.Philox(key=seed))
 
@@ -284,7 +285,8 @@ def _range_law(
     (r1 r2)^(2j), scaled by t2^2 for D2, t1^2 r2^2 for BACK and r2^2 for
     the residual. So the later bins enter as sums of that vector, summed
     bin by bin (never in closed form, so the law stays apart from the
-    acceptance kernel) in blocks of at most :data:`BLOCK_CELLS` bins.
+    acceptance kernel) in blocks of at most :data:`BLOCK_CELLS` bins, and
+    no further once the vector rounds to 0: every later block adds 0.0.
     """
     d, n_prime, rows = cfg.dim, cfg.n_prime, len(thetas)
     upstream, d2 = np.empty((rows, d)), np.empty((rows, d))
@@ -295,11 +297,10 @@ def _range_law(
     clicks = back = 0.0
     last = 1.0
     for b0 in range(d + 1, n_prime + 1, BLOCK_CELLS):
+        if not last:  # the decay only falls, so once it rounds to 0 it stays 0
+            break
         b1 = min(b0 + BLOCK_CELLS, n_prime + 1)
-        if last:  # the decay only falls, so once it rounds to 0 it stays 0
-            decay = (cfg.r1 * cfg.r2) ** (2 * np.arange(b0 - d - 1, b1 - d))
-        else:
-            decay = np.zeros(b1 - b0 + 1)
+        decay = (cfg.r1 * cfg.r2) ** (2 * np.arange(b0 - d - 1, b1 - d))
         clicks += decay[1:].sum()
         back += decay[:-1].sum()
         last = decay[-1]
@@ -316,8 +317,12 @@ def _range_law(
     return np.minimum(np.maximum(law, 0.0, out=law), 1.0, out=law)
 
 
-def _check_run(n_trials: int, d: int, cap: int) -> None:
-    """The trial cap, then the size cap, before anything that grows with d."""
+def _check_run(n_trials: int, master_seed: int, d: int, cap: int) -> None:
+    """Integer trials, seed and cap, the trial cap, then the size cap,
+    before anything that grows with d."""
+    check_integer("n_trials", n_trials)
+    check_integer("master_seed", master_seed)
+    check_integer("bin_cap", cap)
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, 2**63 - 1], got {n_trials}")
     check_window_size(d, cap)
@@ -345,7 +350,7 @@ def run_trials(
     """
     d = cfg.dim
     cap = cfg.n_prime if bin_cap is None else bin_cap
-    _check_run(n_trials, d, cap)
+    _check_run(n_trials, master_seed, d, cap)
     table = full_outcome_distribution(cfg, state, cap)
     law = _column_law(table, cfg.p_dc, cap)[0]
     ports, bins = table.ports, table.bins
@@ -390,7 +395,7 @@ def run_discrimination(
     """
     d, n_prime = cfg.dim, cfg.n_prime
     check_mub_index(d, prepared_k)
-    _check_run(n_trials, d, n_prime)
+    _check_run(n_trials, master_seed, d, n_prime)
     state = mub_state(d, prepared_k)
     thetas = TWO_PI * np.arange(d) / d - math.pi  # each theta_for_outcome(d, m)
     law = _range_law(cfg, state, thetas)

@@ -35,6 +35,9 @@ CASES = {
     "error-sweep-d16-json": "error-sweep --d 16 --r-grid 0.5:0.99:0.1 --format json",
     "tradeoff-d16": "tradeoff --d 16 --r-grid 0.99 --p-dc 1e-5 --n-prime 21,36,66",
     "discriminate-d2": "discriminate --d 2 --r-grid 0.5 --trials 10000 --seed 42",
+    # no dark counts at d = 16: the oldest committed report
+    "discriminate-d16": "discriminate --d 16 --r-grid 0.9 --p-dc 0 "
+    "--trials 200000 --seed 5 --format json",
     # dark counts, at d = 16 and d = 64
     "discriminate-d16-dark": "discriminate --d 16 --r-grid 0.9 --p-dc 1e-3 "
     "--trials 200000 --seed 5 --format json",

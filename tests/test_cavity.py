@@ -168,6 +168,17 @@ class TestGammaState:
         with pytest.raises(ValueError, match="window"):
             gamma_state(symmetric_config(4, 0.5), 3)
 
+    def test_bin_must_be_an_integer(self):
+        # bin 5.5 gave a state between two bins' powers of r
+        cfg = symmetric_config(4, 0.5, n_prime=8)
+        with pytest.raises(ValueError, match="bin must be an integer"):
+            gamma_state(cfg, 5.5)
+        with pytest.raises(ValueError, match="bin must be an integer"):
+            d2_bin_probability(cfg, mub_state(4, 0), 5.5)
+        np.testing.assert_array_equal(
+            gamma_state(cfg, np.int64(5)).amps, gamma_state(cfg, 5).amps
+        )
+
 
 class TestD2BinProbability:
     def test_matched_two_bin_example(self):
@@ -432,6 +443,20 @@ class TestCutoffAcceptances:
     def test_cutoff_before_the_window_is_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
             cutoff_acceptances(symmetric_config(4, 0.5), mub_state(4, 0), [8, 3])
+
+    @pytest.mark.parametrize("cutoff", [12.7, math.nan, np.float64(12)])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        # 12.7 gave a 9.7-bin window sum, and nan a row of nan
+        cfg, state = symmetric_config(4, 0.5), mub_state(4, 0)
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            cutoff_acceptances(cfg, state, [8, cutoff])
+
+    def test_numpy_integer_cutoffs_pass(self):
+        cfg, state = symmetric_config(4, 0.5), mub_state(4, 0)
+        np.testing.assert_array_equal(
+            cutoff_acceptances(cfg, state, [np.int64(8), np.int32(12)]),
+            cutoff_acceptances(cfg, state, [8, 12]),
+        )
 
     def test_no_cutoffs(self):
         cfg = symmetric_config(4, 0.5)

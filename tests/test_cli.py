@@ -22,6 +22,7 @@ from timebin_cavity import (
     CavityConfig,
     cavity,
     cli,
+    imperfections,
     montecarlo,
     mub_state,
     theta_for_outcome,
@@ -271,7 +272,7 @@ class TestOneKernelPass:
             calls.append(args)
             return kernel(*args)
 
-        for module in (cavity, cli):
+        for module in (cavity, cli, imperfections):
             monkeypatch.setattr(module, "cutoff_acceptances", counted)
         return calls
 
@@ -451,14 +452,15 @@ class TestDiscriminate:
         # Without dark counts the frame law is the table row: the stream
         # reads the setting counts, then the photon ranges. The committed
         # report was written before the sampler drew dark counts from the
-        # law; it also pins numpy's multinomial algorithm.
+        # law; it also pins numpy's multinomial algorithm. It is the golden
+        # case discriminate-d16, this argv without --out.
         out = tmp_path / "mc0.json"
         assert run_cli(
             "discriminate", "--d", "16", "--r-grid", "0.9", "--p-dc", "0",
             "--trials", "200000", "--seed", "5", "--format", "json",
             "--out", str(out),
         ) == 0  # fmt: skip
-        committed = Path(__file__).parent / "data" / "mc0_report.json"
+        committed = Path(__file__).parent / "data" / "golden" / "discriminate-d16.out"
         assert out.read_bytes() == committed.read_bytes()
 
     def test_report_contents(self, tmp_path):
@@ -707,9 +709,10 @@ class TestSizeCaps:
 
         at_cap = f"reached with {n_cutoffs} cutoffs"
         for extra, message in ((0, at_cap), (1, "size cap")):
-            monkeypatch.setattr(
-                cli, "cutoff_acceptances", _must_not_run if extra else reached
-            )
+            for module in (cli, imperfections):
+                monkeypatch.setattr(
+                    module, "cutoff_acceptances", _must_not_run if extra else reached
+                )
             cutoffs = ",".join([str(d)] * (n_cutoffs + extra))
             argv = ["--d", str(d), "--r-grid", "0.5", "--n-prime", cutoffs]
             assert run_cli("tradeoff", *argv) == 1

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,6 +184,23 @@ class TestCutoffTradeoffScan:
         p_w = 1.0 - (1.0 - 2e-4) ** (10 - 4 + 1)
         assert point.accepted_probability == pytest.approx(
             clean + (1.0 - clean) * p_w, abs=1e-15
+        )
+
+    def test_cutoff_must_be_an_integer(self):
+        # 12.7 was truncated, and its point reported n_prime 12
+        cfg = symmetric_config(4, 0.6, n_prime=16, p_dc=1e-4)
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            cutoff_tradeoff_scan(cfg, [12.7])
+
+    def test_numpy_integer_cutoffs_pass(self):
+        cfg = symmetric_config(4, 0.6, n_prime=16, p_dc=1e-4)
+        cutoffs = [np.int64(8), np.int32(16)]
+        points = cutoff_tradeoff_scan(cfg, cutoffs)
+        assert points == cutoff_tradeoff_scan(cfg, [8, 16])
+        assert all(type(point.n_prime) is int for point in points)  # JSON-ready
+        # a generator is walked once, into a list
+        assert cutoff_tradeoff_scan(cfg, iter([8, 16])) == cutoff_tradeoff_scan(
+            cfg, [8, 16]
         )
 
     def test_empty_cutoff_list(self):

@@ -108,6 +108,23 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="n_trials"):
             run_trials(cfg, mub_state(2, 0), 0, 1)
 
+    @pytest.mark.parametrize(
+        "n_trials,seed,bin_cap", [(10.5, 1, None), (10, 1.5, None), (10, 1, 10.5)]
+    )
+    def test_counts_must_be_integers(self, n_trials, seed, bin_cap):
+        # 10.5 trials drew 10 frames but reported n_trials 10.5, and a
+        # bin_cap of 10.5 raised a TypeError from the table build
+        cfg = symmetric_config(2, 0.5, 4)
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_trials(cfg, mub_state(2, 0), n_trials, seed, bin_cap)
+
+    def test_numpy_integer_counts_pass(self):
+        cfg, state = symmetric_config(4, 0.5, 12, p_dc=0.002), mub_state(4, 0)
+        assert_same_stats(
+            run_trials(cfg, state, np.int32(5000), np.int64(5)),
+            run_trials(cfg, state, 5000, 5),
+        )
+
     def test_counts_add_up_to_trials(self):
         cfg = symmetric_config(4, 0.5, 12, p_dc=0.002)
         stats = run_trials(cfg, mub_state(4, 0), 50_000, 5)
@@ -370,6 +387,25 @@ class TestRunDiscrimination:
     def test_invalid_prepared_index(self):
         with pytest.raises(ValueError, match="out of range"):
             run_discrimination(symmetric_config(4, 0.5, 8), 4, 100, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, np.float64(1)])
+    def test_seed_must_be_an_integer(self, seed):
+        # Philox truncates a float key: seed 1.5 drew seed 1's stream
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            run_discrimination(symmetric_config(2, 0.5, 4), 0, 10**5, seed)
+
+    @pytest.mark.parametrize("n_trials", [10.7, 100.0])
+    def test_trials_must_be_an_integer(self, n_trials):
+        # 10.7 drew 10 frames and divided the D2 frequency by 10.7
+        with pytest.raises(ValueError, match="n_trials must be an integer"):
+            run_discrimination(symmetric_config(2, 0.5, 4), 0, n_trials, 1)
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = symmetric_config(4, 0.5, 8, p_dc=1e-3)
+        assert_same_stats(
+            run_discrimination(cfg, 1, np.int64(5000), np.uint64(3)),
+            run_discrimination(cfg, 1, 5000, 3),
+        )
 
 
 class TestFixedRunAgainstAnalyticD2:
